@@ -232,15 +232,8 @@ BIFURCATE_DEFAULTS = dict(
 def cmd_bifurcate(args) -> int:
     opt = merge_options(args, BIFURCATE_DEFAULTS)
     gmin, gmax = float(opt["gamma_min"]), float(opt["gamma_max"])
-    steps = int(opt["steps"])
-    omega = float(opt["omega"])
-    if gmin <= 0 or gmax < gmin:
-        raise UsageError(f"need 0 < gamma_min <= gamma_max, got [{gmin}, {gmax}]")
-    if gmin == gmax:
-        steps = 1
-    elif steps < 2:
-        raise UsageError("steps must be >= 2 for a nontrivial range")
-    points = bifurcation_sweep(gmin, gmax, steps, omega, threads=int(opt["threads"]))
+    points = bifurcation_sweep(gmin, gmax, int(opt["steps"]), float(opt["omega"]),
+                               threads=int(opt["threads"]))
     lines = ["gamma,branch,t1,t2,action"]
     transition = None
     prev_gamma = None

@@ -30,6 +30,7 @@ import numpy as np
 __all__ = [
     "RegularizationLevel",
     "eval_F",
+    "entropy_density",
     "eval_A",
     "eval_B",
     "eval_a",
@@ -85,26 +86,27 @@ def _check_scalar_nonneg(s) -> float:
     return s
 
 
-def _F_arr(s):
-    """s^2 log s^2 with the continuous extension F(0) = 0 (array version)."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    nz = s > 0.0
-    out[nz] = s[nz] ** 2 * np.log(s[nz] ** 2)
+def entropy_density(s):
+    """Entropy density s^2 log s^2 of amplitudes s >= 0, vectorized, with
+    the continuous extension F(0) = 0 (also where s^2 underflows to 0)."""
+    s2 = np.asarray(s, dtype=float) ** 2
+    out = np.zeros_like(s2)
+    nz = s2 > 0.0
+    out[nz] = s2[nz] * np.log(s2[nz])
     return out
 
 
 def _A_arr(s):
     """Convex branch function (array version)."""
     s = np.asarray(s, dtype=float)
-    lo = -_F_arr(np.minimum(s, _E3))
+    lo = -entropy_density(np.minimum(s, _E3))
     hi = 3.0 * s**2 + 4.0 * _E3 * s - _E6
     return np.where(s <= _E3, lo, hi)
 
 
 def _B_arr(s):
     """B = F + A; identically zero on [0, e^-3] (array version)."""
-    return _F_arr(s) + _A_arr(s)
+    return entropy_density(s) + _A_arr(s)
 
 
 def eval_F(s) -> float:
@@ -204,7 +206,7 @@ def gm_phase_rate(s, m=None):
 def _P_log(x):
     """Antiderivative of s log s^2, zero at 0: x^2 log(x^2)/2 - x^2/2."""
     x = np.asarray(x, dtype=float)
-    return 0.5 * _F_arr(x) - 0.5 * x**2
+    return 0.5 * entropy_density(x) - 0.5 * x**2
 
 
 def _P_b(x):

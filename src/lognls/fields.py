@@ -5,18 +5,21 @@ so x = 0 is a cell edge with no unknown on it.  That matches the
 function space of the problem (H^1 away from the origin): a field may
 jump across 0, and its one-sided traces are obtained by extrapolation.
 
-One symmetric matrix drives everything.  The quadratic part of the
+One structured operator drives everything.  The quadratic part of the
 energy,
 
     t_gamma[u] = int |u'|^2 dx - (1/gamma) |u(0+) - u(0-)|^2,
 
-is assembled from first differences at cell edges (trapezoid weights
-along each half-line, a ghost-edge Dirichlet closure at +-L, and
-two-node traces for the jump term), giving a real symmetric banded
-matrix M with u* M u = t_gamma[u].  The same M supplies the exact
-gradient of the action for the minimizer and the Hamiltonian M/dx for
-the Crank-Nicolson propagator, so the discrete mass sum is conserved to
-solver precision by time stepping.
+is built from first differences at cell edges (trapezoid weights along
+each half-line, a ghost-edge Dirichlet closure at +-L, and two-node
+traces for the jump term).  That gives M = T - (1/gamma) c c^T with
+u* M u = t_gamma[u]: a real symmetric tridiagonal part T, the free
+Laplacian on the two half-lines, plus a rank-one jump term with the
+trace stencil c.  The same M supplies the exact gradient of the action,
+the minimizer's implicit step and the Hamiltonian M/dx of the
+Crank-Nicolson propagator; shifted systems with M are solved by a
+tridiagonal LU plus a Sherman-Morrison correction.  The discrete mass
+sum is therefore conserved to solver precision by time stepping.
 
 Mass and entropy integrals use the midpoint rule, which on this mesh
 tiles each half-line exactly.
@@ -30,8 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 from . import corefn, stationary
 from .stationary import GroundStateParams
@@ -74,8 +76,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError(f"half-width L must be positive, got {self.L}")
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"half-width L must be a finite positive number, got {self.L}")
         if self.n < 6 or self.n % 2:
             raise ValueError(f"n must be an even integer >= 6, got {self.n}")
 
@@ -195,13 +197,26 @@ class ConvergenceError(RuntimeError):
 # ----------------------------------------------------------------------
 
 
-class FormOperator:
-    """Assembled quadratic form at fixed (grid, gamma).
+def _tridiagonal_plus_rank_one(diag, off, coeff, c, span, values):
+    """(T + coeff c c^T) values for the symmetric tridiagonal T with
+    diagonal diag and off-diagonal off; c holds the entries of the
+    rank-one vector on span, which is zero elsewhere."""
+    out = diag * values
+    out[:-1] += off * values[1:]
+    out[1:] += off * values[:-1]
+    out[span] += (coeff * (c @ values[span])) * c
+    return out
 
-    ``matrix`` is real symmetric with bandwidth 3 and satisfies
-    u* matrix u = t_gamma[u]; ``jump_stencil`` is the row vector whose
-    dot product with the samples is the two-node trace jump
-    u(0+) - u(0-).
+
+class FormOperator:
+    """The quadratic form at fixed (grid, gamma) as a structured operator.
+
+    M = T + coupling * c c^T satisfies u* M u = t_gamma[u].  T is real
+    symmetric tridiagonal (``diag``, ``off``), written from the edge
+    weights of the first differences; ``jump_stencil`` c is the row
+    vector whose dot product with the samples is the two-node trace jump
+    u(0+) - u(0-), nonzero only on the four nodes ``jump``, and
+    ``coupling`` = -1/gamma.
     """
 
     def __init__(self, grid: Grid, gamma: float):
@@ -212,59 +227,72 @@ class FormOperator:
             raise ValueError(
                 f"|gamma| = {abs(gamma)} is not resolved by dx = {dx}; refine the grid"
             )
-        rows, cols, vals, wts = [], [], [], []
-        erow = 0
+        # weight of the edge between nodes k and k+1: trapezoid rule along
+        # each half-line, with no edge across the origin
+        w = np.full(n - 1, dx)
+        w[[m - 2, m]] = 1.5 * dx
+        w[m - 1] = 0.0
+        self.off = -w / (dx * dx)
+        self.diag = np.zeros(n)
+        self.diag[:-1] -= self.off
+        self.diag[1:] -= self.off
+        # Dirichlet ghost edges at -L and L: derivative +-2 u / dx, weight dx/2
+        self.diag[[0, -1]] += 2.0 / dx
 
-        def add_edge(stencil, weight):
-            nonlocal erow
-            for j, v in stencil:
-                rows.append(erow)
-                cols.append(j)
-                vals.append(v)
-            wts.append(weight)
-            erow += 1
-
-        # Dirichlet ghost edge at -L: derivative 2 u_0 / dx, trapezoid end weight
-        add_edge([(0, 2.0 / dx)], dx / 2.0)
-        for j in range(1, m):
-            w = 1.5 * dx if j == m - 1 else dx
-            add_edge([(j, 1.0 / dx), (j - 1, -1.0 / dx)], w)
-        for j in range(m + 1, n):
-            w = 1.5 * dx if j == m + 1 else dx
-            add_edge([(j, 1.0 / dx), (j - 1, -1.0 / dx)], w)
-        add_edge([(n - 1, -2.0 / dx)], dx / 2.0)
-        E = sp.csr_matrix((vals, (rows, cols)), shape=(erow, n))
-        M = (E.T @ sp.diags(wts) @ E).tocsr()
-
-        c = np.zeros(n)
-        c[m], c[m + 1] = 1.5, -0.5
-        c[m - 1], c[m - 2] = -1.5, 0.5
-        block = sp.csr_matrix(
-            (np.outer(c[m - 2 : m + 2], c[m - 2 : m + 2]).ravel(),
-             (np.repeat(np.arange(m - 2, m + 2), 4), np.tile(np.arange(m - 2, m + 2), 4))),
-            shape=(n, n),
-        )
-        M = M - (1.0 / gamma) * block
-        M = ((M + M.T) * 0.5).tocsr()
-
+        self.jump = slice(m - 2, m + 2)
+        self.jump_stencil = np.zeros(n)
+        self.jump_stencil[self.jump] = (0.5, -1.5, 1.5, -0.5)
         self.grid = grid
         self.gamma = gamma
-        self.matrix = M
-        self.jump_stencil = c
+        self.coupling = -1.0 / gamma
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """M values."""
+        return _tridiagonal_plus_rank_one(self.diag, self.off, self.coupling,
+                                          self.jump_stencil[self.jump], self.jump, values)
 
     def form(self, values: np.ndarray) -> float:
-        return float(np.real(np.vdot(values, self.matrix @ values)))
+        return float(np.real(np.vdot(values, self.apply(values))))
 
-    def hamiltonian(self) -> sp.csr_matrix:
-        """The operator H = matrix/dx whose quadratic form is t_gamma."""
-        return (self.matrix / self.grid.dx).tocsr()
+    def solver(self, shift, scale: complex) -> "ShiftedSolver":
+        """Factor shift + scale * M once; shift is a scalar or one value per node."""
+        return ShiftedSolver(self, shift, scale)
 
-    def hamiltonian_banded(self) -> np.ndarray:
-        """H in LAPACK band storage (7 diagonals, bandwidth 3)."""
-        H = self.hamiltonian().tocoo()
-        ab = np.zeros((7, self.grid.n))
-        ab[3 + H.row - H.col, H.col] = H.data
-        return ab
+
+class ShiftedSolver:
+    """y = (shift + scale * M)^-1 r for one FormOperator M = T + coupling c c^T.
+
+    The tridiagonal part shift + scale * T is factored once by LAPACK
+    zgttrf; each call is one zgttrs solve plus the Sherman-Morrison
+    correction for the rank-one jump term.
+    """
+
+    def __init__(self, op: FormOperator, shift, scale: complex):
+        self.diag = shift + scale * op.diag + 0j
+        self.off = scale * op.off + 0j
+        self.dl, self.d, self.du, self.du2, self.ipiv, info = lapack.zgttrf(
+            self.off, self.diag, self.off)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"tridiagonal factorization failed (info={info})")
+        self.alpha = scale * op.coupling
+        self.jump = op.jump
+        self.c = op.jump_stencil[op.jump]
+        self.z = self._tridiagonal_solve(op.jump_stencil)
+        self.gain = self.alpha / (1.0 + self.alpha * (self.c @ self.z[self.jump]))
+
+    def _tridiagonal_solve(self, r):
+        return lapack.zgttrs(self.dl, self.d, self.du, self.du2, self.ipiv, r)[0]
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        y = self._tridiagonal_solve(r)
+        y -= (self.gain * (self.c @ y[self.jump])) * self.z
+        return y
+
+    def matvec(self, values: np.ndarray) -> np.ndarray:
+        """(shift + scale * M) values, from the matrix itself rather than
+        from its rounded factors."""
+        return _tridiagonal_plus_rank_one(self.diag, self.off, self.alpha, self.c,
+                                          self.jump, values)
 
 
 @lru_cache(maxsize=64)
@@ -293,11 +321,13 @@ def mass(u: Field) -> float:
 
 def entropy(u: Field) -> float:
     """int |u|^2 log|u|^2 dx with the integrand extended by 0 at u = 0."""
-    s = np.abs(u.values)
-    out = np.zeros_like(s)
-    nz = s > 0.0
-    out[nz] = s[nz] ** 2 * np.log(s[nz] ** 2)
-    return float(u.grid.dx * np.sum(out))
+    return float(u.grid.dx * np.sum(corefn.entropy_density(np.abs(u.values))))
+
+
+def _log_abs2(values: np.ndarray) -> np.ndarray:
+    """log|v|^2 with |v|^2 floored at the smallest normal double, so that a
+    zero sample gives a finite logarithm (v log|v|^2 is then 0 there)."""
+    return np.log(np.maximum(np.abs(values) ** 2, np.finfo(float).tiny))
 
 
 def derivative(u: Field) -> np.ndarray:
@@ -343,10 +373,8 @@ def action_gradient(u: Field, gamma: float, omega: float) -> np.ndarray:
     """Gradient of the action with respect to the samples, under the real
     inner product Re sum a conj(b); matches finite differences of
     report().action."""
-    op = form_operator(u.grid, gamma)
     v = u.values
-    logs = np.log(np.maximum(np.abs(v), 1e-300) ** 2)
-    return op.matrix @ v + u.grid.dx * (omega - logs) * v
+    return form_operator(u.grid, gamma).apply(v) + u.grid.dx * (omega - _log_abs2(v)) * v
 
 
 def nehari_project(u: Field, gamma: float, omega: float) -> Field:
@@ -377,11 +405,7 @@ def stationary_residual(u: Field, gamma: float, omega: float) -> StationaryResid
         return StationaryResidual(0.0, 0.0, 0.0)
     lap = np.zeros_like(v)
     lap[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dx * dx)
-    s = np.abs(v)
-    logs = np.zeros_like(s)
-    nz = s > 0.0
-    logs[nz] = np.log(s[nz] ** 2)
-    pde = -lap + omega * v - v * logs
+    pde = -lap + omega * v - v * _log_abs2(v)
     keep = np.ones(n, dtype=bool)
     keep[[0, 1, n - 2, n - 1, m - 2, m - 1, m, m + 1]] = False
     interior = float(np.max(np.abs(pde[keep])))
@@ -556,17 +580,12 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
     if grid is None:
         grid = Grid(20.0, 4096)
     op = form_operator(grid, gamma)
-    Hb = op.hamiltonian_banded()
     dx = grid.dx
 
     def functionals(v):
-        f = float(np.real(np.vdot(v, op.matrix @ v)))
-        q = float(dx * np.sum(np.abs(v) ** 2))
         s = np.abs(v)
-        ent = np.zeros_like(s)
-        nzm = s > 0.0
-        ent[nzm] = s[nzm] ** 2 * np.log(s[nzm] ** 2)
-        return f, q, float(dx * np.sum(ent))
+        q = float(dx * np.sum(s**2))
+        return op.form(v), q, float(dx * np.sum(corefn.entropy_density(s)))
 
     def constrain(v):
         if opts.odd_constraint:
@@ -586,11 +605,8 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
     rejects = 0
     it = 0
     for it in range(1, opts.max_iter + 1):
-        logs = np.log(np.maximum(np.abs(v), 1e-300) ** 2)
-        ab = tau * Hb
-        ab = ab.copy()
-        ab[3] += 1.0 + tau * (omega - logs)
-        v_try = constrain(solve_banded((3, 3), ab, v))
+        solve = op.solver(1.0 + tau * (omega - _log_abs2(v)), tau / dx)
+        v_try = constrain(solve(v))
         S_try = action_of(v_try)
         if S_try > S + 1e-12 * abs(S) and rejects < 8:
             tau = max(0.4 * tau, 1e-3)

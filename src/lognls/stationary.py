@@ -325,10 +325,10 @@ def bifurcation_sweep(
 ) -> list[BifurcationPoint]:
     """Branch data on a uniform gamma grid; the branch count jumps from
     one to three where the grid crosses gamma = 2."""
-    if not (0.0 < gamma_min < gamma_max) and not (gamma_min == gamma_max > 0 and steps >= 1):
-        raise ValueError(f"need 0 < gamma_min < gamma_max, got [{gamma_min}, {gamma_max}]")
-    if steps < 2 and gamma_min != gamma_max:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+    if not (0.0 < gamma_min <= gamma_max):
+        raise ValueError(f"need 0 < gamma_min <= gamma_max, got [{gamma_min}, {gamma_max}]")
+    if steps < (1 if gamma_min == gamma_max else 2):
+        raise ValueError(f"steps must be >= 2 (>= 1 for a single point), got {steps}")
     if gamma_min == gamma_max:
         grid = [gamma_min]
     else:

@@ -73,8 +73,13 @@ class TestBifurcate:
         assert not target.exists()
         assert not list(tmp_path.iterdir())
 
-    def test_invalid_range(self):
-        assert run(["bifurcate", "--gamma-min", "3", "--gamma-max", "2"]) == 1
+    def test_invalid_range(self, capsys):
+        for bad in (["--gamma-min", "3", "--gamma-max", "2"],
+                    ["--gamma-min", "0", "--gamma-max", "2"],
+                    ["--gamma-min", "-1", "--gamma-max", "2"],
+                    ["--gamma-min", "1", "--gamma-max", "2", "--steps", "1"]):
+            assert run(["bifurcate", *bad]) == 1
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestMinimize:

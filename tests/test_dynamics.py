@@ -38,6 +38,16 @@ class TestLinearStep:
         v = linear_step(u, 2.0, 1e-3)
         assert mass(v) == pytest.approx(mass(u), rel=1e-12)
 
+    def test_mass_does_not_drift(self):
+        # a fixed rounding error of the factored solve would drain or feed
+        # the mass by the same amount at every step of a long run
+        g = Grid(20.0, 2048)
+        u = sample_profile(ground_states(2.0, 0.0)[0], g)
+        v = u
+        for _ in range(3000):
+            v = linear_step(v, 2.0, 2e-3)
+        assert abs(mass(v) - mass(u)) <= 1e-13 * mass(u)
+
     def test_bound_state_phase_rotation(self):
         # the defect's single bound state rotates at rate 4/gamma^2
         gamma, dt = 2.0, 1e-3
@@ -191,3 +201,7 @@ class TestStabilityExperiment:
             stability_experiment(2.0, 0.0, Branch.SYMMETRIC, -1e-2, 0.5, 1, 0)
         with pytest.raises(ValueError):
             stability_experiment(2.0, 0.0, Branch.SYMMETRIC, 1e-2, 0.5, 0, 0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="perturbation_size"):
+                stability_experiment(2.0, 0.0, Branch.SYMMETRIC, bad, 0.5, 1, 0,
+                                     grid=Grid(10.0, 512), dt=2.5e-3)

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from lognls.corefn import SQRT_PI
+from lognls.dynamics import linear_step
 from lognls.fields import (
     ConvergenceError,
     Field,
@@ -64,6 +65,9 @@ class TestGrid:
             Grid(20.0, 101)
         with pytest.raises(ValueError):
             Grid(-1.0, 64)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite positive"):
+                Grid(bad, 64)
 
     def test_field_validation(self, grid):
         with pytest.raises(ValueError):
@@ -299,6 +303,16 @@ class TestGradient:
             want = float(np.sum(grad * np.conj(v)).real)
             assert fd == pytest.approx(want, rel=1e-6)
 
+    def test_zero_sample_gives_finite_gradient(self):
+        g = Grid(10.0, 512)
+        vals = random_smooth_field(g, np.random.default_rng(3)).values.copy()
+        vals[100] = 0.0
+        u = Field(g, vals)
+        grad = action_gradient(u, 2.0, 0.25)
+        assert np.all(np.isfinite(grad))
+        # u log|u|^2 -> 0 at a zero sample: only the form part is left there
+        assert grad[100] == form_operator(g, 2.0).apply(vals)[100]
+
 
 class TestInequalities:
     def test_log_sobolev(self, grid):
@@ -361,6 +375,76 @@ class TestMinimize:
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
             minimize_dgamma(-1.0, 0.0)
+
+    def test_compactly_supported_seed(self):
+        # exact zeros in the seed must not reach the implicit step as log 0
+        g = Grid(20.0, 1024)
+        params = ground_states(1.0, 0.0)[0]
+        x = g.nodes()
+        seed = Field(g, np.where(np.abs(x) <= 15.0, sample_profile(params, g).values, 0.0))
+        r = minimize_dgamma(1.0, 0.0, seed=seed, grid=g)
+        closed = action_closed_form(params)
+        assert abs(r.value - closed) / closed < 0.01
+        assert r.residual.interior < 1e-6
+
+
+def edge_sum_form(u, gamma):
+    """t_gamma[u] written out from the definition in the fields docstring,
+    one cell edge at a time."""
+    v, n, m, dx = u.values, u.grid.n, u.grid.mid, u.grid.dx
+    # ghost edges at -L and L: Dirichlet derivative +-2 u / dx, trapezoid end weight dx/2
+    total = 0.5 * dx * abs(2.0 * v[0] / dx) ** 2 + 0.5 * dx * abs(2.0 * v[n - 1] / dx) ** 2
+    for lo, hi in ((0, m), (m, n)):  # each half-line; no edge crosses the origin
+        for j in range(lo + 1, hi):
+            # an edge next to the origin also covers the half cell up to 0
+            weight = 1.5 * dx if j in (m - 1, m + 1) else dx
+            total += weight * abs((v[j] - v[j - 1]) / dx) ** 2
+    # two-node linear extrapolation of the traces u(0+) and u(0-)
+    jump = (1.5 * v[m] - 0.5 * v[m + 1]) - (1.5 * v[m - 1] - 0.5 * v[m - 2])
+    return total - abs(jump) ** 2 / gamma
+
+
+def reference_matrix(grid, gamma):
+    """Dense real symmetric M with u* M u = edge_sum_form, by polarization."""
+    n = grid.n
+    e = np.eye(n)
+    q = lambda vals: edge_sum_form(Field(grid, vals), gamma)
+    return np.array([[0.25 * (q(e[j] + e[k]) - q(e[j] - e[k])) for k in range(n)]
+                     for j in range(n)])
+
+
+class TestOperatorReference:
+    """The structured operator against the edge-sum definition on a small grid."""
+
+    grid = Grid(4.0, 16)
+    gamma = 1.5
+
+    def field(self, seed):
+        rng = np.random.default_rng(seed)
+        return Field(self.grid, rng.standard_normal(16) + 1j * rng.standard_normal(16))
+
+    def test_quadratic_form(self):
+        for seed in range(3):
+            u = self.field(seed)
+            want = edge_sum_form(u, self.gamma)
+            assert quadratic_form(u, self.gamma) == pytest.approx(want, rel=1e-13)
+
+    def test_linear_step_is_dense_crank_nicolson(self):
+        H = reference_matrix(self.grid, self.gamma) / self.grid.dx
+        eye = np.eye(self.grid.n)
+        u = self.field(10)
+        for dt in (0.05, -0.3):
+            want = np.linalg.solve(eye + 0.5j * dt * H, (eye - 0.5j * dt * H) @ u.values)
+            got = linear_step(u, self.gamma, dt).values
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_action_gradient(self):
+        H = reference_matrix(self.grid, self.gamma) / self.grid.dx
+        u, omega, dx = self.field(20), 0.4, self.grid.dx
+        v = u.values
+        want = H @ v * dx + dx * (omega - np.log(np.abs(v) ** 2)) * v
+        got = action_gradient(u, self.gamma, omega)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_operator_cache_shared():

@@ -10,7 +10,10 @@ and builtins.
 import builtins
 import dis
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 import types
 
 import pytest
@@ -59,3 +62,13 @@ def test_detects_unbound_name():
     code = compile(source, "probe", "exec")
     exec(code, namespace)
     assert undefined_globals(code, namespace) == ["f -> missing_name"]
+
+
+def test_import_leaves_out_scipy_sparse():
+    # the form operator is tridiagonal plus rank one; no sparse matrices
+    src = os.path.dirname(os.path.dirname(lognls.__file__))
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import lognls, lognls.cli; "
+             "print('scipy.sparse' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
