@@ -54,6 +54,7 @@ from .fields import (
     minimize_dgamma,
     nehari_project,
     orbital_distance,
+    orbital_distances,
     quadratic_form,
     report,
     sample_free_gaussian,

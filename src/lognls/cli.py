@@ -91,14 +91,24 @@ def _json_text(obj, indent=0) -> str:
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
+def _umask() -> int:
+    """The process umask; it can only be read by setting it."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def write_atomic(path: str, text: str) -> None:
-    """Write via a temp file and rename, so failures leave no partial file."""
+    """Write via a temp file and rename, so failures leave no partial file.
+    The file gets the mode open() would give it (0666 less the umask), not
+    the 0600 of the temp file."""
     d = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".lognls-")
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
+            os.chmod(tmp, 0o666 & ~_umask())
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -35,7 +35,7 @@ from .fields import (
     Metric,
     ShiftedSolver,
     form_operator,
-    orbital_distance,
+    orbital_distances,
     random_smooth_field,
     sample_profile,
     sigma_norm,
@@ -189,9 +189,7 @@ def evolve(
         if phi is None:
             ds = dw = 0.0
         else:
-            f = u0.with_values(vals)
-            ds = orbital_distance(f, phi, Metric.SIGMA_ONLY)
-            dw = orbital_distance(f, phi, Metric.FULL_W, refine=False)
+            ds, dw = orbital_distances(u0.with_values(vals), phi)
         return TrajectoryRecord(time=t, mass=q, energy=en,
                                 orbital_distance_sigma=ds, orbital_distance_w=dw)
 

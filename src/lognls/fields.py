@@ -60,6 +60,7 @@ __all__ = [
     "nehari_project",
     "stationary_residual",
     "orbital_distance",
+    "orbital_distances",
     "luxemburg_norm",
     "sample_profile",
     "sample_free_gaussian",
@@ -420,13 +421,25 @@ def stationary_residual(u: Field, gamma: float, omega: float) -> StationaryResid
 # ----------------------------------------------------------------------
 
 
-def _sigma_dist_at(u: Field, phi_vals, dphi, du, theta: float) -> float:
-    dx = u.grid.dx
+def _phase_fit(u: Field, phi: Field):
+    """theta* = arg of the complex H^1 inner product <phi, u> (values plus
+    derivatives), which minimizes the H^1 part of the distance; returned
+    with the node derivatives of u and phi."""
+    if u.grid != phi.grid:
+        raise ValueError("fields live on different grids")
+    du, dphi = derivative(u), derivative(phi)
+    ip = u.grid.dx * (np.vdot(phi.values, u.values) + np.vdot(dphi, du))
+    theta = float(np.angle(ip)) if ip != 0 else 0.0
+    return theta, du, dphi
+
+
+def _sigma_dist_at(u: Field, phi: Field, du, dphi, theta: float):
+    """H^1 distance from u to e^{i theta} phi, and the sample difference
+    u - e^{i theta} phi."""
     e = np.exp(1j * theta)
-    d2 = dx * (
-        np.sum(np.abs(u.values - e * phi_vals) ** 2) + np.sum(np.abs(du - e * dphi) ** 2)
-    )
-    return math.sqrt(max(float(d2.real), 0.0))
+    diff = u.values - e * phi.values
+    d2 = u.grid.dx * (np.sum(np.abs(diff) ** 2) + np.sum(np.abs(du - e * dphi) ** 2))
+    return math.sqrt(max(float(d2.real), 0.0)), diff
 
 
 def _golden_min(f, lo: float, hi: float, iters: int = 40):
@@ -458,23 +471,29 @@ def orbital_distance(u: Field, phi: Field, metric: Metric = Metric.SIGMA_ONLY,
     refined by golden-section search in a +-0.5 rad window around
     theta* (skipped when refine is False).
     """
-    if u.grid != phi.grid:
-        raise ValueError("fields live on different grids")
-    dx = u.grid.dx
-    du, dphi = derivative(u), derivative(phi)
-    ip = dx * (np.vdot(phi.values, u.values) + np.vdot(dphi, du))
-    theta = float(np.angle(ip)) if ip != 0 else 0.0
+    theta, du, dphi = _phase_fit(u, phi)
     if metric is Metric.SIGMA_ONLY:
-        return _sigma_dist_at(u, phi.values, dphi, du, theta)
+        return _sigma_dist_at(u, phi, du, dphi, theta)[0]
 
     def objective(th: float) -> float:
-        diff = u.values - np.exp(1j * th) * phi.values
-        return _sigma_dist_at(u, phi.values, dphi, du, th) + corefn.luxemburg_norm(diff, dx)
+        d, diff = _sigma_dist_at(u, phi, du, dphi, th)
+        return d + corefn.luxemburg_norm(diff, u.grid.dx)
 
     if not refine:
         return objective(theta)
     _, best = _golden_min(objective, theta - 0.5, theta + 0.5)
     return min(best, objective(theta))
+
+
+def orbital_distances(u: Field, phi: Field) -> tuple[float, float]:
+    """The SIGMA_ONLY and the unrefined FULL_W orbital distance from one
+    phase fit: both are evaluated at theta*, where the W distance is the
+    sigma distance plus the Luxemburg norm of u - e^{i theta*} phi.  Equal
+    to orbital_distance(u, phi, SIGMA_ONLY) and
+    orbital_distance(u, phi, FULL_W, refine=False)."""
+    theta, du, dphi = _phase_fit(u, phi)
+    d, diff = _sigma_dist_at(u, phi, du, dphi, theta)
+    return d, d + corefn.luxemburg_norm(diff, u.grid.dx)
 
 
 # ----------------------------------------------------------------------

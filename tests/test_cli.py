@@ -1,6 +1,7 @@
 """Command-line contracts: exit codes, file formats, determinism."""
 
 import json
+import os
 import re
 
 import numpy as np
@@ -25,6 +26,16 @@ class TestGround:
         assert b["branch"] == "symmetric"
         assert b["stationary_residual"]["interior"] <= 1e-3
         assert max(b["pair_residuals"]) <= 1e-10
+
+    def test_output_mode_follows_umask(self, tmp_path):
+        out = tmp_path / "ground.json"
+        old = os.umask(0o022)
+        try:
+            code = run(["ground", "--gamma", "2", "--grid-n", "256", "--out", str(out)])
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert out.stat().st_mode & 0o777 == 0o644
 
     def test_three_branches_action_order(self, tmp_path):
         out = tmp_path / "g3.json"

@@ -46,6 +46,21 @@ class TestF:
         with pytest.raises(ValueError):
             eval_F(bad)
 
+    def test_underflowing_square(self):
+        # s^2 underflows to 0 below ~1.5e-162; F is continuous there
+        assert eval_F(1e-200) == 0.0
+        assert eval_A(1e-200) == 0.0
+        assert eval_B(1e-200) == 0.0
+
+    def test_scalar_matches_array_densities(self):
+        s = np.logspace(-320, 3, 600)
+        for scalar, array in ((eval_F, corefn.entropy_density), (eval_A, corefn._A_arr),
+                              (eval_B, corefn._B_arr)):
+            got = np.array([scalar(v) for v in s])
+            want = array(s)
+            scale = np.abs(corefn.entropy_density(s)) + np.abs(corefn._A_arr(s))
+            assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
 
 class TestAB:
     def test_branch_junction_exact(self):
@@ -87,6 +102,12 @@ class TestAB_pointwise:
 
     def test_b1_minus_a1(self):
         assert eval_b(1.0) - eval_a(1.0) == 0.0
+
+    def test_underflowing_modulus(self):
+        # |z|^2 underflows; a(z) = -z log|z|^2 and b(z) = 0 still hold
+        z = 1e-200 + 0j
+        assert eval_a(z) == pytest.approx(-z * 2.0 * math.log(1e-200), rel=1e-15)
+        assert eval_b(z) == 0.0
 
     def test_identity_log_spaced(self):
         rng = np.random.default_rng(7)
@@ -264,6 +285,59 @@ class TestLuxemburg:
             lo, hi = min(k, k * k), max(k, k * k)
             assert lo <= mod * (1 + 1e-9) + 1e-12
             assert mod <= hi * (1 + 1e-9) + 1e-12
+
+    def test_homogeneous_below_bracket_start(self):
+        # the gauge norm is exactly homogeneous, also for norms below the
+        # bracket's starting lower end 1e-12
+        n, L = 2048, 20.0
+        dx = 2 * L / n
+        x = -L + (np.arange(n) + 0.5) * dx
+        u = np.exp(-0.5 * x * x) * np.exp(0.3j * x)
+        k = luxemburg_norm(u, dx)
+        for c in (1e-13, 1e-20, 1e-40):
+            assert luxemburg_norm(c * u, dx) / c == pytest.approx(k, rel=1e-9)
+
+
+def _dense_luxemburg(u, dx, rtol=1e-10):
+    """The bisection of luxemburg_norm with every step a full modular()."""
+    vmax = float(np.max(np.abs(u)))
+    if vmax == 0.0:
+        return 0.0
+    lo, hi = 1e-12, vmax * (dx * u.size) + 1.0
+    while modular(u, dx, hi) > 1.0:
+        hi *= 2.0
+    while modular(u, dx, lo) <= 1.0:
+        hi, lo = lo, 0.5 * lo
+    while hi - lo > rtol * hi:
+        mid = 0.5 * (lo + hi)
+        if modular(u, dx, mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@st.composite
+def _amplitudes(draw):
+    """n in [1, 4096] samples, log-uniform over a drawn sub-range of
+    [1e-6, 1e3], with a drawn share of exact zeros."""
+    n = draw(st.integers(min_value=1, max_value=4096))
+    lo = draw(st.floats(min_value=-6.0, max_value=3.0))
+    hi = draw(st.floats(min_value=lo, max_value=3.0))
+    zeros = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    u = 10.0 ** rng.uniform(lo, hi, n)
+    u[rng.uniform(size=n) < zeros] = 0.0
+    return u
+
+
+@given(u=_amplitudes(), dx=st.floats(min_value=1e-3, max_value=1.0))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_luxemburg_matches_dense_bisection(u, dx):
+    k = luxemburg_norm(u, dx)
+    assert k == pytest.approx(_dense_luxemburg(u, dx), rel=1e-12, abs=0.0)
+    if k > 0.0:
+        assert abs(modular(u, dx, k) - 1.0) <= 1e-8
 
 
 def test_gm_matches_raw_rate_where_resolved():

@@ -13,7 +13,15 @@ from lognls.dynamics import (
     nonlinear_step,
     stability_experiment,
 )
-from lognls.fields import Field, Grid, Metric, mass, random_smooth_field, sample_profile
+from lognls.fields import (
+    Field,
+    Grid,
+    Metric,
+    mass,
+    orbital_distance,
+    random_smooth_field,
+    sample_profile,
+)
 from lognls.stationary import Branch, ground_states
 
 
@@ -137,6 +145,22 @@ class TestEvolve:
         peak = int(np.argmax(np.abs(u0.values)))
         drift = np.angle(res.final.values[peak] / u0.values[peak])
         assert drift == pytest.approx(omega * 1.0, abs=1e-3)
+
+    def test_record_distances_match_orbital_distance(self, grid):
+        # each record's two distances come from one phase fit; they must be
+        # exactly the two separate orbital_distance calls on the snapshot
+        params = ground_states(2.0, 0.0)[0]
+        phi = sample_profile(params, grid)
+        bump = random_smooth_field(grid, np.random.default_rng(3))
+        u0 = phi.with_values(phi.values + 0.05 * bump.values)
+        cfg = EvolutionConfig(dt=1e-3, t_end=0.05, record_every=10, snapshot_every=1)
+        res = evolve(u0, 2.0, cfg, reference=params)
+        states = [u0] + [f for _, f in res.snapshots]
+        assert len(states) == len(res.records) == 6
+        for rec, f in zip(res.records, states):
+            assert rec.orbital_distance_sigma == orbital_distance(f, phi, Metric.SIGMA_ONLY)
+            assert rec.orbital_distance_w == orbital_distance(f, phi, Metric.FULL_W, refine=False)
+            assert rec.orbital_distance_w > rec.orbital_distance_sigma > 0.0
 
     def test_snapshots_and_records_cadence(self, grid):
         params = ground_states(2.0, 0.0)[0]
