@@ -142,35 +142,41 @@ def load_config_file(path: str) -> dict[str, str]:
     return out
 
 
+# options whose value names one of a fixed set; merge_options maps the
+# name to its value
+_CHOICES = {
+    "branch": {b.value: b for b in Branch},
+    "seed": {"symmetric": Seed.SYMMETRIC, "left": Seed.LEFT, "right": Seed.RIGHT},
+    "metric": {"sigma": Metric.SIGMA_ONLY, "w": Metric.FULL_W},
+}
+
+
 def merge_options(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags (flags parse to non-None)."""
+    """defaults < config file < explicit flags (flags parse to non-None).
+    Every value takes the type of its default; a choice option's name is
+    replaced by the value it names."""
     merged = dict(defaults)
     if getattr(args, "config", None):
         filemap = load_config_file(args.config)
         for key, val in filemap.items():
             if key not in defaults:
                 raise UsageError(f"unknown config key '{key}'")
-            merged[key] = type(defaults[key])(val) if defaults[key] is not None else val
+            merged[key] = type(defaults[key])(val)
     for key in defaults:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
+    for key, choices in _CHOICES.items():
+        if key in merged:
+            if merged[key] not in choices:
+                raise UsageError(
+                    f"{key} must be one of {sorted(choices)}, got '{merged[key]}'")
+            merged[key] = choices[merged[key]]
     return merged
 
 
 def _grid(opt) -> Grid:
-    return Grid(float(opt["grid_l"]), int(opt["grid_n"]))
-
-
-def _require_gamma(opt) -> float:
-    gamma = float(opt["gamma"])
-    if gamma <= 0:
-        raise UsageError(f"gamma must be positive (attractive case), got {gamma}")
-    return gamma
-
-
-_BRANCHES = {b.value: b for b in Branch}
-_SEEDS = {"symmetric": Seed.SYMMETRIC, "left": Seed.LEFT, "right": Seed.RIGHT}
+    return Grid(opt["grid_l"], opt["grid_n"])
 
 
 # ----------------------------------------------------------------------
@@ -182,13 +188,13 @@ GROUND_DEFAULTS = dict(gamma=2.0, omega=0.0, grid_n=4096, grid_l=20.0, out="")
 
 def cmd_ground(args) -> int:
     opt = merge_options(args, GROUND_DEFAULTS)
-    gamma = _require_gamma(opt)
-    omega = float(opt["omega"])
+    gamma, omega = opt["gamma"], opt["omega"]
+    states = ground_states(gamma, omega)  # validates gamma before any output
     grid = _grid(opt)
     branches = []
     print(f"# ground states at gamma={fmt(gamma)} omega={fmt(omega)}")
     print(f"# {BRANCH_NOTE}")
-    for params in ground_states(gamma, omega):
+    for params in states:
         field = sample_profile(params, grid)
         rep = report(field, gamma, omega)
         res = stationary_residual(field, gamma, omega)
@@ -234,16 +240,13 @@ def cmd_ground(args) -> int:
     return 0
 
 
-BIFURCATE_DEFAULTS = dict(
-    gamma_min=1.0, gamma_max=3.0, steps=41, omega=0.0, out="", threads=1
-)
+BIFURCATE_DEFAULTS = dict(gamma_min=1.0, gamma_max=3.0, steps=41, omega=0.0, out="")
 
 
 def cmd_bifurcate(args) -> int:
     opt = merge_options(args, BIFURCATE_DEFAULTS)
-    gmin, gmax = float(opt["gamma_min"]), float(opt["gamma_max"])
-    points = bifurcation_sweep(gmin, gmax, int(opt["steps"]), float(opt["omega"]),
-                               threads=int(opt["threads"]))
+    gmin, gmax = opt["gamma_min"], opt["gamma_max"]
+    points = bifurcation_sweep(gmin, gmax, opt["steps"], opt["omega"])
     lines = ["gamma,branch,t1,t2,action"]
     transition = None
     prev_gamma = None
@@ -279,13 +282,9 @@ MINIMIZE_DEFAULTS = dict(
 
 def cmd_minimize(args) -> int:
     opt = merge_options(args, MINIMIZE_DEFAULTS)
-    gamma = _require_gamma(opt)
-    omega = float(opt["omega"])
-    if opt["seed"] not in _SEEDS:
-        raise UsageError(f"seed must be one of {sorted(_SEEDS)}, got {opt['seed']}")
-    grid = _grid(opt)
-    opts = MinimizeOptions(max_iter=int(opt["max_iter"]))
-    result = minimize_dgamma(gamma, omega, seed=_SEEDS[opt["seed"]], grid=grid, opts=opts)
+    gamma, omega = opt["gamma"], opt["omega"]
+    opts = MinimizeOptions(max_iter=opt["max_iter"])
+    result = minimize_dgamma(gamma, omega, seed=opt["seed"], grid=_grid(opt), opts=opts)
     states = ground_states(gamma, omega)
     closed = min(action_closed_form(p) for p in states)
     bound = dgamma_lower_bound(gamma, omega)
@@ -314,20 +313,14 @@ EVOLVE_DEFAULTS = dict(
 
 def cmd_evolve(args) -> int:
     opt = merge_options(args, EVOLVE_DEFAULTS)
-    gamma = _require_gamma(opt)
-    omega = float(opt["omega"])
-    if opt["branch"] not in _BRANCHES:
-        raise UsageError(f"branch must be one of {sorted(_BRANCHES)}")
-    branch = _BRANCHES[opt["branch"]]
-    grid = _grid(opt)
-    m = float(opt["m"]) or None  # 0 means the raw floored logarithm
-    snap = int(opt["snapshot_every"]) or None
+    gamma = opt["gamma"]
+    m = opt["m"] or None  # 0 means the raw floored logarithm
     config = EvolutionConfig(
-        dt=float(opt["dt"]), t_end=float(opt["t_end"]), m=m,
-        record_every=int(opt["record_every"]), snapshot_every=snap,
+        dt=opt["dt"], t_end=opt["t_end"], m=m,
+        record_every=opt["record_every"], snapshot_every=opt["snapshot_every"] or None,
     )
-    params = branch_params(gamma, omega, branch)
-    u0 = sample_profile(params, grid)
+    params = branch_params(gamma, opt["omega"], opt["branch"])
+    u0 = sample_profile(params, _grid(opt))
     result = evolve(u0, gamma, config, reference=params)
     lines = ["t,mass,energy,dist_sigma,dist_w"]
     for r in result.records:
@@ -352,32 +345,24 @@ def cmd_evolve(args) -> int:
 STABILITY_DEFAULTS = dict(
     gamma=2.0, omega=0.0, branch="symmetric", delta=1e-2, t_end=50.0,
     trials=8, rng_seed=0, grid_n=4096, grid_l=20.0, dt=1e-3,
-    record_every=125, metric="sigma", threads=1, out="",
+    record_every=125, metric="sigma", out="",
 )
 
 
 def cmd_stability(args) -> int:
     opt = merge_options(args, STABILITY_DEFAULTS)
-    gamma = _require_gamma(opt)
-    omega = float(opt["omega"])
-    if opt["branch"] not in _BRANCHES:
-        raise UsageError(f"branch must be one of {sorted(_BRANCHES)}")
-    metric = {"sigma": Metric.SIGMA_ONLY, "w": Metric.FULL_W}.get(opt["metric"])
-    if metric is None:
-        raise UsageError("metric must be 'sigma' or 'w'")
     summary = stability_experiment(
-        gamma=gamma,
-        omega=omega,
-        branch=_BRANCHES[opt["branch"]],
-        perturbation_size=float(opt["delta"]),
-        t_end=float(opt["t_end"]),
-        trials=int(opt["trials"]),
-        rng_seed=int(opt["rng_seed"]),
+        gamma=opt["gamma"],
+        omega=opt["omega"],
+        branch=opt["branch"],
+        perturbation_size=opt["delta"],
+        t_end=opt["t_end"],
+        trials=opt["trials"],
+        rng_seed=opt["rng_seed"],
         grid=_grid(opt),
-        dt=float(opt["dt"]),
-        record_every=int(opt["record_every"]),
-        metric=metric,
-        threads=int(opt["threads"]),
+        dt=opt["dt"],
+        record_every=opt["record_every"],
+        metric=opt["metric"],
     )
     doc = {
         "command": "stability",
@@ -390,7 +375,7 @@ def cmd_stability(args) -> int:
         "mode": "exploratory (excited state; no stability claim)"
         if summary.exploratory
         else "gated",
-        "rng_seed": int(opt["rng_seed"]),
+        "rng_seed": opt["rng_seed"],
         "trials": [
             {
                 "trial": t.trial,
@@ -417,79 +402,32 @@ def cmd_stability(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _add_common(p):
-    p.add_argument("--config", help="key = value config file; flags override it")
+COMMANDS = {
+    "ground": (cmd_ground, GROUND_DEFAULTS, "classify all standing-wave branches"),
+    "bifurcate": (cmd_bifurcate, BIFURCATE_DEFAULTS, "sweep gamma and emit branch data"),
+    "minimize": (cmd_minimize, MINIMIZE_DEFAULTS, "variational least-action search"),
+    "evolve": (cmd_evolve, EVOLVE_DEFAULTS, "evolve a standing wave and record diagnostics"),
+    "stability": (cmd_stability, STABILITY_DEFAULTS,
+                  "random-perturbation orbital stability runs"),
+}
 
 
 def build_parser() -> _Parser:
+    """One subcommand per COMMANDS entry, with one --key-with-dashes flag
+    per key of its defaults table, parsed to the type of the default."""
     parser = _Parser(prog="lognls",
                      description="Ground states and stability of the logarithmic "
                                  "Schrodinger equation with a delta-prime defect")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ground", help="classify all standing-wave branches")
-    _add_common(p)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--grid-n", dest="grid_n", type=int)
-    p.add_argument("--grid-l", dest="grid_l", type=float)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_ground)
-
-    p = sub.add_parser("bifurcate", help="sweep gamma and emit branch data")
-    _add_common(p)
-    p.add_argument("--gamma-min", dest="gamma_min", type=float)
-    p.add_argument("--gamma-max", dest="gamma_max", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_bifurcate)
-
-    p = sub.add_parser("minimize", help="variational least-action search")
-    _add_common(p)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--seed", choices=sorted(_SEEDS))
-    p.add_argument("--grid-n", dest="grid_n", type=int)
-    p.add_argument("--grid-l", dest="grid_l", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_minimize)
-
-    p = sub.add_parser("evolve", help="evolve a standing wave and record diagnostics")
-    _add_common(p)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--branch", choices=sorted(_BRANCHES))
-    p.add_argument("--grid-n", dest="grid_n", type=int)
-    p.add_argument("--grid-l", dest="grid_l", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-end", dest="t_end", type=float)
-    p.add_argument("--m", type=float, help="clamping level (>= 1); omit for raw log")
-    p.add_argument("--record-every", dest="record_every", type=int)
-    p.add_argument("--snapshot-every", dest="snapshot_every", type=int)
-    p.add_argument("--snapshot-prefix", dest="snapshot_prefix")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_evolve)
-
-    p = sub.add_parser("stability", help="random-perturbation orbital stability runs")
-    _add_common(p)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--branch", choices=sorted(_BRANCHES))
-    p.add_argument("--delta", type=float)
-    p.add_argument("--t-end", dest="t_end", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--rng-seed", dest="rng_seed", type=int)
-    p.add_argument("--grid-n", dest="grid_n", type=int)
-    p.add_argument("--grid-l", dest="grid_l", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--record-every", dest="record_every", type=int)
-    p.add_argument("--metric", choices=["sigma", "w"])
-    p.add_argument("--threads", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_stability)
+    for name, (func, defaults, help_text) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="key = value config file; flags override it")
+        for key, default in defaults.items():
+            choices = _CHOICES.get(key)
+            metavar = "{" + ",".join(sorted(choices)) + "}" if choices else None
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
+                           metavar=metavar)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -202,7 +202,10 @@ def gm_phase_rate(s, m=None):
     if m is None:
         return np.log(np.maximum(s, 1e-14) ** 2)
     m = _level(m)
-    s2 = np.maximum(s, 1e-300) ** 2
+    # floor the square, not s: s * s underflows to 0 below ~1.5e-162, where
+    # B vanishes and the a_m rate is frozen (for m < ~6e161); the floor only
+    # keeps the quotients from being 0/0
+    s2 = np.maximum(s * s, _TINY)
     # b_m rate: B(s)/s^2 capped at B(m)/m^2 for s >= m
     b_rate = np.where(s <= m, _B_arr(s) / s2, eval_B(m) / (m * m))
     # a_m rate: A(s)/s^2 frozen at m^2 A(1/m) for s <= 1/m

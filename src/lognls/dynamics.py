@@ -71,8 +71,9 @@ class EvolutionConfig:
     snapshot_every: int | None = None
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.t_end < math.inf):
+            raise ValueError(f"dt and t_end must be finite and positive, "
+                             f"got dt = {self.dt}, t_end = {self.t_end}")
         if self.record_every < 1:
             raise ValueError("record_every must be a positive integer")
         if self.snapshot_every is not None and self.snapshot_every < 1:
@@ -259,16 +260,16 @@ def stability_experiment(
     record_every: int = 125,
     metric: Metric = Metric.SIGMA_ONLY,
     m=None,
-    threads: int = 1,
 ) -> StabilitySummary:
     """Perturb a standing wave and track its orbital excursion.
 
     Each trial adds an independent random smooth field scaled to
     perturbation_size times the profile's H^1 norm, evolves it to t_end
     and reports max-over-time orbital distance and its ratio to the
-    initial distance.  Trial k draws from a generator seeded with
-    (rng_seed, k), so the whole summary is reproducible and independent
-    of scheduling.  A symmetric branch above the pitchfork is only an
+    initial distance.  Trial k depends only on (rng_seed, k): its
+    perturbation draws from a generator seeded with that pair, so the
+    summary is reproducible and its first k trials do not depend on the
+    trial count.  A symmetric branch above the pitchfork is only an
     excited state; such runs are flagged exploratory.
     """
     if not (math.isfinite(perturbation_size) and perturbation_size > 0):
@@ -298,13 +299,7 @@ def stability_experiment(
         return TrialResult(trial=k, initial_distance=d0, max_distance=dmax,
                            ratio=dmax / d0 if d0 > 0 else math.inf)
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_trial, range(trials)))
-    else:
-        results = [run_trial(k) for k in range(trials)]
+    results = [run_trial(k) for k in range(trials)]
     exploratory = branch is Branch.SYMMETRIC and gamma > 2.0
     return StabilitySummary(
         gamma=gamma,

@@ -532,16 +532,24 @@ def random_smooth_field(grid: Grid, rng: np.random.Generator, nbumps: int = 5,
 # ----------------------------------------------------------------------
 
 
+# projected descent: initial and largest step size, and the convergence
+# tolerances on the relative action change and the interior residual
+TAU0 = 0.2
+TAU_MAX = 2.0
+ACTION_RTOL = 1e-10
+RESIDUAL_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class MinimizeOptions:
     """Controls for the projected descent (see minimize_dgamma)."""
 
     max_iter: int = 4000
-    action_rtol: float = 1e-10
-    residual_tol: float = 1e-6
-    tau0: float = 0.2
-    tau_max: float = 2.0
     odd_constraint: bool = False
+
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be a positive integer, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -586,16 +594,16 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
     then reprojects onto the constraint set with nehari_project.  The
     step size adapts: it grows on accepted steps and backtracks whenever
     the projected action increases.  Convergence requires the action to
-    stagnate (relative change below opts.action_rtol) and the interior
-    stationary residual to drop below opts.residual_tol.
+    stagnate (relative change below ACTION_RTOL) and the interior
+    stationary residual to drop below RESIDUAL_TOL.
 
     Returns the minimizer and half its squared L2 norm, which is the
     least-action value.  With opts.odd_constraint the iterate is forced
     odd each step, selecting the sign-symmetric branch even where it is
     only a saddle (gamma > 2).
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not (0 < gamma < math.inf):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if grid is None:
         grid = Grid(20.0, 4096)
     op = form_operator(grid, gamma)
@@ -619,7 +627,7 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
 
     v = constrain(_seed_field(seed, gamma, omega, grid).values.copy())
     S = action_of(v)
-    tau = opts.tau0
+    tau = TAU0
     stall = 0
     rejects = 0
     it = 0
@@ -634,12 +642,12 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
         rejects = 0
         rel = abs(S_try - S) / max(abs(S_try), 1e-300)
         v, S = v_try, S_try
-        tau = min(1.3 * tau, opts.tau_max)
-        stall = stall + 1 if rel < opts.action_rtol else 0
+        tau = min(1.3 * tau, TAU_MAX)
+        stall = stall + 1 if rel < ACTION_RTOL else 0
         if stall >= 2:
             field = Field(grid, v)
             res = stationary_residual(field, gamma, omega)
-            if res.interior < opts.residual_tol:
+            if res.interior < RESIDUAL_TOL:
                 return MinimizeResult(field=field, value=0.5 * functionals(v)[1],
                                       iterations=it, residual=res, action=S)
             stall = 0

@@ -189,8 +189,8 @@ def solve_3s(gamma: float) -> list[tuple[float, float]]:
     asymmetric pair is ordered t1 < t2.
     """
     gamma = float(gamma)
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not (0 < gamma < math.inf):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     tstar = 2.0 / gamma
     pairs = [(tstar, tstar)]
     if gamma > 2.0:
@@ -274,8 +274,8 @@ def d_gamma(gamma: float, omega: float) -> float:
 def dgamma_lower_bound(gamma: float, omega: float) -> float:
     """Lower bound (1/4) sqrt(pi/2) e^{omega+1} e^{-8/gamma^2} for the
     least action, valid for every gamma > 0."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not (0 < gamma < math.inf):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     return 0.25 * math.sqrt(math.pi / 2.0) * math.exp(omega + 1.0) * math.exp(-8.0 / (gamma * gamma))
 
 
@@ -321,21 +321,16 @@ def bifurcation_sweep(
     gamma_max: float,
     steps: int,
     omega: float,
-    threads: int = 1,
 ) -> list[BifurcationPoint]:
     """Branch data on a uniform gamma grid; the branch count jumps from
     one to three where the grid crosses gamma = 2."""
-    if not (0.0 < gamma_min <= gamma_max):
-        raise ValueError(f"need 0 < gamma_min <= gamma_max, got [{gamma_min}, {gamma_max}]")
+    if not (0.0 < gamma_min <= gamma_max < math.inf):
+        raise ValueError(
+            f"need 0 < gamma_min <= gamma_max < inf, got [{gamma_min}, {gamma_max}]")
     if steps < (1 if gamma_min == gamma_max else 2):
         raise ValueError(f"steps must be >= 2 (>= 1 for a single point), got {steps}")
     if gamma_min == gamma_max:
         grid = [gamma_min]
     else:
         grid = list(np.linspace(gamma_min, gamma_max, steps))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda g: bifurcation_point(g, omega), grid))
     return [bifurcation_point(g, omega) for g in grid]

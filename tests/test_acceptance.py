@@ -5,7 +5,6 @@ criteria execute.  Tolerances are pinned here and nowhere else.
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -43,8 +42,6 @@ from lognls.stationary import (
     sigma_map,
     solve_3s,
 )
-
-THREADS = min(4, os.cpu_count() or 1)
 
 SINGLE_GAMMAS = (0.5, 1.0, 1.99, 2.0)
 TRIPLE_GAMMAS = (2.01, 2.5, 3.0, 5.0, 10.0)
@@ -186,7 +183,7 @@ def test_criterion_10_orbital_stability():
     grid = Grid(20.0, 2048)
     common = dict(omega=0.0, perturbation_size=1e-2, t_end=50.0, trials=8,
                   rng_seed=0, grid=grid, dt=2e-3, record_every=125,
-                  metric=Metric.SIGMA_ONLY, threads=THREADS)
+                  metric=Metric.SIGMA_ONLY)
     gated = [
         (1.0, Branch.SYMMETRIC),
         (2.0, Branch.SYMMETRIC),

@@ -53,6 +53,17 @@ class TestGround:
     def test_bad_flag_usage_error(self):
         assert run(["ground", "--bogus", "1"]) == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [["ground", "--gamma", "nan"],
+                                      ["ground", "--gamma", "inf"],
+                                      ["bifurcate", "--gamma-max", "inf"],
+                                      ["bifurcate", "--gamma-min", "nan"]])
+    def test_nonfinite_gamma_usage_error(self, argv, capsys):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "gamma" in err
+        assert "Traceback" not in err
+
 
 class TestBifurcate:
     def test_transition_detected(self, tmp_path, capsys):
@@ -106,6 +117,10 @@ class TestMinimize:
         assert lines[0] == "x,re_u,im_u"
         assert len(lines) == 1 + 1024
 
+    def test_nonpositive_max_iter_usage_error(self, capsys):
+        assert run(["minimize", "--grid-n", "256", "--max-iter", "-1"]) == 1
+        assert "error: max_iter must be a positive integer" in capsys.readouterr().err
+
     def test_nonconvergence_exit_code(self, capsys):
         code = run(["minimize", "--gamma", "3", "--grid-n", "1024",
                     "--max-iter", "2"])
@@ -151,6 +166,17 @@ class TestEvolve:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["evolve", "--t-end", "inf"],
+                                  ["evolve", "--dt", "nan"],
+                                  ["stability", "--t-end", "inf"],
+                                  ["stability", "--dt", "nan"]])
+def test_nonfinite_time_step_usage_error(argv, capsys):
+    assert run(argv + ["--grid-n", "256"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dt and t_end must be finite and positive")
+    assert "Traceback" not in err
+
+
 class TestStability:
     ARGS = ["stability", "--gamma", "2", "--grid-n", "512", "--grid-l", "10",
             "--dt", "2.5e-3", "--t-end", "0.5", "--trials", "2",
@@ -178,6 +204,10 @@ class TestStability:
                 "--record-every", "20", "--out", str(out)]
         assert run(args) == 0
         assert "exploratory" in json.loads(out.read_text())["mode"]
+
+    def test_threads_flag_removed(self, capsys):
+        assert run(self.ARGS + ["--threads", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_branch_usage_error(self, tmp_path, capsys):
         out = tmp_path / "s.json"
@@ -209,6 +239,24 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("gampa = 3.0\n")
         assert run(["ground", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("command", ["bifurcate", "stability"])
+    def test_threads_key_rejected(self, command, tmp_path, capsys):
+        cfg = tmp_path / "threads.cfg"
+        cfg.write_text("threads = 2\n")
+        assert run([command, "--config", str(cfg)]) == 1
+        assert "error: unknown config key 'threads'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, line", [("evolve", "branch = bogus"),
+                                               ("minimize", "seed = bogus"),
+                                               ("stability", "metric = x")])
+    def test_bad_choice_rejected(self, command, line, tmp_path, capsys):
+        cfg = tmp_path / "choice.cfg"
+        cfg.write_text(line + "\n")
+        assert run([command, "--config", str(cfg), "--grid-n", "256"]) == 1
+        err = capsys.readouterr().err
+        key = line.split()[0]
+        assert err.startswith(f"error: {key} must be one of")
 
     def test_missing_file_rejected(self, tmp_path):
         assert run(["ground", "--config", str(tmp_path / "nope.cfg")]) == 1

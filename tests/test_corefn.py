@@ -175,6 +175,16 @@ class TestGm:
         for si, ri in zip(s, rate):
             assert eval_gm(si, 5.0) == pytest.approx(si * ri, rel=1e-12, abs=1e-15)
 
+    def test_rate_frozen_below_underflow(self):
+        # s * s underflows to 0 for s < ~1.5e-162; the rate must stay the frozen one
+        m = 2.0
+        frozen = -m * m * eval_A(1.0 / m)
+        rate = gm_phase_rate(np.array([0.0, 1e-200, 1e-100]), m)
+        assert np.all(np.isfinite(rate))
+        assert rate[0] == rate[1] == pytest.approx(frozen, rel=1e-15)
+        assert rate[0] == rate[2]
+        assert gm_phase_rate(0.0, m) == rate[0]
+
     def test_level_validation(self):
         with pytest.raises(ValueError):
             RegularizationLevel(0.5)

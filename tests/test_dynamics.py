@@ -180,6 +180,16 @@ class TestEvolve:
         assert info.value.step == 0
         assert info.value.records == []
 
+    def test_clamped_rate_with_zero_sample(self, grid):
+        # s * s underflows to 0 at a zero sample; the clamped rate is frozen there
+        x = grid.nodes()
+        vals = np.exp(-x * x) + 0j
+        vals[grid.n // 4] = 0.0
+        u0 = Field(grid, vals)
+        res = evolve(u0, 2.0, EvolutionConfig(dt=1e-3, t_end=0.05, m=10.0, record_every=10))
+        assert len(res.records) == 6
+        assert np.all(np.isfinite(res.final.values))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EvolutionConfig(dt=-1e-3, t_end=1.0)
@@ -187,6 +197,10 @@ class TestEvolve:
             EvolutionConfig(dt=3e-3, t_end=1.0)  # not an integer step count
         with pytest.raises(ValueError):
             EvolutionConfig(dt=1e-3, t_end=1.0, record_every=0)
+        for dt, t_end in ((math.nan, 1.0), (math.inf, 1.0), (1e-3, math.inf),
+                          (1e-3, math.nan)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                EvolutionConfig(dt=dt, t_end=t_end)
 
 
 class TestStabilityExperiment:
@@ -199,12 +213,13 @@ class TestStabilityExperiment:
         b = stability_experiment(**kw)
         assert a == b
 
-    def test_threads_do_not_change_results(self):
+    def test_trial_depends_only_on_seed_and_index(self):
         g = Grid(10.0, 512)
         kw = dict(gamma=2.0, omega=0.0, branch=Branch.SYMMETRIC,
-                  perturbation_size=1e-2, t_end=0.5, trials=3, rng_seed=7,
+                  perturbation_size=1e-2, t_end=0.5, rng_seed=7,
                   grid=g, dt=2.5e-3, record_every=50)
-        assert stability_experiment(**kw) == stability_experiment(**kw, threads=3)
+        three = stability_experiment(**kw, trials=3)
+        assert three.trials[:2] == stability_experiment(**kw, trials=2).trials
 
     def test_missing_branch_rejected(self):
         with pytest.raises(ValueError):

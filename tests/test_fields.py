@@ -356,6 +356,11 @@ class TestMinimize:
         rm = np.sum(np.abs(left.field.values[m:]) ** 2)
         assert rm > 10 * lm
 
+    def test_max_iter_validation(self):
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_iter"):
+                MinimizeOptions(max_iter=bad)
+
     def test_odd_constraint_reaches_saddle(self):
         g = Grid(20.0, 1024)
         opts = MinimizeOptions(odd_constraint=True)
@@ -373,8 +378,9 @@ class TestMinimize:
         assert err.action is not None
 
     def test_gamma_validation(self):
-        with pytest.raises(ValueError):
-            minimize_dgamma(-1.0, 0.0)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="gamma must be positive and finite"):
+                minimize_dgamma(bad, 0.0)
 
     def test_compactly_supported_seed(self):
         # exact zeros in the seed must not reach the implicit step as log 0

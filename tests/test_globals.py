@@ -64,6 +64,17 @@ def test_detects_unbound_name():
     assert undefined_globals(code, namespace) == ["f -> missing_name"]
 
 
+@pytest.mark.parametrize("name", MODULES)
+def test_no_thread_pool_import(name):
+    # trials and sweep points run on one serial path.  This reads the
+    # bytecode, function bodies included, rather than sys.modules:
+    # scipy.linalg itself loads concurrent.futures at import.
+    code = importlib.util.find_spec(name).loader.get_code(name)
+    imported = {ins.argval for c in _code_objects(code) for ins in dis.get_instructions(c)
+                if ins.opname == "IMPORT_NAME"}
+    assert not {m for m in imported if m.split(".")[0] in ("concurrent", "threading")}
+
+
 def test_import_leaves_out_scipy_sparse():
     # the form operator is tridiagonal plus rank one; no sparse matrices
     src = os.path.dirname(os.path.dirname(lognls.__file__))

@@ -91,6 +91,9 @@ class TestSolvePairSystem:
             solve_3s(0.0)
         with pytest.raises(ValueError):
             solve_3s(-3.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="gamma must be positive and finite"):
+                solve_3s(bad)
 
 
 class TestSigma:
@@ -204,6 +207,11 @@ class TestBounds:
             0.25 * math.sqrt(math.pi / 2.0) * math.e, rel=1e-6
         )
 
+    def test_lower_bound_rejects_bad_gamma(self):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="gamma must be positive and finite"):
+                dgamma_lower_bound(bad, 0.0)
+
     def test_lower_bound_monotone(self):
         gs = np.linspace(0.3, 10.0, 40)
         vals = [dgamma_lower_bound(g, 0.0) for g in gs]
@@ -246,12 +254,9 @@ class TestSweep:
             bifurcation_sweep(-1.0, 2.0, 5, 0.0)
         with pytest.raises(ValueError):
             bifurcation_sweep(3.0, 2.0, 5, 0.0)
-
-    def test_threads_match_serial(self):
-        serial = bifurcation_sweep(1.5, 2.5, 7, 0.0)
-        parallel = bifurcation_sweep(1.5, 2.5, 7, 0.0, threads=4)
-        assert [p.gamma for p in serial] == [p.gamma for p in parallel]
-        assert [p.actions for p in serial] == [p.actions for p in parallel]
+        for lo, hi in ((1.0, math.inf), (1.0, math.nan), (math.nan, 2.0)):
+            with pytest.raises(ValueError, match="gamma_max < inf"):
+                bifurcation_sweep(lo, hi, 5, 0.0)
 
 
 class TestParamsValidation:
