@@ -16,7 +16,6 @@ Layers:
 """
 
 from .corefn import (
-    RegularizationLevel,
     eval_A,
     eval_B,
     eval_F,

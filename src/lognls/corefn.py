@@ -27,12 +27,10 @@ All functions are pure; arrays are accepted where noted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "RegularizationLevel",
     "eval_F",
     "entropy_density",
     "eval_A",
@@ -58,26 +56,11 @@ A_SPLIT = math.exp(-3.0)
 _E3 = A_SPLIT
 _E6 = A_SPLIT * A_SPLIT
 _TINY = float(np.finfo(float).tiny)
-
-
-@dataclass(frozen=True)
-class RegularizationLevel:
-    """Clamping level m >= 1 for the regularized nonlinearity.
-
-    The logarithm log|z|^2 is used unchanged on 1/m <= |z| <= m and
-    frozen (via a_m, b_m) outside that band.  m may be any real >= 1.
-    """
-
-    m: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.m) or self.m < 1.0:
-            raise ValueError(f"regularization level must be finite and >= 1, got {self.m}")
+# relative width at which the Luxemburg bisection stops
+_LUX_RTOL = 1e-10
 
 
 def _level(m) -> float:
-    if isinstance(m, RegularizationLevel):
-        return m.m
     m = float(m)
     if not math.isfinite(m) or m < 1.0:
         raise ValueError(f"regularization level must be finite and >= 1, got {m}")
@@ -116,25 +99,17 @@ def _B_arr(s):
 
 def eval_F(s) -> float:
     """Entropy density s^2 log(s^2), continuously extended by F(0) = 0."""
-    s = _check_scalar_nonneg(s)
-    s2 = s * s
-    if s2 == 0.0:  # s == 0, or s^2 underflows (s < ~1.5e-162)
-        return 0.0
-    return s2 * math.log(s2)
+    return float(entropy_density(_check_scalar_nonneg(s)))
 
 
 def eval_A(s) -> float:
     """Convex branch: -s^2 log(s^2) for s <= e^-3, else 3s^2 + 4e^-3 s - e^-6."""
-    s = _check_scalar_nonneg(s)
-    if s <= _E3:
-        return -eval_F(s)
-    return 3.0 * s * s + 4.0 * _E3 * s - _E6
+    return float(_A_arr(_check_scalar_nonneg(s)))
 
 
 def eval_B(s) -> float:
     """B(s) = F(s) + A(s); vanishes identically on [0, e^-3]."""
-    s = _check_scalar_nonneg(s)
-    return eval_F(s) + eval_A(s)
+    return float(_B_arr(_check_scalar_nonneg(s)))
 
 
 def _check_complex(z) -> complex:
@@ -202,15 +177,11 @@ def gm_phase_rate(s, m=None):
     if m is None:
         return np.log(np.maximum(s, 1e-14) ** 2)
     m = _level(m)
-    # floor the square, not s: s * s underflows to 0 below ~1.5e-162, where
-    # B vanishes and the a_m rate is frozen (for m < ~6e161); the floor only
-    # keeps the quotients from being 0/0
-    s2 = np.maximum(s * s, _TINY)
-    # b_m rate: B(s)/s^2 capped at B(m)/m^2 for s >= m
-    b_rate = np.where(s <= m, _B_arr(s) / s2, eval_B(m) / (m * m))
-    # a_m rate: A(s)/s^2 frozen at m^2 A(1/m) for s <= 1/m
-    a_rate = np.where(s >= 1.0 / m, _A_arr(s) / s2, m * m * eval_A(1.0 / m))
-    rate = b_rate - a_rate
+    # b_m's rate B(s)/s^2 is frozen above m, a_m's rate A(s)/s^2 below 1/m;
+    # the floor keeps B/s^2 from 0/0 where s * s underflows (B vanishes there)
+    sb = np.minimum(s, m)
+    sa = np.maximum(s, 1.0 / m)
+    rate = _B_arr(sb) / np.maximum(sb * sb, _TINY) - _A_arr(sa) / (sa * sa)
     if rate.ndim == 0:
         return float(rate)
     return rate
@@ -220,21 +191,6 @@ def _P_log(x):
     """Antiderivative of s log s^2, zero at 0: x^2 log(x^2)/2 - x^2/2."""
     x = np.asarray(x, dtype=float)
     return 0.5 * entropy_density(x) - 0.5 * x**2
-
-
-def _P_b(x):
-    """Antiderivative of b(s) = B(s)/s on [0, x]; zero on [0, e^-3]."""
-    x = np.asarray(x, dtype=float)
-    y = np.maximum(x, _E3)
-    # integral of s log s^2 + 3 s + 4 e^-3 - e^-6/s from e^-3 to y
-    val = (
-        _P_log(y)
-        - _P_log(_E3)
-        + 1.5 * (y**2 - _E6)
-        + 4.0 * _E3 * (y - _E3)
-        - _E6 * (np.log(y) + 3.0)
-    )
-    return np.where(x <= _E3, 0.0, val)
 
 
 def _P_a(x):
@@ -249,6 +205,12 @@ def _P_a(x):
         - _E6 * (np.log(y) + 3.0)
     )
     return np.where(x <= _E3, lo, hi)
+
+
+def _P_b(x):
+    """Antiderivative of b(s) = B(s)/s = s log s^2 + a(s) on [0, x]; zero
+    on [0, e^-3]."""
+    return _P_log(x) + _P_a(x)
 
 
 def eval_Gm(z, m=None):
@@ -380,7 +342,7 @@ def _sorted_modular(vals: np.ndarray, dx: float, vmax: float):
     return modular_at
 
 
-def luxemburg_norm(values, dx: float, rtol: float = 1e-10) -> float:
+def luxemburg_norm(values, dx: float) -> float:
     """Gauge norm inf{k > 0 : int A(|u|/k) dx <= 1} by monotone bisection.
 
     The map k -> int A(|u|/k) is continuous and strictly decreasing
@@ -406,7 +368,7 @@ def luxemburg_norm(values, dx: float, rtol: float = 1e-10) -> float:
         hi *= 2.0
     while modular_at(lo) <= 1.0 and lo > _TINY:
         hi, lo = lo, 0.5 * lo
-    while hi - lo > rtol * hi:
+    while hi - lo > _LUX_RTOL * hi:
         mid = 0.5 * (lo + hi)
         if modular_at(mid) > 1.0:
             lo = mid

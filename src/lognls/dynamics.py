@@ -66,7 +66,7 @@ class EvolutionConfig:
 
     dt: float
     t_end: float
-    m: float | corefn.RegularizationLevel | None = None
+    m: float | None = None
     record_every: int = 100
     snapshot_every: int | None = None
 
@@ -150,13 +150,13 @@ def nonlinear_step(u: Field, dt: float, m=None) -> Field:
     return u.with_values(u.values * np.exp(1j * dt * rate))
 
 
-def _energy_recorded(values: np.ndarray, op, dx: float, m) -> float:
-    # (1/2) t_gamma[u] - (1/2) entropy, written through the clamped
-    # primitive so that it is the conserved functional of the clamped flow
+def _mass_energy_recorded(values: np.ndarray, op, dx: float, m) -> tuple[float, float]:
+    # the mass, and the energy (1/2) t_gamma[u] - (1/2) entropy written through
+    # the clamped primitive: the conserved functional of the clamped flow
     s = np.abs(values)
     gsum = float(dx * np.sum(corefn.eval_Gm(s, m)))
     q = float(dx * np.sum(s * s))
-    return 0.5 * op.form(values) - gsum - 0.5 * q
+    return q, 0.5 * op.form(values) - gsum - 0.5 * q
 
 
 def evolve(
@@ -185,8 +185,7 @@ def evolve(
     phi = sample_profile(reference, u0.grid) if reference is not None else None
 
     def make_record(t: float, vals: np.ndarray) -> TrajectoryRecord:
-        q = float(dx * np.sum(np.abs(vals) ** 2))
-        en = _energy_recorded(vals, op, dx, m)
+        q, en = _mass_energy_recorded(vals, op, dx, m)
         if phi is None:
             ds = dw = 0.0
         else:

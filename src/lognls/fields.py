@@ -358,16 +358,22 @@ def luxemburg_norm(u: Field) -> float:
     return corefn.luxemburg_norm(u.values, u.grid.dx)
 
 
-def report(u: Field, gamma: float, omega: float) -> FunctionalReport:
-    """All six functionals; action = nehari/2 + mass/2 and
-    energy = form/2 - entropy/2 hold exactly by construction."""
-    f = quadratic_form(u, gamma)
-    q = mass(u)
-    e = entropy(u)
+def _report(op: FormOperator, values: np.ndarray, omega: float) -> FunctionalReport:
+    """The six functionals of the samples `values` with the form of op."""
+    f = op.form(values)
+    s = np.abs(values)
+    q = float(op.grid.dx * np.sum(s**2))
+    e = float(op.grid.dx * np.sum(corefn.entropy_density(s)))
     nehari = f + omega * q - e
     action = 0.5 * f + 0.5 * (omega + 1.0) * q - 0.5 * e
     energy = 0.5 * f - 0.5 * e
     return FunctionalReport(form=f, mass=q, entropy=e, energy=energy, action=action, nehari=nehari)
+
+
+def report(u: Field, gamma: float, omega: float) -> FunctionalReport:
+    """All six functionals; action = nehari/2 + mass/2 and
+    energy = form/2 - entropy/2 hold exactly by construction."""
+    return _report(form_operator(u.grid, gamma), u.values, omega)
 
 
 def action_gradient(u: Field, gamma: float, omega: float) -> np.ndarray:
@@ -378,6 +384,14 @@ def action_gradient(u: Field, gamma: float, omega: float) -> np.ndarray:
     return form_operator(u.grid, gamma).apply(v) + u.grid.dx * (omega - _log_abs2(v)) * v
 
 
+def _project(op: FormOperator, values: np.ndarray, omega: float) -> np.ndarray:
+    """nehari_project on the samples `values` with the form of op."""
+    r = _report(op, values, omega)
+    if r.mass <= 0.0:
+        raise ValueError("cannot project the zero field")
+    return math.exp(r.nehari / (2.0 * r.mass)) * values
+
+
 def nehari_project(u: Field, gamma: float, omega: float) -> Field:
     """Rescale u -> lambda u with lambda = exp(I/(2 mass)) so that the
     scaling derivative I of the action vanishes again.
@@ -385,12 +399,7 @@ def nehari_project(u: Field, gamma: float, omega: float) -> Field:
     The logarithmic nonlinearity makes this exact: under u -> lambda u
     the entropy picks up exactly log(lambda^2) * mass.
     """
-    q = mass(u)
-    if q <= 0.0:
-        raise ValueError("cannot project the zero field")
-    r = report(u, gamma, omega)
-    lam = math.exp(r.nehari / (2.0 * q))
-    return u.with_values(lam * u.values)
+    return u.with_values(_project(form_operator(u.grid, gamma), u.values, omega))
 
 
 def stationary_residual(u: Field, gamma: float, omega: float) -> StationaryResidual:
@@ -512,16 +521,16 @@ def sample_free_gaussian(grid: Grid, omega: float) -> Field:
     return Field(grid, np.exp(0.5 * (omega + 1.0)) * np.exp(-0.5 * x * x) + 0j)
 
 
-def random_smooth_field(grid: Grid, rng: np.random.Generator, nbumps: int = 5,
-                        center_range: tuple[float, float] = (-5.0, 5.0),
-                        width_range: tuple[float, float] = (0.5, 2.0)) -> Field:
-    """Sum of Gaussian bumps with random centers, widths and complex
-    amplitudes; the perturbation family of the stability experiments."""
+def random_smooth_field(grid: Grid, rng: np.random.Generator,
+                        center_range: tuple[float, float] = (-5.0, 5.0)) -> Field:
+    """Sum of five Gaussian bumps with random centers, widths in [0.5, 2]
+    and complex amplitudes; the perturbation family of the stability
+    experiments."""
     x = grid.nodes()
     p = np.zeros(grid.n, dtype=complex)
-    for _ in range(nbumps):
+    for _ in range(5):
         c = rng.uniform(*center_range)
-        w = rng.uniform(*width_range)
+        w = rng.uniform(0.5, 2.0)
         a = rng.standard_normal() + 1j * rng.standard_normal()
         p += a * np.exp(-0.5 * ((x - c) / w) ** 2)
     return Field(grid, p)
@@ -609,24 +618,13 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
     op = form_operator(grid, gamma)
     dx = grid.dx
 
-    def functionals(v):
-        s = np.abs(v)
-        q = float(dx * np.sum(s**2))
-        return op.form(v), q, float(dx * np.sum(corefn.entropy_density(s)))
-
     def constrain(v):
         if opts.odd_constraint:
             v = 0.5 * (v - v[::-1])
-        f, q, e = functionals(v)
-        lam = math.exp((f + omega * q - e) / (2.0 * q))
-        return lam * v
-
-    def action_of(v):
-        f, q, e = functionals(v)
-        return 0.5 * f + 0.5 * (omega + 1.0) * q - 0.5 * e
+        return _project(op, v, omega)
 
     v = constrain(_seed_field(seed, gamma, omega, grid).values.copy())
-    S = action_of(v)
+    S = _report(op, v, omega).action
     tau = TAU0
     stall = 0
     rejects = 0
@@ -634,7 +632,7 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
     for it in range(1, opts.max_iter + 1):
         solve = op.solver(1.0 + tau * (omega - _log_abs2(v)), tau / dx)
         v_try = constrain(solve(v))
-        S_try = action_of(v_try)
+        S_try = _report(op, v_try, omega).action
         if S_try > S + 1e-12 * abs(S) and rejects < 8:
             tau = max(0.4 * tau, 1e-3)
             rejects += 1
@@ -648,7 +646,7 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
             field = Field(grid, v)
             res = stationary_residual(field, gamma, omega)
             if res.interior < RESIDUAL_TOL:
-                return MinimizeResult(field=field, value=0.5 * functionals(v)[1],
+                return MinimizeResult(field=field, value=0.5 * _report(op, v, omega).mass,
                                       iterations=it, residual=res, action=S)
             stall = 0
     field = Field(grid, v)

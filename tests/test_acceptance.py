@@ -196,9 +196,6 @@ def test_criterion_10_orbital_stability():
         parts.append(f"gamma={gamma} {branch.value}: max ratio {s.max_ratio:.2f}")
         if s.max_ratio > 10.0:
             ok = False
-    excited = stability_experiment(gamma=3.0, branch=Branch.SYMMETRIC, **common)
-    print(f"      exploratory (not gated): gamma=3 symmetric excited state "
-          f"max ratio {excited.max_ratio:.2f} over {len(excited.trials)} trials")
     gate(10, "perturbed ground states stay within 10x of the initial distance",
          ok, "; ".join(parts))
 

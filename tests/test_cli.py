@@ -3,9 +3,12 @@
 import json
 import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lognls import cli
 
@@ -271,3 +274,65 @@ def test_float_format_is_17_significant_digits(tmp_path):
         assert tok == format(float(tok), ".17g")
     # round-trip exactness: 17 significant digits preserve the double
     assert float(row[2]) == float(format(float(row[2]), ".17g"))
+
+
+# ----------------------------------------------------------------------
+# fuzzing the option layer: parse and merge only, no command runs
+# ----------------------------------------------------------------------
+
+def _not_help_or_config(token):
+    # argparse reads these as --help (which exits) or as an abbreviated
+    # --config followed by an arbitrary path; the test passes --config itself
+    return re.match(r"-h|--[hc]", token) is None
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"),
+                max_size=10).filter(_not_help_or_config)
+_VALUE = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2.5", "1e-3", "nan", "inf", "-inf", "1e999", "",
+                     "symmetric", "left", "asymmetric-left", "sigma", "w", "x"]),
+    st.integers(-10**6, 10**6).map(str),
+    st.integers(1, 10**4).map(str),
+    st.floats().map(repr),
+    _TEXT,
+)
+
+
+@st.composite
+def _argv_and_config(draw):
+    """A command, its flags and config lines: mostly its own keys, some
+    unknown ones ('threads', 'bogus') and some arbitrary text."""
+    command = draw(st.sampled_from([*cli.COMMANDS, "bogus"]))
+    keys = [*cli.COMMANDS.get(command, (None, {}))[1], "threads", "bogus"]
+    key = st.sampled_from(keys)
+    flag = key.map(lambda k: "--" + k.replace("_", "-"))
+    line = st.tuples(key, _VALUE).map(lambda kv: "%s = %s" % kv)
+    flags = draw(st.lists(st.tuples(st.one_of(flag, flag, flag, _TEXT), _VALUE), max_size=4))
+    config = draw(st.none() | st.lists(st.one_of(line, line, line, _TEXT), max_size=4))
+    return [command, *(tok for pair in flags for tok in pair)], config
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(case=_argv_and_config())
+def test_option_layer_fuzz(case):
+    # every flag list and config file either merges to typed options or is
+    # rejected with UsageError or ValueError, which main maps to exit 1
+    argv, config = case
+    with tempfile.TemporaryDirectory() as d:
+        if config is not None:
+            path = os.path.join(d, "run.cfg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(config) + "\n")
+            argv += ["--config", path]
+        try:
+            args = cli.build_parser().parse_args(argv)
+            defaults = cli.COMMANDS[args.command][1]
+            opt = cli.merge_options(args, defaults)
+        except (cli.UsageError, ValueError):
+            return
+    assert set(opt) == set(defaults)
+    for key, default in defaults.items():
+        if key in cli._CHOICES:
+            assert opt[key] in cli._CHOICES[key].values()
+        else:
+            assert type(opt[key]) is type(default)

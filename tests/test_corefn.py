@@ -10,7 +10,6 @@ from scipy.integrate import quad
 
 from lognls import corefn
 from lognls.corefn import (
-    RegularizationLevel,
     eval_A,
     eval_B,
     eval_F,
@@ -186,12 +185,10 @@ class TestGm:
         assert gm_phase_rate(0.0, m) == rate[0]
 
     def test_level_validation(self):
-        with pytest.raises(ValueError):
-            RegularizationLevel(0.5)
-        with pytest.raises(ValueError):
-            RegularizationLevel(math.inf)
-        with pytest.raises(ValueError):
-            eval_gm(1.0, 0.9)
+        for fn in (gm_phase_rate, eval_Gm, eval_gm):
+            for m in (0.5, math.inf, 0.9):
+                with pytest.raises(ValueError, match="regularization level"):
+                    fn(1.0, m)
 
 
 class TestGmPrimitive:

@@ -356,6 +356,23 @@ class TestMinimize:
         rm = np.sum(np.abs(left.field.values[m:]) ** 2)
         assert rm > 10 * lm
 
+    @pytest.mark.parametrize("gamma, omega, seed", [(1.0, 0.0, Seed.SYMMETRIC),
+                                                    (3.0, 0.5, Seed.LEFT)])
+    def test_result_matches_report(self, gamma, omega, seed):
+        # the minimizer evaluates its action and value with report's formulas
+        r = minimize_dgamma(gamma, omega, seed=seed, grid=Grid(20.0, 1024))
+        rep = report(r.field, gamma, omega)
+        assert r.action == rep.action
+        assert r.value == 0.5 * rep.mass
+
+    def test_even_seed_with_odd_constraint_rejected(self):
+        # the odd part of an even seed is zero, which cannot be projected
+        g = Grid(20.0, 256)
+        seed = Field(g, np.exp(-g.nodes() ** 2) + 0j)
+        with pytest.raises(ValueError, match="zero field"):
+            minimize_dgamma(1.0, 0.0, seed=seed, grid=g,
+                            opts=MinimizeOptions(odd_constraint=True))
+
     def test_max_iter_validation(self):
         for bad in (0, -1):
             with pytest.raises(ValueError, match="max_iter"):
