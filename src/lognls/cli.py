@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -207,19 +208,8 @@ def cmd_ground(args) -> int:
                 "pair_residuals": [r1, r2],
                 "action_closed_form": action_closed_form(params),
                 "mass_closed_form": mass_closed_form(params),
-                "report": {
-                    "form": rep.form,
-                    "mass": rep.mass,
-                    "entropy": rep.entropy,
-                    "energy": rep.energy,
-                    "action": rep.action,
-                    "nehari": rep.nehari,
-                },
-                "stationary_residual": {
-                    "interior": res.interior,
-                    "bc1": res.bc1,
-                    "bc2": res.bc2,
-                },
+                "report": asdict(rep),
+                "stationary_residual": asdict(res),
             }
         )
         print(
@@ -376,15 +366,7 @@ def cmd_stability(args) -> int:
         if summary.exploratory
         else "gated",
         "rng_seed": opt["rng_seed"],
-        "trials": [
-            {
-                "trial": t.trial,
-                "initial_distance": t.initial_distance,
-                "max_distance": t.max_distance,
-                "ratio": t.ratio,
-            }
-            for t in summary.trials
-        ],
+        "trials": [asdict(t) for t in summary.trials],
         "max_ratio": summary.max_ratio,
     }
     text = _json_text(doc) + "\n"

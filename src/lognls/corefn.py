@@ -10,16 +10,20 @@ that density into a difference of two convex pieces,
 where A is the nonnegative convex branch function (quadratic-log below
 s = e^-3, quadratic above) and B = F + A.  From A and B come:
 
-* the pointwise maps a(z), b(z) with b - a = z log|z|^2,
-* their Lipschitz regularizations a_m, b_m, g_m = b_m - a_m, which clamp
-  the logarithm outside the band 1/m <= |z| <= m, and the integral G_m,
+* the pointwise maps a(z) = z A(|z|)/|z|^2 and b(z) = z B(|z|)/|z|^2,
+  with b - a = z log|z|^2; these and the clamped maps below are built
+  from the two rates A(s)/s^2 and B(s)/s^2, each in closed form without
+  forming s^2, which would underflow or overflow at extreme amplitudes,
+* their Lipschitz regularizations a_m, b_m, g_m = b_m - a_m, which freeze
+  a's rate below |z| = 1/m and b's above |z| = m, and the integral G_m;
+  any finite level m >= 1 gives finite values,
 * the Luxemburg (gauge) norm of the Orlicz space generated by A, found by
   bisection on the gauge k after one sort of the amplitudes: summed over
   the samples, each branch of A(s/k) is a quadratic in 1/k (times log k
   on the low branch) whose coefficients are prefix or suffix sums over
   the sorted amplitudes, so every bisection step costs one binary search,
 * the Gaussian tail integral gamma_tail(t) = int_t^inf exp(-s^2) ds used
-  by the closed-form ground-state masses.
+  by the closed-form ground-state masses, from libm's erfc.
 
 All functions are pure; arrays are accepted where noted.
 """
@@ -56,6 +60,8 @@ A_SPLIT = math.exp(-3.0)
 _E3 = A_SPLIT
 _E6 = A_SPLIT * A_SPLIT
 _TINY = float(np.finfo(float).tiny)
+# smallest positive (subnormal) double
+_SUBNORMAL = math.ulp(0.0)
 # relative width at which the Luxemburg bisection stops
 _LUX_RTOL = 1e-10
 
@@ -119,51 +125,54 @@ def _check_complex(z) -> complex:
     return z
 
 
+def _rate_A(s):
+    """A(s)/s^2 without forming s^2 (array version): -2 log s up to e^-3,
+    with s floored at the smallest positive double inside the log, and
+    3 + (4e^-3 - e^-6/s)/s above."""
+    s = np.asarray(s, dtype=float)
+    lo = -2.0 * np.log(np.clip(s, _SUBNORMAL, _E3))
+    y = np.maximum(s, _E3)
+    return np.where(s <= _E3, lo, 3.0 + (4.0 * _E3 - _E6 / y) / y)
+
+
+def _rate_B(s):
+    """B(s)/s^2 without forming s^2 (array version): 0 up to e^-3, and
+    2 log s + A(s)/s^2 above."""
+    s = np.asarray(s, dtype=float)
+    return np.where(s <= _E3, 0.0, 2.0 * np.log(np.maximum(s, _E3)) + _rate_A(s))
+
+
 def eval_a(z) -> complex:
     """a(z) = z A(|z|)/|z|^2, extended by a(0) = 0."""
     z = _check_complex(z)
-    r = abs(z)
-    if r == 0.0:
-        return 0.0j
-    r2 = r * r
-    if r2 == 0.0:  # r^2 underflows; on this branch A(r)/r^2 = -log r^2
-        return z * (-2.0 * math.log(r))
-    return z * (eval_A(r) / r2)
+    return z * float(_rate_A(abs(z)))
 
 
 def eval_b(z) -> complex:
     """b(z) = z B(|z|)/|z|^2, extended by b(0) = 0; b - a = z log|z|^2."""
     z = _check_complex(z)
-    r = abs(z)
-    r2 = r * r
-    if r2 == 0.0:  # z == 0, or r^2 underflows; B vanishes on [0, e^-3]
-        return 0.0j
-    return z * (eval_B(r) / r2)
+    return z * float(_rate_B(abs(z)))
 
 
 def eval_am(z, m) -> complex:
     """Regularized a: equal to a(z) for |z| >= 1/m, linear (m z a(1/m)) below."""
     m = _level(m)
     z = _check_complex(z)
-    r = abs(z)
-    if r >= 1.0 / m:
-        return eval_a(z)
-    return m * z * eval_a(1.0 / m)
+    return z * float(_rate_A(max(abs(z), 1.0 / m)))
 
 
 def eval_bm(z, m) -> complex:
     """Regularized b: equal to b(z) for |z| <= m, linear (z b(m)/m) above."""
     m = _level(m)
     z = _check_complex(z)
-    r = abs(z)
-    if r <= m:
-        return eval_b(z)
-    return (z / m) * eval_b(m)
+    return z * float(_rate_B(min(abs(z), m)))
 
 
 def eval_gm(z, m) -> complex:
     """g_m(z) = b_m(z) - a_m(z); equals z log|z|^2 on 1/m <= |z| <= m."""
-    return eval_bm(z, m) - eval_am(z, m)
+    m = _level(m)
+    z = _check_complex(z)
+    return z * gm_phase_rate(abs(z), m)
 
 
 def gm_phase_rate(s, m=None):
@@ -177,11 +186,8 @@ def gm_phase_rate(s, m=None):
     if m is None:
         return np.log(np.maximum(s, 1e-14) ** 2)
     m = _level(m)
-    # b_m's rate B(s)/s^2 is frozen above m, a_m's rate A(s)/s^2 below 1/m;
-    # the floor keeps B/s^2 from 0/0 where s * s underflows (B vanishes there)
-    sb = np.minimum(s, m)
-    sa = np.maximum(s, 1.0 / m)
-    rate = _B_arr(sb) / np.maximum(sb * sb, _TINY) - _A_arr(sa) / (sa * sa)
+    # b_m's rate B(s)/s^2 is frozen above m, a_m's rate A(s)/s^2 below 1/m
+    rate = _rate_B(np.minimum(s, m)) - _rate_A(np.maximum(s, 1.0 / m))
     if rate.ndim == 0:
         return float(rate)
     return rate
@@ -225,60 +231,20 @@ def eval_Gm(z, m=None):
         return float(out) if out.ndim == 0 else out
     m = _level(m)
     t1 = 1.0 / m
-    c_low = m * m * eval_A(t1)  # frozen a_m rate below 1/m
-    b_m_rate = eval_B(m) / (m * m)  # frozen b_m rate above m
-    # region |z| <= 1/m : int b(s) - c_low * s
-    g_low = _P_b(x) - 0.5 * c_low * x**2
-    g_at_t1 = float(_P_b(t1) - 0.5 * c_low * t1 * t1)
-    # region 1/m <= |z| <= m : g_m = s log s^2
-    xm = np.clip(x, t1, m)
-    g_mid = g_at_t1 + _P_log(xm) - _P_log(t1)
-    g_at_m = g_at_t1 + float(_P_log(m) - _P_log(t1))
-    # region |z| >= m : g_m = b_m_rate * s - A(s)/s
-    xh = np.maximum(x, m)
-    g_high = g_at_m + 0.5 * b_m_rate * (xh**2 - m * m) - (_P_a(xh) - float(_P_a(m)))
-    out = np.where(x <= t1, g_low, np.where(x <= m, g_mid, g_high))
+    # int_0^x b_m: the primitive of b up to m, then b's rate frozen at m
+    xb = np.minimum(x, m)
+    b_part = _P_b(xb) + 0.5 * float(_rate_B(m)) * (x - xb) * (x + xb)
+    # int_0^x a_m: a's rate frozen at 1/m below 1/m, then the primitive of
+    # a; the difference is formed first so that values below 1/m survive
+    a_part = (0.5 * float(_rate_A(t1)) * np.minimum(x, t1) ** 2
+              + (_P_a(np.maximum(x, t1)) - float(_P_a(t1))))
+    out = b_part - a_part
     return float(out) if out.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------
 # Gaussian tail integral
 # ----------------------------------------------------------------------
-
-def _erf_series(x: float) -> float:
-    # erf(x) = 2/sqrt(pi) e^{-x^2} sum_k 2^k x^{2k+1} / (1*3*...*(2k+1));
-    # all terms positive, no cancellation; used for 0 <= x < 1
-    s = 0.0
-    term = x
-    k = 0
-    while True:
-        s += term
-        k += 1
-        term *= 2.0 * x * x / (2.0 * k + 1.0)
-        if term < 1e-18 * s or k > 200:
-            break
-    return 2.0 / SQRT_PI * math.exp(-x * x) * s
-
-
-def _erfc_cf(x: float, nterms: int) -> float:
-    # Laplace continued fraction, evaluated bottom-up:
-    # erfc(x) = e^{-x^2}/sqrt(pi) / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    f = 0.0
-    for k in range(nterms, 0, -1):
-        f = (0.5 * k) / (x + f)
-    return math.exp(-x * x) / SQRT_PI / (x + f)
-
-
-def _erfc(x: float) -> float:
-    if x < 0.0:
-        return 2.0 - _erfc(-x)
-    if x < 1.0:
-        return 1.0 - _erf_series(x)
-    if x * x > 745.0:  # e^{-x^2} underflows; tail below 1e-300
-        return 0.0
-    # the fraction needs more terms as x decreases toward 1
-    return _erfc_cf(x, 300 if x < 2.0 else 120)
-
 
 def gamma_tail(t) -> float:
     """Tail integral int_t^inf exp(-s^2) ds = (sqrt(pi)/2) erfc(t).
@@ -289,9 +255,7 @@ def gamma_tail(t) -> float:
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"argument must be finite, got {t}")
-    if t >= 0.0:
-        return 0.5 * SQRT_PI * _erfc(t)
-    return SQRT_PI - 0.5 * SQRT_PI * _erfc(-t)
+    return 0.5 * SQRT_PI * math.erfc(t)
 
 
 # ----------------------------------------------------------------------

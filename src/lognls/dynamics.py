@@ -258,7 +258,6 @@ def stability_experiment(
     dt: float = 1e-3,
     record_every: int = 125,
     metric: Metric = Metric.SIGMA_ONLY,
-    m=None,
 ) -> StabilitySummary:
     """Perturb a standing wave and track its orbital excursion.
 
@@ -281,7 +280,7 @@ def stability_experiment(
     params = branch_params(gamma, omega, branch)
     phi = sample_profile(params, grid)
     phi_norm = sigma_norm(phi)
-    config = EvolutionConfig(dt=dt, t_end=t_end, m=m, record_every=record_every)
+    config = EvolutionConfig(dt=dt, t_end=t_end, record_every=record_every)
 
     def run_trial(k: int) -> TrialResult:
         rng = np.random.default_rng((rng_seed, k))

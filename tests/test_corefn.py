@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import erfc as scipy_erfc
 
 from lognls import corefn
 from lognls.corefn import (
@@ -103,10 +104,13 @@ class TestAB_pointwise:
         assert eval_b(1.0) - eval_a(1.0) == 0.0
 
     def test_underflowing_modulus(self):
-        # |z|^2 underflows; a(z) = -z log|z|^2 and b(z) = 0 still hold
-        z = 1e-200 + 0j
-        assert eval_a(z) == pytest.approx(-z * 2.0 * math.log(1e-200), rel=1e-15)
-        assert eval_b(z) == 0.0
+        # |z|^2 underflows or is subnormal; a(z) = -2 z log|z| keeps full
+        # precision and b(z) = 0 still holds
+        for r in (1e-200, 3e-162, 1e-160, 1e-158):
+            for z in (r + 0j, -r, 1j * r):
+                want = -2.0 * z * math.log(r)
+                assert abs(eval_a(z) - want) <= 1e-15 * abs(want)
+                assert eval_b(z) == 0.0
 
     def test_identity_log_spaced(self):
         rng = np.random.default_rng(7)
@@ -184,6 +188,17 @@ class TestGm:
         assert rate[0] == rate[2]
         assert gm_phase_rate(0.0, m) == rate[0]
 
+    @pytest.mark.parametrize("m", [1e160, 1e200, 1e300])
+    def test_finite_at_huge_levels(self, m):
+        # m * m overflows and 1/m^2 underflows; no square of a level is formed
+        s = np.array([0.0, 1e-250, 0.5, 2.0])
+        assert np.all(np.isfinite(gm_phase_rate(s, m)))
+        assert np.all(np.isfinite(eval_Gm(s, m)))
+        for v in s:
+            assert math.isfinite(abs(eval_gm(v, m)))
+            assert math.isfinite(abs(eval_am(v, m)))
+            assert math.isfinite(eval_Gm(v, m))
+
     def test_level_validation(self):
         for fn in (gm_phase_rate, eval_Gm, eval_gm):
             for m in (0.5, math.inf, 0.9):
@@ -232,9 +247,11 @@ class TestGammaTail:
         assert gamma_tail(1.0) == pytest.approx(val, rel=1e-13)
         assert gamma_tail(1.0) == pytest.approx(0.13940279264033098, abs=2e-16)
 
-    def test_against_libm(self):
-        for t in np.concatenate([np.linspace(0, 5, 401), np.linspace(5, 25, 81)]):
-            ref = 0.5 * SQRT_PI * math.erfc(float(t))
+    def test_against_scipy(self):
+        # scipy's erfc is an implementation independent of libm's
+        for t in np.concatenate([np.linspace(-6, 0, 121), np.linspace(0, 5, 401),
+                                 np.linspace(5, 25, 81)]):
+            ref = 0.5 * SQRT_PI * float(scipy_erfc(t))
             if ref == 0.0:
                 assert gamma_tail(float(t)) == 0.0
             else:

@@ -181,14 +181,18 @@ class TestEvolve:
         assert info.value.records == []
 
     def test_clamped_rate_with_zero_sample(self, grid):
-        # s * s underflows to 0 at a zero sample; the clamped rate is frozen there
+        # s * s underflows to 0 at a zero sample; the clamped rate is frozen
+        # there, also at m = 1e200, where the squares of 1/m and m under- and
+        # overflow
         x = grid.nodes()
         vals = np.exp(-x * x) + 0j
         vals[grid.n // 4] = 0.0
         u0 = Field(grid, vals)
-        res = evolve(u0, 2.0, EvolutionConfig(dt=1e-3, t_end=0.05, m=10.0, record_every=10))
-        assert len(res.records) == 6
-        assert np.all(np.isfinite(res.final.values))
+        for m in (10.0, 1e200):
+            res = evolve(u0, 2.0, EvolutionConfig(dt=1e-3, t_end=0.05, m=m, record_every=10))
+            assert len(res.records) == 6
+            assert all(math.isfinite(r.mass) and math.isfinite(r.energy) for r in res.records)
+            assert np.all(np.isfinite(res.final.values))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
