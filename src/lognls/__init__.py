@@ -44,7 +44,6 @@ from .fields import (
     FunctionalReport,
     Grid,
     Metric,
-    MinimizeOptions,
     MinimizeResult,
     Seed,
     StationaryResidual,

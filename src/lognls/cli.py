@@ -24,7 +24,6 @@ from .fields import (
     Grid,
     Metric,
     Seed,
-    MinimizeOptions,
     minimize_dgamma,
     report,
     sample_profile,
@@ -147,8 +146,8 @@ def load_config_file(path: str) -> dict[str, str]:
 # name to its value
 _CHOICES = {
     "branch": {b.value: b for b in Branch},
-    "seed": {"symmetric": Seed.SYMMETRIC, "left": Seed.LEFT, "right": Seed.RIGHT},
-    "metric": {"sigma": Metric.SIGMA_ONLY, "w": Metric.FULL_W},
+    "seed": {s.value: s for s in Seed},
+    "metric": {m.value: m for m in Metric},
 }
 
 
@@ -273,8 +272,8 @@ MINIMIZE_DEFAULTS = dict(
 def cmd_minimize(args) -> int:
     opt = merge_options(args, MINIMIZE_DEFAULTS)
     gamma, omega = opt["gamma"], opt["omega"]
-    opts = MinimizeOptions(max_iter=opt["max_iter"])
-    result = minimize_dgamma(gamma, omega, seed=opt["seed"], grid=_grid(opt), opts=opts)
+    result = minimize_dgamma(gamma, omega, seed=opt["seed"], grid=_grid(opt),
+                             max_iter=opt["max_iter"])
     states = ground_states(gamma, omega)
     closed = min(action_closed_form(p) for p in states)
     bound = dgamma_lower_bound(gamma, omega)
@@ -424,7 +423,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceError, dynamics.EvolutionAborted, RuntimeError) as exc:
+    except (ConvergenceError, dynamics.EvolutionAborted, RuntimeError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         if isinstance(exc, ConvergenceError) and exc.residual is not None:
             print(

@@ -174,10 +174,6 @@ def evolve(
     """
     if not np.all(np.isfinite(u0.values)):
         raise EvolutionAborted(0, [])
-    if not np.any(u0.values):
-        # the zero field is a fixed point of both substeps
-        recs = [TrajectoryRecord(0.0, 0.0, 0.0, 0.0, 0.0)]
-        return EvolutionResult(records=recs, final=u0, snapshots=[])
     solve = _propagator(u0.grid, float(gamma), float(config.dt))
     op = form_operator(u0.grid, gamma)
     dx = u0.grid.dx
@@ -298,14 +294,13 @@ def stability_experiment(
                            ratio=dmax / d0 if d0 > 0 else math.inf)
 
     results = [run_trial(k) for k in range(trials)]
-    exploratory = branch is Branch.SYMMETRIC and gamma > 2.0
     return StabilitySummary(
         gamma=gamma,
         omega=omega,
         branch=branch,
         perturbation_size=perturbation_size,
         metric=metric,
-        exploratory=exploratory,
+        exploratory=not params.is_ground_state,
         trials=tuple(results),
         max_ratio=max(r.ratio for r in results),
     )

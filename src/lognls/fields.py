@@ -15,11 +15,12 @@ each half-line, a ghost-edge Dirichlet closure at +-L, and two-node
 traces for the jump term).  That gives M = T - (1/gamma) c c^T with
 u* M u = t_gamma[u]: a real symmetric tridiagonal part T, the free
 Laplacian on the two half-lines, plus a rank-one jump term with the
-trace stencil c.  The same M supplies the exact gradient of the action,
-the minimizer's implicit step and the Hamiltonian M/dx of the
-Crank-Nicolson propagator; shifted systems with M are solved by a
-tridiagonal LU plus a Sherman-Morrison correction.  The discrete mass
-sum is therefore conserved to solver precision by time stepping.
+trace stencil c.  The same M supplies the exact gradient of the action
+(divided by dx, also the stationary residual), the minimizer's implicit
+step and the Hamiltonian M/dx of the Crank-Nicolson propagator; shifted
+systems with M are solved by a tridiagonal LU plus a Sherman-Morrison
+correction.  The discrete mass sum is therefore conserved to solver
+precision by time stepping.
 
 Mass and entropy integrals use the midpoint rule, which on this mesh
 tiles each half-line exactly.
@@ -36,7 +37,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from . import corefn, stationary
-from .stationary import GroundStateParams
+from .stationary import Branch, GroundStateParams, branch_params
 
 __all__ = [
     "Grid",
@@ -46,7 +47,6 @@ __all__ = [
     "StationaryResidual",
     "Metric",
     "Seed",
-    "MinimizeOptions",
     "MinimizeResult",
     "ConvergenceError",
     "quadratic_form",
@@ -244,7 +244,6 @@ class FormOperator:
         self.jump_stencil = np.zeros(n)
         self.jump_stencil[self.jump] = (0.5, -1.5, 1.5, -0.5)
         self.grid = grid
-        self.gamma = gamma
         self.coupling = -1.0 / gamma
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -405,17 +404,14 @@ def nehari_project(u: Field, gamma: float, omega: float) -> Field:
 def stationary_residual(u: Field, gamma: float, omega: float) -> StationaryResidual:
     """How far a field is from being a standing-wave profile.
 
-    interior: max norm of -u'' + omega u - u log|u|^2 on the three-point
-    stencil, excluding the 2 nodes nearest the interface and each outer
+    interior: max norm of action_gradient / dx, which is
+    -u'' + omega u - u log|u|^2 on the three-point stencil of the form
+    operator, excluding the 2 nodes nearest the interface and each outer
     boundary.  bc1 = |u'(0+) - u'(0-)|; bc2 = |u(0+) - u(0-) + gamma u'(0)|
     with u'(0) the mean of the one-sided traces.
     """
-    v, n, m, dx = u.values, u.grid.n, u.grid.mid, u.grid.dx
-    if not np.any(v):
-        return StationaryResidual(0.0, 0.0, 0.0)
-    lap = np.zeros_like(v)
-    lap[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dx * dx)
-    pde = -lap + omega * v - v * _log_abs2(v)
+    n, m = u.grid.n, u.grid.mid
+    pde = action_gradient(u, gamma, omega) / u.grid.dx
     keep = np.ones(n, dtype=bool)
     keep[[0, 1, n - 2, n - 1, m - 2, m - 1, m, m + 1]] = False
     interior = float(np.max(np.abs(pde[keep])))
@@ -550,18 +546,6 @@ RESIDUAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class MinimizeOptions:
-    """Controls for the projected descent (see minimize_dgamma)."""
-
-    max_iter: int = 4000
-    odd_constraint: bool = False
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be a positive integer, got {self.max_iter}")
-
-
-@dataclass(frozen=True)
 class MinimizeResult:
     field: Field
     value: float  # half the squared L2 norm of the minimizer
@@ -577,10 +561,7 @@ def _seed_field(seed, gamma: float, omega: float, grid: Grid) -> Field:
         if mass(seed) <= 0.0:
             raise ValueError("custom seed must be nonzero")
         return seed
-    tstar = 2.0 / gamma
-    params = GroundStateParams(gamma=gamma, omega=omega, t1=tstar, t2=tstar,
-                               branch=stationary.Branch.SYMMETRIC)
-    base = sample_profile(params, grid)
+    base = sample_profile(branch_params(gamma, omega, Branch.SYMMETRIC), grid)
     if seed is Seed.SYMMETRIC:
         return base
     x = grid.nodes()
@@ -593,8 +574,8 @@ def _seed_field(seed, gamma: float, omega: float, grid: Grid) -> Field:
 
 
 def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
-                    grid: Grid | None = None,
-                    opts: MinimizeOptions = MinimizeOptions()) -> MinimizeResult:
+                    grid: Grid | None = None, max_iter: int = 4000,
+                    odd_constraint: bool = False) -> MinimizeResult:
     """Least action over the constraint set by projected descent.
 
     Each iteration takes one linearly implicit gradient step on the
@@ -607,19 +588,21 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
     stationary residual to drop below RESIDUAL_TOL.
 
     Returns the minimizer and half its squared L2 norm, which is the
-    least-action value.  With opts.odd_constraint the iterate is forced
+    least-action value.  With odd_constraint the iterate is forced
     odd each step, selecting the sign-symmetric branch even where it is
     only a saddle (gamma > 2).
     """
     if not (0 < gamma < math.inf):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be a positive integer, got {max_iter}")
     if grid is None:
         grid = Grid(20.0, 4096)
     op = form_operator(grid, gamma)
     dx = grid.dx
 
     def constrain(v):
-        if opts.odd_constraint:
+        if odd_constraint:
             v = 0.5 * (v - v[::-1])
         return _project(op, v, omega)
 
@@ -629,7 +612,7 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
     stall = 0
     rejects = 0
     it = 0
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, max_iter + 1):
         solve = op.solver(1.0 + tau * (omega - _log_abs2(v)), tau / dx)
         v_try = constrain(solve(v))
         S_try = _report(op, v_try, omega).action

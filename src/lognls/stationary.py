@@ -87,6 +87,8 @@ class GroundStateParams:
     def __post_init__(self):
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not math.isfinite(self.omega):
+            raise ValueError(f"omega must be finite, got {self.omega}")
         if self.t1 <= 0 or self.t2 <= 0:
             raise ValueError("t1, t2 must be positive")
         r1, r2 = pair_residuals(self.t1, self.t2, self.gamma)

@@ -180,6 +180,25 @@ def test_nonfinite_time_step_usage_error(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, code", [(["bifurcate", "--omega", "nan"], 1),
+                                        (["ground", "--omega=-inf"], 1),
+                                        (["ground", "--omega", "nan"], 1),
+                                        (["ground", "--omega", "800"], 2)])
+def test_nonfinite_or_overflowing_omega(argv, code, tmp_path, capsys):
+    # a non-finite omega is rejected before any output; e^(omega+1)
+    # overflowing the closed-form mass is a numerical failure
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == code
+    cap = capsys.readouterr()
+    if code == 1:
+        assert cap.err.startswith("error: omega must be finite")
+        assert cap.out == ""
+    else:
+        assert cap.err.startswith("numerical failure: ")
+    assert "Traceback" not in cap.err
+    assert not out.exists()
+
+
 class TestStability:
     ARGS = ["stability", "--gamma", "2", "--grid-n", "512", "--grid-l", "10",
             "--dt", "2.5e-3", "--t-end", "0.5", "--trials", "2",

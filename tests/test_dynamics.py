@@ -19,6 +19,7 @@ from lognls.fields import (
     Metric,
     mass,
     orbital_distance,
+    orbital_distances,
     random_smooth_field,
     sample_profile,
 )
@@ -106,6 +107,17 @@ class TestEvolve:
         res = evolve(Field.zero(grid), 2.0, EvolutionConfig(dt=1e-3, t_end=0.01))
         assert not np.any(res.final.values)
         assert res.records[0].mass == 0.0
+        # the zero field stays zero, and its distance to a reference orbit
+        # is the norm of the reference, recorded like any other field's
+        params = ground_states(2.0, 0.0)[0]
+        res = evolve(Field.zero(grid), 2.0,
+                     EvolutionConfig(dt=1e-3, t_end=0.01, record_every=2), reference=params)
+        want = orbital_distances(Field.zero(grid), sample_profile(params, grid))
+        assert len(res.records) == 6
+        for r in res.records:
+            assert (r.mass, r.energy) == (0.0, 0.0)
+            assert (r.orbital_distance_sigma, r.orbital_distance_w) == want
+        assert want[0] > 1.0
 
     def test_standing_wave_short(self, grid):
         params = ground_states(2.0, 0.0)[0]
@@ -238,6 +250,10 @@ class TestStabilityExperiment:
         s2 = stability_experiment(1.5, 0.0, Branch.SYMMETRIC, 1e-2, 0.1, 1, 0,
                                   grid=g, dt=2.5e-3, record_every=10)
         assert not s2.exploratory
+        # at the pitchfork the symmetric profile is still the ground state
+        s3 = stability_experiment(2.0, 0.0, Branch.SYMMETRIC, 1e-2, 0.1, 1, 0,
+                                  grid=g, dt=2.5e-3, record_every=10)
+        assert not s3.exploratory
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from lognls.fields import (
     Field,
     Grid,
     Metric,
-    MinimizeOptions,
     Seed,
     action_gradient,
     derivative,
@@ -370,25 +369,22 @@ class TestMinimize:
         g = Grid(20.0, 256)
         seed = Field(g, np.exp(-g.nodes() ** 2) + 0j)
         with pytest.raises(ValueError, match="zero field"):
-            minimize_dgamma(1.0, 0.0, seed=seed, grid=g,
-                            opts=MinimizeOptions(odd_constraint=True))
+            minimize_dgamma(1.0, 0.0, seed=seed, grid=g, odd_constraint=True)
 
     def test_max_iter_validation(self):
         for bad in (0, -1):
             with pytest.raises(ValueError, match="max_iter"):
-                MinimizeOptions(max_iter=bad)
+                minimize_dgamma(1.0, 0.0, grid=Grid(20.0, 256), max_iter=bad)
 
     def test_odd_constraint_reaches_saddle(self):
         g = Grid(20.0, 1024)
-        opts = MinimizeOptions(odd_constraint=True)
-        r = minimize_dgamma(3.0, 0.0, grid=g, opts=opts)
+        r = minimize_dgamma(3.0, 0.0, grid=g, odd_constraint=True)
         closed = action_closed_form(ground_states(3.0, 0.0)[0])
         assert abs(r.value - closed) / closed < 0.01
 
     def test_nonconvergence_carries_diagnostics(self):
         with pytest.raises(ConvergenceError) as info:
-            minimize_dgamma(3.0, 0.0, seed=Seed.LEFT, grid=Grid(20.0, 1024),
-                            opts=MinimizeOptions(max_iter=2))
+            minimize_dgamma(3.0, 0.0, seed=Seed.LEFT, grid=Grid(20.0, 1024), max_iter=2)
         err = info.value
         assert err.last_field is not None
         assert err.iterations == 2

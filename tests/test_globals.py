@@ -4,7 +4,8 @@ A function that reads a name its module never defines or imports raises
 NameError only when it is called, so a rarely used path can ship broken
 while every import succeeds.  This walks the bytecode of the package and
 each submodule and checks each LOAD_GLOBAL against the module namespace
-and builtins.
+and builtins, and each name a module exports in ``__all__`` against the
+module itself: a stale ``__all__`` entry fails only on ``import *``.
 """
 
 import builtins
@@ -54,6 +55,12 @@ def test_no_undefined_globals(name):
     module = importlib.import_module(name)
     code = importlib.util.find_spec(name).loader.get_code(name)
     assert undefined_globals(code, vars(module)) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_bound(name):
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
 def test_detects_unbound_name():
