@@ -190,11 +190,13 @@ def cmd_ground(args) -> int:
     opt = merge_options(args, GROUND_DEFAULTS)
     gamma, omega = opt["gamma"], opt["omega"]
     states = ground_states(gamma, omega)  # validates gamma before any output
+    # an overflowing e^(omega+1) also fails before any output
+    closed = [(action_closed_form(p), mass_closed_form(p)) for p in states]
     grid = _grid(opt)
     branches = []
     print(f"# ground states at gamma={fmt(gamma)} omega={fmt(omega)}")
     print(f"# {BRANCH_NOTE}")
-    for params in states:
+    for params, (action, mass) in zip(states, closed):
         field = sample_profile(params, grid)
         rep = report(field, gamma, omega)
         res = stationary_residual(field, gamma, omega)
@@ -205,15 +207,15 @@ def cmd_ground(args) -> int:
                 "t1": params.t1,
                 "t2": params.t2,
                 "pair_residuals": [r1, r2],
-                "action_closed_form": action_closed_form(params),
-                "mass_closed_form": mass_closed_form(params),
+                "action_closed_form": action,
+                "mass_closed_form": mass,
                 "report": asdict(rep),
                 "stationary_residual": asdict(res),
             }
         )
         print(
             f"{params.branch.value}: t1={fmt(params.t1)} t2={fmt(params.t2)} "
-            f"action={fmt(action_closed_form(params))} "
+            f"action={fmt(action)} "
             f"residuals=({fmt(res.interior)}, {fmt(res.bc1)}, {fmt(res.bc2)})"
         )
     doc = {

@@ -84,10 +84,7 @@ def entropy_density(s):
     """Entropy density s^2 log s^2 of amplitudes s >= 0, vectorized, with
     the continuous extension F(0) = 0 (also where s^2 underflows to 0)."""
     s2 = np.asarray(s, dtype=float) ** 2
-    out = np.zeros_like(s2)
-    nz = s2 > 0.0
-    out[nz] = s2[nz] * np.log(s2[nz])
-    return out
+    return s2 * np.log(np.where(s2 > 0.0, s2, 1.0))
 
 
 def _A_arr(s):

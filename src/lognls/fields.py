@@ -18,8 +18,9 @@ Laplacian on the two half-lines, plus a rank-one jump term with the
 trace stencil c.  The same M supplies the exact gradient of the action
 (divided by dx, also the stationary residual), the minimizer's implicit
 step and the Hamiltonian M/dx of the Crank-Nicolson propagator; shifted
-systems with M are solved by a tridiagonal LU plus a Sherman-Morrison
-correction.  The discrete mass sum is therefore conserved to solver
+systems with M are solved by a tridiagonal LU (LAPACK gttrf in the dtype
+of the shift: real for the minimizer, complex for the propagator) plus a
+Sherman-Morrison correction.  The discrete mass sum is therefore conserved to solver
 precision by time stepping.
 
 Mass and entropy integrals use the midpoint rule, which on this mesh
@@ -263,28 +264,28 @@ class ShiftedSolver:
     """y = (shift + scale * M)^-1 r for one FormOperator M = T + coupling c c^T.
 
     The tridiagonal part shift + scale * T is factored once by LAPACK
-    zgttrf; each call is one zgttrs solve plus the Sherman-Morrison
+    gttrf in its own dtype: real arithmetic (dgttrf) when shift and scale
+    are real, complex (zgttrf) otherwise.  Each call is one zgttrs solve
+    on the factors, cast to complex once, plus the Sherman-Morrison
     correction for the rank-one jump term.
     """
 
     def __init__(self, op: FormOperator, shift, scale: complex):
-        self.diag = shift + scale * op.diag + 0j
-        self.off = scale * op.off + 0j
-        self.dl, self.d, self.du, self.du2, self.ipiv, info = lapack.zgttrf(
-            self.off, self.diag, self.off)
+        self.diag = shift + scale * op.diag
+        self.off = scale * op.off
+        gttrf, gttrs = lapack.get_lapack_funcs(("gttrf", "gttrs"), (self.diag, self.off))
+        *factors, self.ipiv, info = gttrf(self.off, self.diag, self.off)
         if info != 0:
             raise np.linalg.LinAlgError(f"tridiagonal factorization failed (info={info})")
         self.alpha = scale * op.coupling
         self.jump = op.jump
         self.c = op.jump_stencil[op.jump]
-        self.z = self._tridiagonal_solve(op.jump_stencil)
+        self.z = np.asarray(gttrs(*factors, self.ipiv, op.jump_stencil)[0], dtype=complex)
         self.gain = self.alpha / (1.0 + self.alpha * (self.c @ self.z[self.jump]))
-
-    def _tridiagonal_solve(self, r):
-        return lapack.zgttrs(self.dl, self.d, self.du, self.du2, self.ipiv, r)[0]
+        self.factors = [np.asarray(f, dtype=complex) for f in factors]
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        y = self._tridiagonal_solve(r)
+        y = lapack.zgttrs(*self.factors, self.ipiv, r)[0]
         y -= (self.gain * (self.c @ y[self.jump])) * self.z
         return y
 
@@ -383,12 +384,15 @@ def action_gradient(u: Field, gamma: float, omega: float) -> np.ndarray:
     return form_operator(u.grid, gamma).apply(v) + u.grid.dx * (omega - _log_abs2(v)) * v
 
 
-def _project(op: FormOperator, values: np.ndarray, omega: float) -> np.ndarray:
-    """nehari_project on the samples `values` with the form of op."""
+def _project(op: FormOperator, values: np.ndarray, omega: float):
+    """nehari_project on the samples `values` with the form of op, and the
+    action of the result: on the constraint set it is half the mass, so
+    it is lambda^2 times half the mass of `values`."""
     r = _report(op, values, omega)
     if r.mass <= 0.0:
         raise ValueError("cannot project the zero field")
-    return math.exp(r.nehari / (2.0 * r.mass)) * values
+    lam = math.exp(r.nehari / (2.0 * r.mass))
+    return lam * values, 0.5 * lam * lam * r.mass
 
 
 def nehari_project(u: Field, gamma: float, omega: float) -> Field:
@@ -398,7 +402,7 @@ def nehari_project(u: Field, gamma: float, omega: float) -> Field:
     The logarithmic nonlinearity makes this exact: under u -> lambda u
     the entropy picks up exactly log(lambda^2) * mass.
     """
-    return u.with_values(_project(form_operator(u.grid, gamma), u.values, omega))
+    return u.with_values(_project(form_operator(u.grid, gamma), u.values, omega)[0])
 
 
 def stationary_residual(u: Field, gamma: float, omega: float) -> StationaryResidual:
@@ -594,6 +598,8 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
     """
     if not (0 < gamma < math.inf):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be a positive integer, got {max_iter}")
     if grid is None:
@@ -602,20 +608,19 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
     dx = grid.dx
 
     def constrain(v):
+        # the projected samples and their action, half their mass
         if odd_constraint:
             v = 0.5 * (v - v[::-1])
         return _project(op, v, omega)
 
-    v = constrain(_seed_field(seed, gamma, omega, grid).values.copy())
-    S = _report(op, v, omega).action
+    v, S = constrain(_seed_field(seed, gamma, omega, grid).values.copy())
     tau = TAU0
     stall = 0
     rejects = 0
     it = 0
     for it in range(1, max_iter + 1):
         solve = op.solver(1.0 + tau * (omega - _log_abs2(v)), tau / dx)
-        v_try = constrain(solve(v))
-        S_try = _report(op, v_try, omega).action
+        v_try, S_try = constrain(solve(v))
         if S_try > S + 1e-12 * abs(S) and rejects < 8:
             tau = max(0.4 * tau, 1e-3)
             rejects += 1
@@ -629,13 +634,15 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
             field = Field(grid, v)
             res = stationary_residual(field, gamma, omega)
             if res.interior < RESIDUAL_TOL:
-                return MinimizeResult(field=field, value=0.5 * _report(op, v, omega).mass,
-                                      iterations=it, residual=res, action=S)
+                final = _report(op, v, omega)
+                return MinimizeResult(field=field, value=0.5 * final.mass,
+                                      iterations=it, residual=res, action=final.action)
             stall = 0
     field = Field(grid, v)
     res = stationary_residual(field, gamma, omega)
+    action = _report(op, v, omega).action
     raise ConvergenceError(
         f"no convergence after {it} iterations at gamma={gamma}, omega={omega} "
-        f"(action {S:.12g}, interior residual {res.interior:.3g})",
-        last_field=field, iterations=it, action=S, residual=res,
+        f"(action {action:.12g}, interior residual {res.interior:.3g})",
+        last_field=field, iterations=it, action=action, residual=res,
     )

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -186,15 +187,20 @@ def test_nonfinite_time_step_usage_error(argv, capsys):
                                         (["ground", "--omega", "800"], 2)])
 def test_nonfinite_or_overflowing_omega(argv, code, tmp_path, capsys):
     # a non-finite omega is rejected before any output; e^(omega+1)
-    # overflowing the closed-form mass is a numerical failure
+    # overflowing the closed-form mass is a numerical failure, also
+    # before any output and before any overflowing array arithmetic
     out = tmp_path / "out"
-    assert run(argv + ["--out", str(out)]) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv + ["--out", str(out)]) == code
     cap = capsys.readouterr()
     if code == 1:
         assert cap.err.startswith("error: omega must be finite")
-        assert cap.out == ""
     else:
         assert cap.err.startswith("numerical failure: ")
+    assert cap.out == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in cap.err
     assert "Traceback" not in cap.err
     assert not out.exists()
 

@@ -52,6 +52,16 @@ class TestF:
         assert eval_A(1e-200) == 0.0
         assert eval_B(1e-200) == 0.0
 
+    def test_density_matches_masked_formula(self):
+        # s^2 log s^2 where s^2 > 0 and 0 elsewhere, down to the same bits,
+        # also where s^2 is subnormal or underflows to 0
+        s = np.array([0.0, 1e-170, 1e-160, math.ulp(0.0), 1.0, 1e150])
+        s2 = s**2
+        want = np.zeros_like(s2)
+        nz = s2 > 0.0
+        want[nz] = s2[nz] * np.log(s2[nz])
+        assert corefn.entropy_density(s).tobytes() == want.tobytes()
+
     def test_scalar_matches_array_densities(self):
         s = np.logspace(-320, 3, 600)
         for scalar, array in ((eval_F, corefn.entropy_density), (eval_A, corefn._A_arr),

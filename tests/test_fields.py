@@ -1,6 +1,7 @@
 """Grid, traces, functionals, projection, distances and the minimizer."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -395,6 +396,28 @@ class TestMinimize:
             with pytest.raises(ValueError, match="gamma must be positive and finite"):
                 minimize_dgamma(bad, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_omega_validation(self, bad):
+        # a custom seed skips the branch parameters, whose check would
+        # otherwise catch omega; the minimizer rejects it before any arithmetic
+        g = Grid(20.0, 256)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="omega must be finite"):
+                minimize_dgamma(1.0, bad, seed=sample_free_gaussian(g, 0.0), grid=g)
+
+    @pytest.mark.parametrize("gamma, seed, iterations", [(1.0, Seed.SYMMETRIC, 4),
+                                                         (3.0, Seed.LEFT, 26),
+                                                         (3.0, Seed.RIGHT, 26),
+                                                         (2.01, Seed.LEFT, 624),
+                                                         (2.1, Seed.LEFT, 102)])
+    def test_descent_path_pinned(self, gamma, seed, iterations):
+        # the benchmark's minimizations at their grid: a speed-up that bends
+        # the descent path changes these iteration counts
+        r = minimize_dgamma(gamma, 0.0, seed=seed, grid=Grid(20.0, 4096))
+        assert r.iterations == iterations
+        assert r.action == report(r.field, gamma, 0.0).action
+
     def test_compactly_supported_seed(self):
         # exact zeros in the seed must not reach the implicit step as log 0
         g = Grid(20.0, 1024)
@@ -464,6 +487,25 @@ class TestOperatorReference:
         want = H @ v * dx + dx * (omega - np.log(np.abs(v) ** 2)) * v
         got = action_gradient(u, self.gamma, omega)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("complex_rhs", [True, False])
+def test_real_shift_solves_like_complex_shift(complex_rhs):
+    # a real shift and scale are factored in real arithmetic, which must
+    # give the bits of the same system factored in complex arithmetic;
+    # several draws, as a rounding difference shows in only some of them
+    g = Grid(20.0, 1024)
+    op = form_operator(g, 3.0)
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        r = rng.standard_normal(g.n)
+        if complex_rhs:
+            r = r + 1j * rng.standard_normal(g.n)
+        shift = 1.0 + rng.uniform(0.0, 2.0, g.n)
+        s = rng.uniform(0.01, 2.0) / g.dx
+        real = op.solver(shift, s)(r)
+        cplx = op.solver(shift + 0j, s + 0j)(r)
+        assert real.tobytes() == cplx.tobytes()
 
 
 def test_operator_cache_shared():
