@@ -13,70 +13,13 @@ Layers:
 * :mod:`lognls.dynamics` - Strang/Crank-Nicolson time stepping and the
   random-perturbation stability experiment.
 * :mod:`lognls.cli` - the ``lognls`` command-line tool.
+
+The package namespace is the ``__all__`` of the four numerical modules.
 """
 
-from .corefn import (
-    eval_A,
-    eval_B,
-    eval_F,
-    eval_Gm,
-    eval_a,
-    eval_am,
-    eval_b,
-    eval_bm,
-    eval_gm,
-    gamma_tail,
-    gm_phase_rate,
-)
-from .dynamics import (
-    EvolutionAborted,
-    EvolutionConfig,
-    StabilitySummary,
-    TrajectoryRecord,
-    evolve,
-    linear_step,
-    nonlinear_step,
-    stability_experiment,
-)
-from .fields import (
-    ConvergenceError,
-    Field,
-    FunctionalReport,
-    Grid,
-    Metric,
-    MinimizeResult,
-    Seed,
-    StationaryResidual,
-    entropy,
-    mass,
-    minimize_dgamma,
-    nehari_project,
-    orbital_distance,
-    orbital_distances,
-    quadratic_form,
-    report,
-    sample_free_gaussian,
-    sample_profile,
-    sigma_norm,
-    stationary_residual,
-)
-from .stationary import (
-    BifurcationPoint,
-    Branch,
-    GroundStateParams,
-    action_closed_form,
-    bifurcation_sweep,
-    d_free_line,
-    d_gamma,
-    d_zero,
-    dgamma_lower_bound,
-    eval_h,
-    ground_states,
-    mass_closed_form,
-    n_gamma,
-    profile,
-    sigma_map,
-    solve_3s,
-)
+from .corefn import *
+from .dynamics import *
+from .fields import *
+from .stationary import *
 
 __version__ = "0.1.0"

@@ -16,9 +16,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import dynamics
 from .dynamics import EvolutionConfig, evolve, stability_experiment
 from .fields import (
+    DEFAULT_GRID,
     ConvergenceError,
     Field,
     Grid,
@@ -48,7 +48,7 @@ BRANCH_NOTE = (
 )
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -183,23 +183,25 @@ def _grid(opt) -> Grid:
 # commands
 # ----------------------------------------------------------------------
 
-GROUND_DEFAULTS = dict(gamma=2.0, omega=0.0, grid_n=4096, grid_l=20.0, out="")
+GROUND_DEFAULTS = dict(gamma=2.0, omega=0.0, grid_n=DEFAULT_GRID.n,
+                       grid_l=DEFAULT_GRID.L, out="")
 
 
-def cmd_ground(args) -> int:
-    opt = merge_options(args, GROUND_DEFAULTS)
+def cmd_ground(opt) -> int:
     gamma, omega = opt["gamma"], opt["omega"]
     states = ground_states(gamma, omega)  # validates gamma before any output
-    # an overflowing e^(omega+1) also fails before any output
+    # an overflowing e^(omega+1), or sampled squares that overflow in the
+    # functionals, also fail before any output
     closed = [(action_closed_form(p), mass_closed_form(p)) for p in states]
     grid = _grid(opt)
+    with np.errstate(over="raise", invalid="raise"):
+        profiles = [sample_profile(p, grid) for p in states]
+        sampled = [(report(f, gamma, omega), stationary_residual(f, gamma, omega))
+                   for f in profiles]
     branches = []
     print(f"# ground states at gamma={fmt(gamma)} omega={fmt(omega)}")
     print(f"# {BRANCH_NOTE}")
-    for params, (action, mass) in zip(states, closed):
-        field = sample_profile(params, grid)
-        rep = report(field, gamma, omega)
-        res = stationary_residual(field, gamma, omega)
+    for params, (action, mass), (rep, res) in zip(states, closed, sampled):
         r1, r2 = pair_residuals(params.t1, params.t2, gamma)
         branches.append(
             {
@@ -234,8 +236,7 @@ def cmd_ground(args) -> int:
 BIFURCATE_DEFAULTS = dict(gamma_min=1.0, gamma_max=3.0, steps=41, omega=0.0, out="")
 
 
-def cmd_bifurcate(args) -> int:
-    opt = merge_options(args, BIFURCATE_DEFAULTS)
+def cmd_bifurcate(opt) -> int:
     gmin, gmax = opt["gamma_min"], opt["gamma_max"]
     points = bifurcation_sweep(gmin, gmax, opt["steps"], opt["omega"])
     lines = ["gamma,branch,t1,t2,action"]
@@ -266,13 +267,12 @@ def cmd_bifurcate(args) -> int:
 
 
 MINIMIZE_DEFAULTS = dict(
-    gamma=2.0, omega=0.0, seed="symmetric", grid_n=4096, grid_l=20.0,
-    max_iter=4000, out="",
+    gamma=2.0, omega=0.0, seed="symmetric", grid_n=DEFAULT_GRID.n,
+    grid_l=DEFAULT_GRID.L, max_iter=4000, out="",
 )
 
 
-def cmd_minimize(args) -> int:
-    opt = merge_options(args, MINIMIZE_DEFAULTS)
+def cmd_minimize(opt) -> int:
     gamma, omega = opt["gamma"], opt["omega"]
     result = minimize_dgamma(gamma, omega, seed=opt["seed"], grid=_grid(opt),
                              max_iter=opt["max_iter"])
@@ -296,14 +296,13 @@ def cmd_minimize(args) -> int:
 
 
 EVOLVE_DEFAULTS = dict(
-    gamma=2.0, omega=0.0, branch="symmetric", grid_n=4096, grid_l=20.0,
-    dt=1e-3, t_end=10.0, m=0.0, record_every=100, snapshot_every=0,
-    snapshot_prefix="", out="",
+    gamma=2.0, omega=0.0, branch="symmetric", grid_n=DEFAULT_GRID.n,
+    grid_l=DEFAULT_GRID.L, dt=1e-3, t_end=10.0, m=0.0, record_every=100,
+    snapshot_every=0, snapshot_prefix="", out="",
 )
 
 
-def cmd_evolve(args) -> int:
-    opt = merge_options(args, EVOLVE_DEFAULTS)
+def cmd_evolve(opt) -> int:
     gamma = opt["gamma"]
     m = opt["m"] or None  # 0 means the raw floored logarithm
     config = EvolutionConfig(
@@ -335,13 +334,12 @@ def cmd_evolve(args) -> int:
 
 STABILITY_DEFAULTS = dict(
     gamma=2.0, omega=0.0, branch="symmetric", delta=1e-2, t_end=50.0,
-    trials=8, rng_seed=0, grid_n=4096, grid_l=20.0, dt=1e-3,
-    record_every=125, metric="sigma", out="",
+    trials=8, rng_seed=0, grid_n=DEFAULT_GRID.n, grid_l=DEFAULT_GRID.L,
+    dt=1e-3, record_every=125, metric="sigma", out="",
 )
 
 
-def cmd_stability(args) -> int:
-    opt = merge_options(args, STABILITY_DEFAULTS)
+def cmd_stability(opt) -> int:
     summary = stability_experiment(
         gamma=opt["gamma"],
         omega=opt["omega"],
@@ -402,7 +400,7 @@ def build_parser() -> _Parser:
                      description="Ground states and stability of the logarithmic "
                                  "Schrodinger equation with a delta-prime defect")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, defaults, help_text) in COMMANDS.items():
+    for name, (_, defaults, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key = value config file; flags override it")
         for key, default in defaults.items():
@@ -410,7 +408,6 @@ def build_parser() -> _Parser:
             metavar = "{" + ",".join(sorted(choices)) + "}" if choices else None
             p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
                            metavar=metavar)
-        p.set_defaults(func=func)
     return parser
 
 
@@ -418,14 +415,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except UsageError as exc:
+        func, defaults, _ = COMMANDS[args.command]
+        return func(merge_options(args, defaults))
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConvergenceError, dynamics.EvolutionAborted, RuntimeError, OverflowError) as exc:
+    # ConvergenceError, EvolutionAborted, OverflowError, FloatingPointError
+    except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         if isinstance(exc, ConvergenceError) and exc.residual is not None:
             print(

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import corefn
 from .fields import (
+    DEFAULT_GRID,
     Field,
     Grid,
     Metric,
@@ -143,20 +144,15 @@ def linear_step(u: Field, gamma: float, dt: float) -> Field:
     return u.with_values(_cn_step(_propagator(u.grid, float(gamma), float(dt)), u.values))
 
 
+def _rotate(values: np.ndarray, tau: float, m) -> np.ndarray:
+    """values exp(i tau log|values|^2), the rate clamped per m."""
+    return values * np.exp(1j * tau * corefn.gm_phase_rate(np.abs(values), m))
+
+
 def nonlinear_step(u: Field, dt: float, m=None) -> Field:
     """Exact flow of i u_t = -u log|u|^2 over dt: a pointwise phase
     rotation at rate log|u|^2 (clamped per m), leaving |u| unchanged."""
-    rate = corefn.gm_phase_rate(np.abs(u.values), m)
-    return u.with_values(u.values * np.exp(1j * dt * rate))
-
-
-def _mass_energy_recorded(values: np.ndarray, op, dx: float, m) -> tuple[float, float]:
-    # the mass, and the energy (1/2) t_gamma[u] - (1/2) entropy written through
-    # the clamped primitive: the conserved functional of the clamped flow
-    s = np.abs(values)
-    gsum = float(dx * np.sum(corefn.eval_Gm(s, m)))
-    q = float(dx * np.sum(s * s))
-    return q, 0.5 * op.form(values) - gsum - 0.5 * q
+    return u.with_values(_rotate(u.values, dt, m))
 
 
 def evolve(
@@ -181,7 +177,12 @@ def evolve(
     phi = sample_profile(reference, u0.grid) if reference is not None else None
 
     def make_record(t: float, vals: np.ndarray) -> TrajectoryRecord:
-        q, en = _mass_energy_recorded(vals, op, dx, m)
+        # the mass, and the energy (1/2) t_gamma[u] - (1/2) entropy written
+        # through the clamped primitive: the conserved functional of the
+        # clamped flow
+        s = np.abs(vals)
+        q = float(dx * np.sum(s * s))
+        en = 0.5 * op.form(vals) - float(dx * np.sum(corefn.eval_Gm(s, m))) - 0.5 * q
         if phi is None:
             ds = dw = 0.0
         else:
@@ -193,27 +194,25 @@ def evolve(
     snapshots: list[tuple[float, Field]] = []
     nrec = 0
     half = 0.5 * config.dt
-    v = u0.values * np.exp(1j * half * corefn.gm_phase_rate(np.abs(u0.values), m))
+    v = _rotate(u0.values, half, m)
     nsteps = config.nsteps
     for k in range(1, nsteps + 1):
         v = _cn_step(solve, v)
-        boundary = (k == nsteps) or (k % config.record_every == 0)
-        rate = corefn.gm_phase_rate(np.abs(v), m)
-        if boundary:
-            v = v * np.exp(1j * half * rate)
-            if not np.all(np.isfinite(v)):
-                raise EvolutionAborted(k, records)
-            records.append(make_record(k * config.dt, v))
-            nrec += 1
-            if config.snapshot_every and nrec % config.snapshot_every == 0:
-                snapshots.append((k * config.dt, u0.with_values(v.copy())))
-            if k < nsteps:
-                v = v * np.exp(1j * half * corefn.gm_phase_rate(np.abs(v), m))
-        else:
+        if k < nsteps and k % config.record_every:
             # merge the trailing and leading half rotations (|u| unchanged)
-            v = v * np.exp(1j * config.dt * rate)
+            v = _rotate(v, config.dt, m)
             if k % 50 == 0 and not np.all(np.isfinite(v)):
                 raise EvolutionAborted(k, records)
+            continue
+        v = _rotate(v, half, m)
+        if not np.all(np.isfinite(v)):
+            raise EvolutionAborted(k, records)
+        records.append(make_record(k * config.dt, v))
+        nrec += 1
+        if config.snapshot_every and nrec % config.snapshot_every == 0:
+            snapshots.append((k * config.dt, u0.with_values(v.copy())))
+        if k < nsteps:
+            v = _rotate(v, half, m)
     return EvolutionResult(records=records, final=u0.with_values(v), snapshots=snapshots)
 
 
@@ -250,7 +249,7 @@ def stability_experiment(
     t_end: float,
     trials: int,
     rng_seed: int,
-    grid: Grid | None = None,
+    grid: Grid = DEFAULT_GRID,
     dt: float = 1e-3,
     record_every: int = 125,
     metric: Metric = Metric.SIGMA_ONLY,
@@ -271,8 +270,6 @@ def stability_experiment(
             f"perturbation_size must be a finite positive number, got {perturbation_size}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if grid is None:
-        grid = Grid(20.0, 4096)
     params = branch_params(gamma, omega, branch)
     phi = sample_profile(params, grid)
     phi_norm = sigma_norm(phi)

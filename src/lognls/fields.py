@@ -42,6 +42,7 @@ from .stationary import Branch, GroundStateParams, branch_params
 
 __all__ = [
     "Grid",
+    "DEFAULT_GRID",
     "Field",
     "Traces",
     "FunctionalReport",
@@ -62,7 +63,6 @@ __all__ = [
     "stationary_residual",
     "orbital_distance",
     "orbital_distances",
-    "luxemburg_norm",
     "sample_profile",
     "sample_free_gaussian",
     "random_smooth_field",
@@ -94,6 +94,10 @@ class Grid:
 
     def nodes(self) -> np.ndarray:
         return -self.L + (np.arange(self.n) + 0.5) * self.dx
+
+
+# Gaussian tails are far below double precision at +-20
+DEFAULT_GRID = Grid(20.0, 4096)
 
 
 @dataclass(frozen=True)
@@ -353,11 +357,6 @@ def sigma_norm(u: Field) -> float:
     return math.sqrt(mass(u) + derivative_norm_sq(u))
 
 
-def luxemburg_norm(u: Field) -> float:
-    """Orlicz gauge norm of the samples (see corefn.luxemburg_norm)."""
-    return corefn.luxemburg_norm(u.values, u.grid.dx)
-
-
 def _report(op: FormOperator, values: np.ndarray, omega: float) -> FunctionalReport:
     """The six functionals of the samples `values` with the form of op."""
     f = op.form(values)
@@ -578,7 +577,7 @@ def _seed_field(seed, gamma: float, omega: float, grid: Grid) -> Field:
 
 
 def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
-                    grid: Grid | None = None, max_iter: int = 4000,
+                    grid: Grid = DEFAULT_GRID, max_iter: int = 4000,
                     odd_constraint: bool = False) -> MinimizeResult:
     """Least action over the constraint set by projected descent.
 
@@ -602,8 +601,6 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
         raise ValueError(f"omega must be finite, got {omega}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be a positive integer, got {max_iter}")
-    if grid is None:
-        grid = Grid(20.0, 4096)
     op = form_operator(grid, gamma)
     dx = grid.dx
 

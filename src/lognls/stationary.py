@@ -199,7 +199,10 @@ def solve_3s(gamma: float) -> list[tuple[float, float]]:
         z0 = _asymmetric_root(gamma)
         tb = (z0 + 1.0) / gamma
         ta = tb / z0
-        ta, tb = _polish_pair(ta, tb, gamma)
+        pa, pb = _polish_pair(ta, tb, gamma)
+        # Newton can diverge on the near-singular Jacobian just above gamma = 2
+        if max(pair_residuals(pa, pb, gamma)) <= PAIR_RESIDUAL_TOL:
+            ta, tb = pa, pb
         if ta > tb:
             ta, tb = tb, ta
         pairs.append((ta, tb))

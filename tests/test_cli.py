@@ -85,6 +85,14 @@ class TestBifurcate:
         assert lo < hi
         assert 2.0 - 0.011 <= lo and hi <= 2.0 + 0.011
 
+    def test_just_above_pitchfork(self, capsys):
+        # Newton's polish of the asymmetric pair diverges at this gamma
+        assert run(["bifurcate", "--gamma-min", "2.000000000002399",
+                    "--gamma-max", "2.000000000002399", "--steps", "1"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [r.split(",")[1] for r in rows[1:4]] == [
+            "symmetric", "asymmetric-left", "asymmetric-right"]
+
     def test_single_point(self, tmp_path):
         out = tmp_path / "one.csv"
         assert run(["bifurcate", "--gamma-min", "3", "--gamma-max", "3",
@@ -184,11 +192,13 @@ def test_nonfinite_time_step_usage_error(argv, capsys):
 @pytest.mark.parametrize("argv, code", [(["bifurcate", "--omega", "nan"], 1),
                                         (["ground", "--omega=-inf"], 1),
                                         (["ground", "--omega", "nan"], 1),
-                                        (["ground", "--omega", "800"], 2)])
+                                        (["ground", "--omega", "800"], 2),
+                                        (["ground", "--omega", "705", "--grid-n", "256"], 2)])
 def test_nonfinite_or_overflowing_omega(argv, code, tmp_path, capsys):
     # a non-finite omega is rejected before any output; e^(omega+1)
-    # overflowing the closed-form mass is a numerical failure, also
-    # before any output and before any overflowing array arithmetic
+    # overflowing the closed-form mass, or the squares of the sampled
+    # profile overflowing the functionals, is a numerical failure, also
+    # before any output and without a RuntimeWarning
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -1,5 +1,6 @@
 """Time stepping: substep contracts, conservation, reversal, stability runs."""
 
+import inspect
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from lognls.dynamics import (
     stability_experiment,
 )
 from lognls.fields import (
+    DEFAULT_GRID,
     Field,
     Grid,
     Metric,
@@ -23,7 +25,7 @@ from lognls.fields import (
     random_smooth_field,
     sample_profile,
 )
-from lognls.stationary import Branch, ground_states
+from lognls.stationary import Branch, branch_params, ground_states
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +208,18 @@ class TestEvolve:
             assert all(math.isfinite(r.mass) and math.isfinite(r.energy) for r in res.records)
             assert np.all(np.isfinite(res.final.values))
 
+    @pytest.mark.parametrize("m", [None, 4.0])
+    def test_strang_step_from_substeps(self, m):
+        # with a record at every step, evolve is half rotation, CN step,
+        # half rotation, bit for bit
+        gamma, dt = 3.0, 2e-3
+        g = Grid(20.0, 512)
+        u = sample_profile(branch_params(gamma, 0.0, Branch.ASYMMETRIC_LEFT), g)
+        res = evolve(u, gamma, EvolutionConfig(dt=dt, t_end=20 * dt, m=m, record_every=1))
+        for _ in range(20):
+            u = nonlinear_step(linear_step(nonlinear_step(u, dt / 2, m), gamma, dt), dt / 2, m)
+        assert res.final.values.tobytes() == u.values.tobytes()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EvolutionConfig(dt=-1e-3, t_end=1.0)
@@ -254,6 +268,10 @@ class TestStabilityExperiment:
         s3 = stability_experiment(2.0, 0.0, Branch.SYMMETRIC, 1e-2, 0.1, 1, 0,
                                   grid=g, dt=2.5e-3, record_every=10)
         assert not s3.exploratory
+
+    def test_default_grid(self):
+        grid = inspect.signature(stability_experiment).parameters["grid"]
+        assert grid.default is DEFAULT_GRID
 
     def test_validation(self):
         with pytest.raises(ValueError):

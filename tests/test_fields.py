@@ -1,5 +1,6 @@
 """Grid, traces, functionals, projection, distances and the minimizer."""
 
+import inspect
 import math
 import warnings
 
@@ -10,6 +11,7 @@ from scipy.integrate import quad
 from lognls.corefn import SQRT_PI
 from lognls.dynamics import linear_step
 from lognls.fields import (
+    DEFAULT_GRID,
     ConvergenceError,
     Field,
     Grid,
@@ -371,6 +373,10 @@ class TestMinimize:
         seed = Field(g, np.exp(-g.nodes() ** 2) + 0j)
         with pytest.raises(ValueError, match="zero field"):
             minimize_dgamma(1.0, 0.0, seed=seed, grid=g, odd_constraint=True)
+
+    def test_default_grid(self):
+        grid = inspect.signature(minimize_dgamma).parameters["grid"]
+        assert grid.default is DEFAULT_GRID == Grid(20.0, 4096)
 
     def test_max_iter_validation(self):
         for bad in (0, -1):

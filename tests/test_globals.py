@@ -63,6 +63,14 @@ def test_all_names_bound(name):
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
+@pytest.mark.parametrize("name", ["lognls.corefn", "lognls.dynamics", "lognls.fields",
+                                  "lognls.stationary"])
+def test_package_exports_all(name):
+    # the package namespace is the union of these modules' __all__ lists
+    module = importlib.import_module(name)
+    assert [n for n in module.__all__ if getattr(lognls, n, None) is not getattr(module, n)] == []
+
+
 def test_detects_unbound_name():
     source = "import math\n\ndef f(x):\n    return math.pi * x + missing_name(x)\n"
     namespace = {}

@@ -71,7 +71,11 @@ class TestSolvePairSystem:
         t1, t2 = sols[0]
         assert t1 == t2 == pytest.approx(2.0 / gamma, abs=1e-12)
 
-    @pytest.mark.parametrize("gamma", [2.01, 2.5, 3.0, 5.0, 10.0])
+    # the last seven sit just above the pitchfork, where Newton's polish
+    # diverges and the bisection pair is kept
+    @pytest.mark.parametrize("gamma", [
+        2.01, 2.5, 3.0, 5.0, 10.0,
+        *(2.0 + k * math.ulp(2.0) for k in (9, 17, 29, 35, 36)), 2.0 + 2.399e-12, 2.0 + 1e-11])
     def test_three_branches(self, gamma):
         sols = solve_3s(gamma)
         assert len(sols) == 3
