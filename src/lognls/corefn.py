@@ -35,10 +35,7 @@ import math
 import numpy as np
 
 __all__ = [
-    "eval_F",
     "entropy_density",
-    "eval_A",
-    "eval_B",
     "eval_a",
     "eval_b",
     "eval_am",
@@ -73,13 +70,6 @@ def _level(m) -> float:
     return m
 
 
-def _check_scalar_nonneg(s) -> float:
-    s = float(s)
-    if not math.isfinite(s) or s < 0.0:
-        raise ValueError(f"argument must be a finite nonnegative real, got {s}")
-    return s
-
-
 def entropy_density(s):
     """Entropy density s^2 log s^2 of amplitudes s >= 0, vectorized, with
     the continuous extension F(0) = 0 (also where s^2 underflows to 0)."""
@@ -88,7 +78,8 @@ def entropy_density(s):
 
 
 def _A_arr(s):
-    """Convex branch function (array version)."""
+    """Convex branch A: -s^2 log(s^2) for s <= e^-3, else 3s^2 + 4e^-3 s -
+    e^-6 (array version)."""
     s = np.asarray(s, dtype=float)
     lo = -entropy_density(np.minimum(s, _E3))
     hi = 3.0 * s**2 + 4.0 * _E3 * s - _E6
@@ -98,21 +89,6 @@ def _A_arr(s):
 def _B_arr(s):
     """B = F + A; identically zero on [0, e^-3] (array version)."""
     return entropy_density(s) + _A_arr(s)
-
-
-def eval_F(s) -> float:
-    """Entropy density s^2 log(s^2), continuously extended by F(0) = 0."""
-    return float(entropy_density(_check_scalar_nonneg(s)))
-
-
-def eval_A(s) -> float:
-    """Convex branch: -s^2 log(s^2) for s <= e^-3, else 3s^2 + 4e^-3 s - e^-6."""
-    return float(_A_arr(_check_scalar_nonneg(s)))
-
-
-def eval_B(s) -> float:
-    """B(s) = F(s) + A(s); vanishes identically on [0, e^-3]."""
-    return float(_B_arr(_check_scalar_nonneg(s)))
 
 
 def _check_complex(z) -> complex:

@@ -16,7 +16,10 @@ t1 = t2 = 2/gamma (an odd profile).  At gamma = 2 a pitchfork opens: for
 gamma > 2 two mirror asymmetric pairs appear, with strictly smaller
 action, and the odd profile survives as an excited state.  The asymmetric
 pairs come from the unique root z0 > 1 of the auxiliary function eval_h;
-the pair is ((z0+1)/(gamma z0), (z0+1)/gamma) up to ordering.
+the pair is ((z0+1)/(gamma z0), (z0+1)/gamma) up to ordering.  One
+bisection finds it, on h(1+e)/e with the root z = 1 divided out, which
+keeps the pair accurate to rounding also just above the pitchfork, where
+h itself is flat like e^3.
 
 Closed forms used throughout: the profile mass is
 e^{omega+1} * n_gamma(t1) with n_gamma(t) = gamma_tail(t) +
@@ -137,58 +140,42 @@ def pair_residuals(t1: float, t2: float, gamma: float) -> tuple[float, float]:
     return r1, r2
 
 
-def _asymmetric_root(gamma: float) -> float:
-    """Unique zero z0 of eval_h in (1, inf) for gamma > 2, by bisection.
+# Taylor coefficients of (log1p(e) - e + e^2/2)/e^3 = sum_k (-e)^k/(k+3),
+# summed below e = 0.2, where the direct form loses digits to cancellation
+_R_SERIES = tuple((-1) ** k / (k + 3) for k in range(24))
 
-    h'(1) = 2(4 - gamma^2) < 0 and h is convex on [1, inf), so there is a
-    single sign change; the bracket is expanded by doubling.
+
+def _deflated_h(e: float, gamma: float) -> float:
+    """h(1+e)/e, eval_h with its root at z = 1 divided out.
+
+    It equals -(gamma^2-4)(2-e) + e^2 K(e) with K(e) = (6+5e)/(1+e)^2 -
+    2 gamma^2 R(e)/e^3 and R(e) = log1p(e) - e + e^2/2, which keeps full
+    relative precision as e -> 0.  From e = 1 on, where that form cancels,
+    it is (2+e)^3/(1+e)^2 - 2 gamma^2 log1p(e)/e.  h is convex on
+    [1, inf), so this secant slope increases in e.
     """
-    lo = 1.0 + 1e-9
-    hi = 2.0
-    while eval_h(hi, gamma) <= 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError(f"failed to bracket the asymmetric root at gamma={gamma}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if eval_h(mid, gamma) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * hi:
-            break
-    return 0.5 * (lo + hi)
-
-
-def _polish_pair(t1: float, t2: float, gamma: float) -> tuple[float, float]:
-    # a few Newton steps on the pair system itself to push the residuals
-    # to rounding level
-    for _ in range(6):
-        e1 = math.exp(-0.5 * t1 * t1)
-        e2 = math.exp(-0.5 * t2 * t2)
-        f1 = t1 * e1 - t2 * e2
-        f2 = 1.0 / t1 + 1.0 / t2 - gamma
-        j11 = (1.0 - t1 * t1) * e1
-        j12 = -(1.0 - t2 * t2) * e2
-        j21 = -1.0 / (t1 * t1)
-        j22 = -1.0 / (t2 * t2)
-        det = j11 * j22 - j12 * j21
-        if det == 0.0:
-            break
-        d1 = (f1 * j22 - f2 * j12) / det
-        d2 = (f2 * j11 - f1 * j21) / det
-        t1, t2 = t1 - d1, t2 - d2
-        if max(abs(d1), abs(d2)) < 1e-15 * max(t1, t2):
-            break
-    return t1, t2
+    g2 = gamma * gamma
+    if e >= 1.0:
+        return (2.0 + e) ** 3 / (1.0 + e) ** 2 - 2.0 * g2 * math.log1p(e) / e
+    if e < 0.2:
+        r = 0.0
+        for c in reversed(_R_SERIES):
+            r = c + e * r
+    else:
+        r = (math.log1p(e) - e + 0.5 * e * e) / e**3
+    k = (6.0 + 5.0 * e) / (1.0 + e) ** 2 - 2.0 * g2 * r
+    return -(gamma - 2.0) * (gamma + 2.0) * (2.0 - e) + e * e * k
 
 
 def solve_3s(gamma: float) -> list[tuple[float, float]]:
     """All positive solutions (t1, t2) of the pair system at this gamma.
 
     Returns [(2/gamma, 2/gamma)] for 0 < gamma <= 2 and the symmetric
-    pair plus the two mirror asymmetric pairs for gamma > 2.  The first
-    asymmetric pair is ordered t1 < t2.
+    pair plus the two mirror asymmetric pairs for gamma > 2, the first
+    ordered t1 < t2.  The asymmetric root z0 = 1 + e of eval_h comes from
+    bisecting _deflated_h down to adjacent doubles; t2 = (2+e)/gamma and
+    t1 = 1/(gamma - 1/t2), so the second pair equation holds to rounding.
+    Raises RuntimeError where no pair within PAIR_RESIDUAL_TOL is found.
     """
     gamma = float(gamma)
     if not (0 < gamma < math.inf):
@@ -196,17 +183,22 @@ def solve_3s(gamma: float) -> list[tuple[float, float]]:
     tstar = 2.0 / gamma
     pairs = [(tstar, tstar)]
     if gamma > 2.0:
-        z0 = _asymmetric_root(gamma)
-        tb = (z0 + 1.0) / gamma
-        ta = tb / z0
-        pa, pb = _polish_pair(ta, tb, gamma)
-        # Newton can diverge on the near-singular Jacobian just above gamma = 2
-        if max(pair_residuals(pa, pb, gamma)) <= PAIR_RESIDUAL_TOL:
-            ta, tb = pa, pb
-        if ta > tb:
-            ta, tb = tb, ta
-        pairs.append((ta, tb))
-        pairs.append((tb, ta))
+        lo, hi = 0.0, 1.0
+        while not _deflated_h(hi, gamma) > 0.0:
+            hi *= 2.0
+            if hi > 1e12:
+                raise RuntimeError(
+                    f"pair solver failed at gamma={gamma}: no root of h(1+e)/e below e = 1e12")
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            if _deflated_h(mid, gamma) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
+        tb = (2.0 + hi) / gamma
+        ta = 1.0 / (gamma - 1.0 / tb)
+        pairs += [(ta, tb), (tb, ta)]
     for t1, t2 in pairs:
         r1, r2 = pair_residuals(t1, t2, gamma)
         if max(r1, r2) > PAIR_RESIDUAL_TOL:

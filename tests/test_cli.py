@@ -57,6 +57,14 @@ class TestGround:
     def test_bad_flag_usage_error(self):
         assert run(["ground", "--bogus", "1"]) == 1
 
+    def test_unsolvable_gamma_numerical_failure(self, tmp_path, capsys):
+        out = tmp_path / "ground.json"
+        assert run(["ground", "--gamma", "1e300", "--out", str(out)]) == 2
+        cap = capsys.readouterr()
+        assert cap.err.startswith("numerical failure: pair solver failed")
+        assert cap.out == ""
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv", [["ground", "--gamma", "nan"],
                                       ["ground", "--gamma", "inf"],

@@ -11,9 +11,6 @@ from scipy.special import erfc as scipy_erfc
 
 from lognls import corefn
 from lognls.corefn import (
-    eval_A,
-    eval_B,
-    eval_F,
     eval_Gm,
     eval_a,
     eval_am,
@@ -30,27 +27,25 @@ E3 = math.exp(-3.0)
 SQRT_PI = math.sqrt(math.pi)
 
 
+F, A, B = corefn.entropy_density, corefn._A_arr, corefn._B_arr
+
+
 class TestF:
     def test_zero_and_one(self):
-        assert eval_F(0.0) == 0.0
-        assert eval_F(1.0) == 0.0
+        assert F(0.0) == 0.0
+        assert F(1.0) == 0.0
 
     def test_sqrt_e(self):
         # direct arithmetic: s^2 * 2 log s at s = e^{1/2}
         s = math.exp(0.5)
-        assert eval_F(s) == pytest.approx(s * s * 2.0 * math.log(s), rel=1e-14)
-        assert eval_F(s) == pytest.approx(math.e, rel=1e-14)
-
-    @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf])
-    def test_rejects(self, bad):
-        with pytest.raises(ValueError):
-            eval_F(bad)
+        assert F(s) == pytest.approx(s * s * 2.0 * math.log(s), rel=1e-14)
+        assert F(s) == pytest.approx(math.e, rel=1e-14)
 
     def test_underflowing_square(self):
         # s^2 underflows to 0 below ~1.5e-162; F is continuous there
-        assert eval_F(1e-200) == 0.0
-        assert eval_A(1e-200) == 0.0
-        assert eval_B(1e-200) == 0.0
+        assert F(1e-200) == 0.0
+        assert A(1e-200) == 0.0
+        assert B(1e-200) == 0.0
 
     def test_density_matches_masked_formula(self):
         # s^2 log s^2 where s^2 > 0 and 0 elsewhere, down to the same bits,
@@ -60,16 +55,7 @@ class TestF:
         want = np.zeros_like(s2)
         nz = s2 > 0.0
         want[nz] = s2[nz] * np.log(s2[nz])
-        assert corefn.entropy_density(s).tobytes() == want.tobytes()
-
-    def test_scalar_matches_array_densities(self):
-        s = np.logspace(-320, 3, 600)
-        for scalar, array in ((eval_F, corefn.entropy_density), (eval_A, corefn._A_arr),
-                              (eval_B, corefn._B_arr)):
-            got = np.array([scalar(v) for v in s])
-            want = array(s)
-            scale = np.abs(corefn.entropy_density(s)) + np.abs(corefn._A_arr(s))
-            assert np.all(np.abs(got - want) <= 1e-15 * scale)
+        assert F(s).tobytes() == want.tobytes()
 
 
 class TestAB:
@@ -79,30 +65,30 @@ class TestAB:
         upper = 3.0 * E3**2 + 4.0 * E3 * E3 - math.exp(-6.0)
         assert lower == pytest.approx(6.0 * math.exp(-6.0), rel=1e-13)
         assert upper == pytest.approx(6.0 * math.exp(-6.0), rel=1e-13)
-        assert eval_A(E3) == pytest.approx(6.0 * math.exp(-6.0), rel=1e-13)
+        assert A(E3) == pytest.approx(6.0 * math.exp(-6.0), rel=1e-13)
 
     def test_branch_continuity(self):
         for eps in (1e-6, 1e-8, 1e-10):
-            gap = abs(eval_A(E3 - eps) - eval_A(E3 + eps))
+            gap = abs(A(E3 - eps) - A(E3 + eps))
             assert gap <= 1.5 * eps  # |A'(e^-3)| = 10 e^-3, so gap ~ 2 A' eps
 
     def test_A_zero(self):
-        assert eval_A(0.0) == 0.0
+        assert A(0.0) == 0.0
 
     def test_A_convex_increasing_nonneg(self):
         s = np.linspace(0.0, 3.0, 301)
-        a = np.array([eval_A(x) for x in s])
+        a = A(s)
         assert np.all(a >= 0.0)
         assert np.all(np.diff(a) >= 0.0)
         assert np.all(np.diff(a, 2) >= -1e-12)
 
     def test_B1(self):
-        assert eval_F(1.0) == 0.0
-        assert eval_B(1.0) == pytest.approx(3.0 + 4.0 * E3 - math.exp(-6.0), rel=1e-14)
+        assert F(1.0) == 0.0
+        assert B(1.0) == pytest.approx(3.0 + 4.0 * E3 - math.exp(-6.0), rel=1e-14)
 
     def test_B_vanishes_below_junction(self):
         for s in (0.0, 1e-8, 0.01, E3):
-            assert eval_B(s) == 0.0
+            assert B(s) == 0.0
 
 
 class TestAB_pointwise:
@@ -191,7 +177,7 @@ class TestGm:
     def test_rate_frozen_below_underflow(self):
         # s * s underflows to 0 for s < ~1.5e-162; the rate must stay the frozen one
         m = 2.0
-        frozen = -m * m * eval_A(1.0 / m)
+        frozen = -m * m * A(1.0 / m)
         rate = gm_phase_rate(np.array([0.0, 1e-200, 1e-100]), m)
         assert np.all(np.isfinite(rate))
         assert rate[0] == rate[1] == pytest.approx(frozen, rel=1e-15)

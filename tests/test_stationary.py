@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -10,6 +11,7 @@ from lognls.corefn import SQRT_PI, gamma_tail
 from lognls.stationary import (
     Branch,
     GroundStateParams,
+    _deflated_h,
     action_closed_form,
     bifurcation_sweep,
     d_free_line,
@@ -71,8 +73,8 @@ class TestSolvePairSystem:
         t1, t2 = sols[0]
         assert t1 == t2 == pytest.approx(2.0 / gamma, abs=1e-12)
 
-    # the last seven sit just above the pitchfork, where Newton's polish
-    # diverges and the bisection pair is kept
+    # the last seven sit just above the pitchfork, where eval_h is flat
+    # like (z - 1)^3 and the pair is only as good as the deflated bisection
     @pytest.mark.parametrize("gamma", [
         2.01, 2.5, 3.0, 5.0, 10.0,
         *(2.0 + k * math.ulp(2.0) for k in (9, 17, 29, 35, 36)), 2.0 + 2.399e-12, 2.0 + 1e-11])
@@ -90,6 +92,11 @@ class TestSolvePairSystem:
     def test_gamma_one(self):
         assert solve_3s(1.0) == [(2.0, 2.0)]
 
+    @pytest.mark.parametrize("gamma", [1e19, 1e100, 1e160, 1e300])
+    def test_extreme_gamma_fails_cleanly(self, gamma):
+        with pytest.raises(RuntimeError, match="pair solver failed"):
+            solve_3s(gamma)
+
     def test_rejects(self):
         with pytest.raises(ValueError):
             solve_3s(0.0)
@@ -98,6 +105,39 @@ class TestSolvePairSystem:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="gamma must be positive and finite"):
                 solve_3s(bad)
+
+
+class TestMpmathOracle:
+    """The asymmetric pair against the root of h(1+e)/e at 55 digits."""
+
+    @staticmethod
+    def exact_pair(gamma: float) -> tuple:
+        g = mpmath.mpf(gamma)
+        e0 = mpmath.sqrt(3 * (g * g - 4) / 5)  # root of the quadratic model
+
+        def deflated(e):
+            return (2 + e) ** 3 / (1 + e) ** 2 - 2 * g * g * mpmath.log1p(e) / e
+
+        lo, hi = e0 / 4, 4 * e0 + 1
+        e = mpmath.findroot(deflated, (lo, hi), solver="anderson")
+        return (2 + e) / (g * (1 + e)), (2 + e) / g
+
+    @pytest.mark.parametrize("delta", np.logspace(-13, 1, 40))
+    def test_pair_matches_oracle(self, delta):
+        gamma = 2.0 + delta
+        with mpmath.workdps(55):
+            x1, x2 = self.exact_pair(gamma)
+            t1, t2 = solve_3s(gamma)[1]
+            err = max(abs((t1 - x1) / x1), abs((t2 - x2) / x2))
+        assert err <= (1e-15 if delta <= 1.0 else 5e-15)
+
+    def test_deflated_h_matches_eval_h(self):
+        # eval_h is a difference of two terms, so compare on their scale
+        for gamma in (2.0 + 1e-9, 2.5, 3.0, 7.5):
+            for e in np.logspace(-1, 1, 25):
+                z = 1.0 + e
+                scale = (z + 1.0) ** 2 + gamma * gamma * math.log(z * z)
+                assert abs(e * _deflated_h(e, gamma) - eval_h(z, gamma)) <= 1e-14 * scale
 
 
 class TestSigma:
