@@ -3,7 +3,7 @@ logarithmic Schrodinger equation with an attractive delta-prime defect.
 
 Layers:
 
-* :mod:`lognls.corefn` - scalar special functions (the convex splitting
+* :mod:`lognls.corefn` - special functions (the convex splitting
   of s^2 log s^2, its Lipschitz clamping, the Gaussian tail integral,
   the Luxemburg norm).
 * :mod:`lognls.stationary` - the standing-wave pair system, its

@@ -194,10 +194,9 @@ def cmd_ground(opt) -> int:
     # functionals, also fail before any output
     closed = [(action_closed_form(p), mass_closed_form(p)) for p in states]
     grid = _grid(opt)
-    with np.errstate(over="raise", invalid="raise"):
-        profiles = [sample_profile(p, grid) for p in states]
-        sampled = [(report(f, gamma, omega), stationary_residual(f, gamma, omega))
-                   for f in profiles]
+    profiles = [sample_profile(p, grid) for p in states]
+    sampled = [(report(f, gamma, omega), stationary_residual(f, gamma, omega))
+               for f in profiles]
     branches = []
     print(f"# ground states at gamma={fmt(gamma)} omega={fmt(omega)}")
     print(f"# {BRANCH_NOTE}")
@@ -416,11 +415,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         func, defaults, _ = COMMANDS[args.command]
-        return func(merge_options(args, defaults))
+        # an overflow, invalid value or division by zero in any command is
+        # a numerical failure, never a silent inf or NaN in the output
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return func(merge_options(args, defaults))
     except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # ConvergenceError, EvolutionAborted, OverflowError, FloatingPointError
+    # ConvergenceError, EvolutionAborted, OverflowError, FloatingPointError,
+    # ZeroDivisionError
     except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         if isinstance(exc, ConvergenceError) and exc.residual is not None:

@@ -1,4 +1,4 @@
-"""Scalar special functions for the logarithmic nonlinearity.
+"""Special functions for the logarithmic nonlinearity.
 
 The nonlinear term u log|u|^2 is awkward near u = 0: the entropy density
 s^2 log s^2 is neither convex nor concave and its derivative blows up.
@@ -10,13 +10,14 @@ that density into a difference of two convex pieces,
 where A is the nonnegative convex branch function (quadratic-log below
 s = e^-3, quadratic above) and B = F + A.  From A and B come:
 
-* the pointwise maps a(z) = z A(|z|)/|z|^2 and b(z) = z B(|z|)/|z|^2,
-  with b - a = z log|z|^2; these and the clamped maps below are built
-  from the two rates A(s)/s^2 and B(s)/s^2, each in closed form without
-  forming s^2, which would underflow or overflow at extreme amplitudes,
-* their Lipschitz regularizations a_m, b_m, g_m = b_m - a_m, which freeze
-  a's rate below |z| = 1/m and b's above |z| = m, and the integral G_m;
-  any finite level m >= 1 gives finite values,
+* the rates A(s)/s^2 and B(s)/s^2 (_rate_A, _rate_B), each in closed form
+  without forming s^2, which would underflow or overflow at extreme
+  amplitudes; the pointwise maps are a(z) = z A(|z|)/|z|^2 and
+  b(z) = z B(|z|)/|z|^2, with b - a = z log|z|^2,
+* the rate of the Lipschitz-clamped map g_m = b_m - a_m, gm_phase_rate,
+  which freezes a's rate below |z| = 1/m and b's above |z| = m, so that
+  g_m(z) = z gm_phase_rate(|z|, m), and its primitive G_m, eval_Gm; any
+  finite level m >= 1 gives finite values,
 * the Luxemburg (gauge) norm of the Orlicz space generated by A, found by
   bisection on the gauge k after one sort of the amplitudes: summed over
   the samples, each branch of A(s/k) is a quadratic in 1/k (times log k
@@ -25,7 +26,8 @@ s = e^-3, quadratic above) and B = F + A.  From A and B come:
 * the Gaussian tail integral gamma_tail(t) = int_t^inf exp(-s^2) ds used
   by the closed-form ground-state masses, from libm's erfc.
 
-All functions are pure; arrays are accepted where noted.
+All functions are pure.  The densities, rates and eval_Gm take arrays of
+amplitudes and return arrays.
 """
 
 from __future__ import annotations
@@ -36,11 +38,6 @@ import numpy as np
 
 __all__ = [
     "entropy_density",
-    "eval_a",
-    "eval_b",
-    "eval_am",
-    "eval_bm",
-    "eval_gm",
     "eval_Gm",
     "gm_phase_rate",
     "gamma_tail",
@@ -91,13 +88,6 @@ def _B_arr(s):
     return entropy_density(s) + _A_arr(s)
 
 
-def _check_complex(z) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError("argument must be finite")
-    return z
-
-
 def _rate_A(s):
     """A(s)/s^2 without forming s^2 (array version): -2 log s up to e^-3,
     with s floored at the smallest positive double inside the log, and
@@ -115,39 +105,6 @@ def _rate_B(s):
     return np.where(s <= _E3, 0.0, 2.0 * np.log(np.maximum(s, _E3)) + _rate_A(s))
 
 
-def eval_a(z) -> complex:
-    """a(z) = z A(|z|)/|z|^2, extended by a(0) = 0."""
-    z = _check_complex(z)
-    return z * float(_rate_A(abs(z)))
-
-
-def eval_b(z) -> complex:
-    """b(z) = z B(|z|)/|z|^2, extended by b(0) = 0; b - a = z log|z|^2."""
-    z = _check_complex(z)
-    return z * float(_rate_B(abs(z)))
-
-
-def eval_am(z, m) -> complex:
-    """Regularized a: equal to a(z) for |z| >= 1/m, linear (m z a(1/m)) below."""
-    m = _level(m)
-    z = _check_complex(z)
-    return z * float(_rate_A(max(abs(z), 1.0 / m)))
-
-
-def eval_bm(z, m) -> complex:
-    """Regularized b: equal to b(z) for |z| <= m, linear (z b(m)/m) above."""
-    m = _level(m)
-    z = _check_complex(z)
-    return z * float(_rate_B(min(abs(z), m)))
-
-
-def eval_gm(z, m) -> complex:
-    """g_m(z) = b_m(z) - a_m(z); equals z log|z|^2 on 1/m <= |z| <= m."""
-    m = _level(m)
-    z = _check_complex(z)
-    return z * gm_phase_rate(abs(z), m)
-
-
 def gm_phase_rate(s, m=None):
     """Real rate r with g_m(z) = z * r(|z|), vectorized over amplitudes s >= 0.
 
@@ -160,10 +117,7 @@ def gm_phase_rate(s, m=None):
         return np.log(np.maximum(s, 1e-14) ** 2)
     m = _level(m)
     # b_m's rate B(s)/s^2 is frozen above m, a_m's rate A(s)/s^2 below 1/m
-    rate = _rate_B(np.minimum(s, m)) - _rate_A(np.maximum(s, 1.0 / m))
-    if rate.ndim == 0:
-        return float(rate)
-    return rate
+    return _rate_B(np.minimum(s, m)) - _rate_A(np.maximum(s, 1.0 / m))
 
 
 def _P_log(x):
@@ -200,8 +154,7 @@ def eval_Gm(z, m=None):
     """
     x = np.abs(np.asarray(z))
     if m is None:
-        out = _P_log(x)
-        return float(out) if out.ndim == 0 else out
+        return _P_log(x)
     m = _level(m)
     t1 = 1.0 / m
     # int_0^x b_m: the primitive of b up to m, then b's rate frozen at m
@@ -211,8 +164,7 @@ def eval_Gm(z, m=None):
     # a; the difference is formed first so that values below 1/m survive
     a_part = (0.5 * float(_rate_A(t1)) * np.minimum(x, t1) ** 2
               + (_P_a(np.maximum(x, t1)) - float(_P_a(t1))))
-    out = b_part - a_part
-    return float(out) if out.ndim == 0 else out
+    return b_part - a_part
 
 
 # ----------------------------------------------------------------------

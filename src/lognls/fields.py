@@ -64,7 +64,6 @@ __all__ = [
     "orbital_distance",
     "orbital_distances",
     "sample_profile",
-    "sample_free_gaussian",
     "random_smooth_field",
     "minimize_dgamma",
 ]
@@ -80,8 +79,9 @@ class Grid:
     def __post_init__(self):
         if not (math.isfinite(self.L) and self.L > 0):
             raise ValueError(f"half-width L must be a finite positive number, got {self.L}")
-        if self.n < 6 or self.n % 2:
-            raise ValueError(f"n must be an even integer >= 6, got {self.n}")
+        # stationary_residual drops 8 nodes and needs one left
+        if self.n < 10 or self.n % 2:
+            raise ValueError(f"n must be an even integer >= 10, got {self.n}")
 
     @property
     def dx(self) -> float:
@@ -512,12 +512,6 @@ def orbital_distances(u: Field, phi: Field) -> tuple[float, float]:
 def sample_profile(params: GroundStateParams, grid: Grid) -> Field:
     """Stationary profile sampled on the staggered nodes."""
     return Field(grid, stationary.profile(params, grid.nodes()))
-
-
-def sample_free_gaussian(grid: Grid, omega: float) -> Field:
-    """The free-line Gaussian e^{(omega+1)/2} e^{-x^2/2} (no sign flip)."""
-    x = grid.nodes()
-    return Field(grid, np.exp(0.5 * (omega + 1.0)) * np.exp(-0.5 * x * x) + 0j)
 
 
 def random_smooth_field(grid: Grid, rng: np.random.Generator,

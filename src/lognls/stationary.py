@@ -88,14 +88,15 @@ class GroundStateParams:
     branch: Branch
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not (0 < self.gamma < math.inf):
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if not math.isfinite(self.omega):
             raise ValueError(f"omega must be finite, got {self.omega}")
         if self.t1 <= 0 or self.t2 <= 0:
             raise ValueError("t1, t2 must be positive")
         r1, r2 = pair_residuals(self.t1, self.t2, self.gamma)
-        if max(r1, r2) > PAIR_RESIDUAL_TOL:
+        # written so that a NaN residual fails the gate
+        if not (r1 <= PAIR_RESIDUAL_TOL and r2 <= PAIR_RESIDUAL_TOL):
             raise ValueError(
                 f"(t1, t2) = ({self.t1}, {self.t2}) violates the pair system "
                 f"at gamma = {self.gamma}: residuals ({r1:.3e}, {r2:.3e})"
@@ -243,8 +244,6 @@ def profile(params: GroundStateParams, x):
         amp * np.exp(-0.5 * (xa + params.t1) ** 2),
         -amp * np.exp(-0.5 * (xa - params.t2) ** 2),
     )
-    if out.ndim == 0:
-        return complex(out)
     return out.astype(complex)
 
 

@@ -1,5 +1,7 @@
 """Command-line contracts: exit codes, file formats, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -56,6 +58,12 @@ class TestGround:
 
     def test_bad_flag_usage_error(self):
         assert run(["ground", "--bogus", "1"]) == 1
+
+    def test_grid_too_small_usage_error(self, capsys):
+        # an 8-node grid leaves the stationary residual no node to measure
+        assert run(["ground", "--grid-n", "8", "--grid-l", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: n must be an even integer >= 10, got 8")
 
     def test_unsolvable_gamma_numerical_failure(self, tmp_path, capsys):
         out = tmp_path / "ground.json"
@@ -223,6 +231,19 @@ def test_nonfinite_or_overflowing_omega(argv, code, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["ground", "--grid-l", "1e-300"],
+                                  ["evolve", "--grid-l", "1e300", "--t-end", "0.01"]])
+def test_extreme_half_width_numerical_failure(argv, capsys):
+    # 1/dx^2 or the squares of the sampled nodes overflow: a numerical
+    # failure with a message, not a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--grid-n", "16"]) == 2
+    cap = capsys.readouterr()
+    assert cap.err.startswith("numerical failure: ")
+    assert cap.out == ""
+
+
 class TestStability:
     ARGS = ["stability", "--gamma", "2", "--grid-n", "512", "--grid-l", "10",
             "--dt", "2.5e-3", "--t-end", "0.5", "--trials", "2",
@@ -379,3 +400,63 @@ def test_option_layer_fuzz(case):
             assert opt[key] in cli._CHOICES[key].values()
         else:
             assert type(opt[key]) is type(default)
+
+
+# ----------------------------------------------------------------------
+# fuzzing whole commands on tiny grids
+# ----------------------------------------------------------------------
+
+# per option: values that run, then boundary and invalid ones, drawn one
+# time in eight; the grid is at most 64 nodes, a run at most 0.02 time
+# units, 2 trials or 50 minimizer iterations, so every command takes
+# milliseconds
+_RUN_VALUES = {
+    "gamma": (["0.5", "1", "2", "2.0000001", "3"], ["-1", "0", "nan", "inf", "1e300"]),
+    "omega": (["-1", "0", "1"], ["-inf", "nan", "705", "800"]),
+    "gamma_min": (["0.5", "1.9", "2"], ["nan", "0", "3"]),
+    "gamma_max": (["2.1", "3"], ["1", "1e300", "inf"]),
+    "steps": (["2", "5"], ["-1", "0", "1"]),
+    "seed": (["symmetric", "left", "right"], ["bogus"]),
+    "branch": (["symmetric", "asymmetric-left", "asymmetric-right"], ["bogus"]),
+    "metric": (["sigma", "w"], ["bogus"]),
+    "grid_n": (["16", "32", "64"], ["-2", "0", "7", "8", "10"]),
+    "grid_l": (["1", "2", "4"], ["-1", "0", "nan", "inf", "1e-300", "20", "1e300"]),
+    "max_iter": (["1", "10", "50"], ["-5", "0"]),
+    "dt": (["1e-3", "5e-3"], ["-1e-3", "0", "nan", "0.02", "1"]),
+    "t_end": (["0.01", "0.02"], ["-1", "0", "nan", "1e-3"]),
+    "m": (["0", "1", "10"], ["nan", "0.5", "1e300"]),
+    "record_every": (["1", "5"], ["-1", "0"]),
+    "snapshot_every": (["0", "1", "3"], ["-1"]),
+    "delta": (["1e-2", "1"], ["-1", "0", "nan", "1e300"]),
+    "trials": (["1", "2"], ["-1", "0"]),
+    "rng_seed": (["0", "7"], ["-1"]),
+}
+# options whose default would make a run long; always given
+_RUN_REQUIRED = {"grid_n", "grid_l", "t_end", "trials", "max_iter"}
+
+
+@st.composite
+def _run_argv(draw):
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    argv = [command]
+    for key in cli.COMMANDS[command][1]:
+        if key not in _RUN_VALUES:  # out, snapshot_prefix: no files
+            continue
+        if key in _RUN_REQUIRED or draw(st.booleans()):
+            valid, odd = _RUN_VALUES[key]
+            values = odd if draw(st.integers(0, 7)) == 0 else valid
+            # one token, so that argparse reads "-inf" as a value, not a flag
+            argv.append(f"--{key.replace('_', '-')}={draw(st.sampled_from(values))}")
+    return argv
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(argv=_run_argv())
+def test_command_fuzz(argv):
+    # a whole command either runs, is rejected as a usage error or reports
+    # a numerical failure; no exception (RuntimeWarning included) escapes
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

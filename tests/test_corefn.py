@@ -12,11 +12,6 @@ from scipy.special import erfc as scipy_erfc
 from lognls import corefn
 from lognls.corefn import (
     eval_Gm,
-    eval_a,
-    eval_am,
-    eval_b,
-    eval_bm,
-    eval_gm,
     gamma_tail,
     gm_phase_rate,
     luxemburg_norm,
@@ -28,6 +23,8 @@ SQRT_PI = math.sqrt(math.pi)
 
 
 F, A, B = corefn.entropy_density, corefn._A_arr, corefn._B_arr
+# a(z) = z rate_A(|z|), b(z) = z rate_B(|z|), g_m(z) = z gm_phase_rate(|z|, m)
+rate_A, rate_B = corefn._rate_A, corefn._rate_B
 
 
 class TestF:
@@ -93,11 +90,11 @@ class TestAB:
 
 class TestAB_pointwise:
     def test_zero(self):
-        assert eval_a(0.0) == 0.0
-        assert eval_b(0.0) == 0.0
+        assert 0.0 * rate_A(0.0) == 0.0
+        assert 0.0 * rate_B(0.0) == 0.0
 
     def test_b1_minus_a1(self):
-        assert eval_b(1.0) - eval_a(1.0) == 0.0
+        assert rate_B(1.0) - rate_A(1.0) == 0.0
 
     def test_underflowing_modulus(self):
         # |z|^2 underflows or is subnormal; a(z) = -2 z log|z| keeps full
@@ -105,15 +102,15 @@ class TestAB_pointwise:
         for r in (1e-200, 3e-162, 1e-160, 1e-158):
             for z in (r + 0j, -r, 1j * r):
                 want = -2.0 * z * math.log(r)
-                assert abs(eval_a(z) - want) <= 1e-15 * abs(want)
-                assert eval_b(z) == 0.0
+                assert abs(z * rate_A(abs(z)) - want) <= 1e-15 * abs(want)
+                assert z * rate_B(abs(z)) == 0.0
 
     def test_identity_log_spaced(self):
         rng = np.random.default_rng(7)
         for r in np.logspace(-8, 3, 120):
             z = r * np.exp(1j * rng.uniform(0, 2 * np.pi))
             want = z * np.log(r * r)
-            got = eval_b(z) - eval_a(z)
+            got = z * rate_B(abs(z)) - z * rate_A(abs(z))
             scale = max(1.0, abs(want))
             assert abs(got - want) <= 1e-13 * scale
 
@@ -126,8 +123,9 @@ class TestAB_pointwise:
     def test_phase_equivariance(self, r, phase, theta):
         z = r * complex(math.cos(phase), math.sin(phase))
         w = complex(math.cos(theta), math.sin(theta))
-        for fn in (eval_a, eval_b):
-            assert abs(fn(w * z) - w * fn(z)) <= 1e-13 * max(1.0, abs(fn(z)))
+        for rate in (rate_A, rate_B):
+            fz = z * rate(abs(z))
+            assert abs(w * z * rate(abs(w * z)) - w * fz) <= 1e-13 * max(1.0, abs(fz))
 
 
 class TestGm:
@@ -135,7 +133,7 @@ class TestGm:
     def test_unit_modulus_fixed(self, m):
         for theta in (0.0, 1.0, 2.5):
             z = complex(math.cos(theta), math.sin(theta))
-            assert abs(eval_gm(z, m)) <= 1e-14
+            assert abs(z * gm_phase_rate(abs(z), m)) <= 1e-14
 
     @pytest.mark.parametrize("m", [1.5, 5.0, 25.0, 200.0])
     def test_equals_log_inside_band(self, m):
@@ -144,35 +142,32 @@ class TestGm:
         for r in radii:
             z = r * np.exp(1j * rng.uniform(0, 2 * np.pi))
             want = z * math.log(r * r)
-            assert abs(eval_gm(z, m) - want) <= 5e-13 * max(1.0, abs(want))
+            got = z * gm_phase_rate(abs(z), m)
+            assert abs(got - want) <= 5e-13 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("m", [2.0, 30.0])
     def test_small_amplitude_piece(self, m):
-        # below the lower threshold: g_m = b(z) - m z a(1/m)
+        # below the lower threshold: g_m(z) = b(z) - m z a(1/m), whose rate
+        # is rate_B(|z|) - rate_A(1/m)
         z = (0.5 / m) * np.exp(0.3j)
-        want = eval_b(z) - m * z * eval_a(1.0 / m)
-        assert abs(eval_gm(z, m) - want) <= 1e-15 * max(1.0, abs(want))
+        want = z * (rate_B(abs(z)) - rate_A(1.0 / m))
+        got = z * gm_phase_rate(abs(z), m)
+        assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("m", [1.0, 3.0, 50.0])
     def test_continuity_at_thresholds(self, m):
         for s0 in (1.0 / m, m):
-            lo = eval_gm(s0 * (1 - 1e-9), m)
-            hi = eval_gm(s0 * (1 + 1e-9), m)
-            assert abs(lo - hi) <= 1e-6 * max(1.0, abs(hi))
+            lo, hi = s0 * (1 - 1e-9), s0 * (1 + 1e-9)
+            g_lo, g_hi = lo * gm_phase_rate(lo, m), hi * gm_phase_rate(hi, m)
+            assert abs(g_lo - g_hi) <= 1e-6 * max(1.0, abs(g_hi))
 
     def test_orthogonal_to_rotation(self):
         # Re(g_m(z) conj(i z)) = 0: the clamped term never changes |u|
         rng = np.random.default_rng(3)
         for _ in range(100):
             z = complex(rng.normal(), rng.normal())
-            g = eval_gm(z, 4.0)
+            g = z * gm_phase_rate(abs(z), 4.0)
             assert abs((g * np.conj(1j * z)).real) <= 1e-14 * max(1.0, abs(z) ** 2)
-
-    def test_rate_matches_pointwise_map(self):
-        s = np.array([1e-4, 0.02, 0.3, 1.0, 4.0, 50.0])
-        rate = gm_phase_rate(s, 5.0)
-        for si, ri in zip(s, rate):
-            assert eval_gm(si, 5.0) == pytest.approx(si * ri, rel=1e-12, abs=1e-15)
 
     def test_rate_frozen_below_underflow(self):
         # s * s underflows to 0 for s < ~1.5e-162; the rate must stay the frozen one
@@ -190,13 +185,12 @@ class TestGm:
         s = np.array([0.0, 1e-250, 0.5, 2.0])
         assert np.all(np.isfinite(gm_phase_rate(s, m)))
         assert np.all(np.isfinite(eval_Gm(s, m)))
-        for v in s:
-            assert math.isfinite(abs(eval_gm(v, m)))
-            assert math.isfinite(abs(eval_am(v, m)))
-            assert math.isfinite(eval_Gm(v, m))
+        assert np.all(np.isfinite(s * gm_phase_rate(s, m)))
+        # a_m(s) = s rate_A(max(s, 1/m))
+        assert np.all(np.isfinite(s * rate_A(np.maximum(s, 1.0 / m))))
 
     def test_level_validation(self):
-        for fn in (gm_phase_rate, eval_Gm, eval_gm):
+        for fn in (gm_phase_rate, eval_Gm):
             for m in (0.5, math.inf, 0.9):
                 with pytest.raises(ValueError, match="regularization level"):
                     fn(1.0, m)
@@ -207,25 +201,24 @@ class TestGmPrimitive:
     def test_derivative_matches_gm(self, m):
         # centered differences of the primitive against the clamped map,
         # at points bounded away from the two clamping kinks
-        for x in (0.01, 0.7 / m, 1.3 / m, 0.8 * m, 1.4 * m, 3.0 * m):
-            h = 1e-6 * max(x, 1e-3)
-            fd = (eval_Gm(x + h, m) - eval_Gm(x - h, m)) / (2 * h)
-            want = eval_gm(x, m).real
-            assert fd == pytest.approx(want, rel=2e-7, abs=1e-9)
+        x = np.array([0.01, 0.7 / m, 1.3 / m, 0.8 * m, 1.4 * m, 3.0 * m])
+        h = 1e-6 * np.maximum(x, 1e-3)
+        fd = (eval_Gm(x + h, m) - eval_Gm(x - h, m)) / (2 * h)
+        assert fd == pytest.approx(x * gm_phase_rate(x, m), rel=2e-7, abs=1e-9)
 
     def test_zero(self):
         assert eval_Gm(0.0, 3.0) == 0.0
         assert eval_Gm(0.0) == 0.0
 
     def test_unclamped_primitive(self):
-        for x in (0.1, 1.0, 7.3):
-            want = 0.5 * x * x * math.log(x * x) - 0.5 * x * x
-            assert eval_Gm(x) == pytest.approx(want, rel=1e-13, abs=1e-15)
+        x = np.array([0.1, 1.0, 7.3])
+        want = 0.5 * x * x * np.log(x * x) - 0.5 * x * x
+        assert eval_Gm(x) == pytest.approx(want, rel=1e-13, abs=1e-15)
 
     def test_quadrature_oracle(self):
         m = 4.0
         for x in (0.1, 1.0, 6.0):
-            val, err = quad(lambda s: eval_gm(s, m).real, 0.0, x, limit=200)
+            val, err = quad(lambda s: float(s * gm_phase_rate(s, m)), 0.0, x, limit=200)
             assert eval_Gm(x, m) == pytest.approx(val, abs=max(1e-10, 10 * err))
 
 

@@ -29,7 +29,6 @@ from lognls.fields import (
     quadratic_form,
     random_smooth_field,
     report,
-    sample_free_gaussian,
     sample_profile,
     sigma_norm,
     stationary_residual,
@@ -46,6 +45,12 @@ def grid():
 def ground_gamma2(grid):
     params = ground_states(2.0, 0.0)[0]
     return params, sample_profile(params, grid)
+
+
+def free_gaussian(grid):
+    """The free-line Gaussian e^{1/2} e^{-x^2/2} of omega = 0 (no sign flip)."""
+    x = grid.nodes()
+    return Field(grid, np.exp(0.5) * np.exp(-0.5 * x * x) + 0j)
 
 
 def smooth_random(grid, seed):
@@ -65,6 +70,9 @@ class TestGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             Grid(20.0, 101)
+        # stationary_residual keeps no node of an 8-node grid
+        with pytest.raises(ValueError, match="even integer >= 10, got 8"):
+            Grid(1.0, 8)
         with pytest.raises(ValueError):
             Grid(-1.0, 64)
         for bad in (math.nan, math.inf):
@@ -128,7 +136,7 @@ class TestQuadraticForm:
 
 class TestMassEntropy:
     def test_free_gaussian_mass(self, grid):
-        u = sample_free_gaussian(grid, 0.0)
+        u = free_gaussian(grid)
         assert mass(u) == pytest.approx(math.e * SQRT_PI, rel=1e-10)
 
     def test_zero_field(self, grid):
@@ -177,7 +185,7 @@ class TestReport:
 
     def test_free_gaussian_nehari_small(self, grid):
         # zero jump: the free-line zero-scaling-derivative identity survives
-        u = sample_free_gaussian(grid, 0.0)
+        u = free_gaussian(grid)
         assert abs(report(u, 2.0, 0.0).nehari) <= 5e-4
 
     def test_phase_invariance(self, grid):
@@ -282,7 +290,7 @@ class TestOrbitalDistance:
 
     def test_grid_mismatch(self, ground_gamma2):
         _, phi = ground_gamma2
-        other = sample_free_gaussian(Grid(20.0, 1024), 0.0)
+        other = free_gaussian(Grid(20.0, 1024))
         with pytest.raises(ValueError):
             orbital_distance(other, phi)
 
@@ -410,7 +418,7 @@ class TestMinimize:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="omega must be finite"):
-                minimize_dgamma(1.0, bad, seed=sample_free_gaussian(g, 0.0), grid=g)
+                minimize_dgamma(1.0, bad, seed=free_gaussian(g), grid=g)
 
     @pytest.mark.parametrize("gamma, seed, iterations", [(1.0, Seed.SYMMETRIC, 4),
                                                          (3.0, Seed.LEFT, 26),

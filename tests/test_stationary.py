@@ -308,6 +308,13 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             GroundStateParams(gamma=2.0, omega=0.0, t1=1.0, t2=1.5, branch=Branch.SYMMETRIC)
 
+    @pytest.mark.parametrize("gamma, t, branch", [(math.nan, 1.0, Branch.SYMMETRIC),
+                                                  (2.0, math.nan, Branch.ASYMMETRIC_LEFT)])
+    def test_nan_rejected(self, gamma, t, branch):
+        # every comparison with NaN is False, so NaN must fail each check
+        with pytest.raises(ValueError):
+            GroundStateParams(gamma=gamma, omega=0.0, t1=t, t2=t, branch=branch)
+
     def test_branch_tag_mismatch(self):
         with pytest.raises(ValueError):
             GroundStateParams(gamma=2.0, omega=0.0, t1=1.0, t2=1.0,
