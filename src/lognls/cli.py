@@ -415,15 +415,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         func, defaults, _ = COMMANDS[args.command]
-        # an overflow, invalid value or division by zero in any command is
-        # a numerical failure, never a silent inf or NaN in the output
+        # overflow, invalid value or 0-division anywhere: a failure, not inf/NaN
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return func(merge_options(args, defaults))
     except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # ConvergenceError, EvolutionAborted, OverflowError, FloatingPointError,
-    # ZeroDivisionError
+    # ConvergenceError, EvolutionAborted and every ArithmeticError
     except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         if isinstance(exc, ConvergenceError) and exc.residual is not None:

@@ -190,29 +190,33 @@ def evolve(
         return TrajectoryRecord(time=t, mass=q, energy=en,
                                 orbital_distance_sigma=ds, orbital_distance_w=dw)
 
-    records = [make_record(0.0, u0.values)]
+    records: list[TrajectoryRecord] = []
     snapshots: list[tuple[float, Field]] = []
-    nrec = 0
+    nrec = k = 0
     half = 0.5 * config.dt
-    v = _rotate(u0.values, half, m)
     nsteps = config.nsteps
-    for k in range(1, nsteps + 1):
-        v = _cn_step(solve, v)
-        if k < nsteps and k % config.record_every:
-            # merge the trailing and leading half rotations (|u| unchanged)
-            v = _rotate(v, config.dt, m)
-            if k % 50 == 0 and not np.all(np.isfinite(v)):
-                raise EvolutionAborted(k, records)
-            continue
-        v = _rotate(v, half, m)
-        if not np.all(np.isfinite(v)):
-            raise EvolutionAborted(k, records)
-        records.append(make_record(k * config.dt, v))
-        nrec += 1
-        if config.snapshot_every and nrec % config.snapshot_every == 0:
-            snapshots.append((k * config.dt, u0.with_values(v.copy())))
-        if k < nsteps:
+    try:
+        records.append(make_record(0.0, u0.values))
+        v = _rotate(u0.values, half, m)
+        for k in range(1, nsteps + 1):
+            v = _cn_step(solve, v)
+            if k < nsteps and k % config.record_every:
+                # merge the trailing and leading half rotations (|u| unchanged)
+                v = _rotate(v, config.dt, m)
+                if k % 50 == 0 and not np.all(np.isfinite(v)):
+                    raise EvolutionAborted(k, records)
+                continue
             v = _rotate(v, half, m)
+            if not np.all(np.isfinite(v)):
+                raise EvolutionAborted(k, records)
+            records.append(make_record(k * config.dt, v))
+            nrec += 1
+            if config.snapshot_every and nrec % config.snapshot_every == 0:
+                snapshots.append((k * config.dt, u0.with_values(v.copy())))
+            if k < nsteps:
+                v = _rotate(v, half, m)
+    except FloatingPointError as exc:  # a blow-up under np.errstate(over="raise")
+        raise EvolutionAborted(k, records) from exc
     return EvolutionResult(records=records, final=u0.with_values(v), snapshots=snapshots)
 
 

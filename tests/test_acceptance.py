@@ -207,9 +207,12 @@ def test_criterion_11_property_suites():
     worst = {}  # suite -> largest error over its bound; a case fails above 1
 
     def check(suite, k, err, bound):
-        """Case k of suite holds where err <= bound (elementwise)."""
-        worst[suite] = max(worst.get(suite, -math.inf), float(np.max(err / bound)))
-        if np.any(err > bound):
+        """Case k of suite holds where err <= bound (elementwise); a NaN
+        error or bound fails the case and counts as an infinite ratio."""
+        ratio = float(np.max(err / bound))  # NaN if any element is NaN
+        worst[suite] = max(worst.get(suite, -math.inf),
+                           ratio if not math.isnan(ratio) else math.inf)
+        if not np.all(err <= bound):
             failures.add(f"{suite} case {k}")
 
     # logarithmic Sobolev inequality, 200 fields x 4 alphas

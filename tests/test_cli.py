@@ -244,6 +244,17 @@ def test_extreme_half_width_numerical_failure(argv, capsys):
     assert cap.out == ""
 
 
+@pytest.mark.parametrize("command", [["evolve"], ["stability", "--trials", "1"]])
+def test_overflowing_flow_reports_its_step(command, capsys):
+    # the squares of the omega = 705 profile overflow in the first record:
+    # the flow aborts at step 0 and says so, not with numpy's bare message
+    argv = command + ["--omega", "705", "--grid-n", "256", "--t-end", "0.01"]
+    assert run(argv) == 2
+    cap = capsys.readouterr()
+    assert cap.err.startswith("numerical failure: non-finite state at step 0")
+    assert cap.out == ""
+
+
 class TestStability:
     ARGS = ["stability", "--gamma", "2", "--grid-n", "512", "--grid-l", "10",
             "--dt", "2.5e-3", "--t-end", "0.5", "--trials", "2",

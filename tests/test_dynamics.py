@@ -194,6 +194,17 @@ class TestEvolve:
         assert info.value.step == 0
         assert info.value.records == []
 
+    def test_abort_on_raised_overflow(self, grid):
+        # under np.errstate(over="raise") a finite state whose squares
+        # overflow aborts with its step instead of a bare FloatingPointError
+        vals = np.zeros(grid.n, dtype=complex)
+        vals[grid.n // 2] = 1e200
+        with np.errstate(over="raise"), pytest.raises(EvolutionAborted) as info:
+            evolve(Field(grid, vals), 2.0, EvolutionConfig(dt=1e-3, t_end=1e-3))
+        assert info.value.step == 0
+        assert info.value.records == []
+        assert isinstance(info.value.__cause__, FloatingPointError)
+
     def test_clamped_rate_with_zero_sample(self, grid):
         # s * s underflows to 0 at a zero sample; the clamped rate is frozen
         # there, also at m = 1e200, where the squares of 1/m and m under- and
