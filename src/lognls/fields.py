@@ -20,8 +20,7 @@ trace stencil c.  The same M supplies the exact gradient of the action
 step and the Hamiltonian M/dx of the Crank-Nicolson propagator; shifted
 systems with M are solved by a tridiagonal LU (LAPACK gttrf in the dtype
 of the shift: real for the minimizer, complex for the propagator) plus a
-Sherman-Morrison correction.  The discrete mass sum is therefore conserved to solver
-precision by time stepping.
+Sherman-Morrison correction.
 
 Mass and entropy integrals use the midpoint rule, which on this mesh
 tiles each half-line exactly.
@@ -275,29 +274,23 @@ class ShiftedSolver:
     """
 
     def __init__(self, op: FormOperator, shift, scale: complex):
-        self.diag = shift + scale * op.diag
-        self.off = scale * op.off
-        gttrf, gttrs = lapack.get_lapack_funcs(("gttrf", "gttrs"), (self.diag, self.off))
-        *factors, self.ipiv, info = gttrf(self.off, self.diag, self.off)
+        diag = shift + scale * op.diag
+        off = scale * op.off
+        gttrf, gttrs = lapack.get_lapack_funcs(("gttrf", "gttrs"), (diag, off))
+        *factors, self.ipiv, info = gttrf(off, diag, off)
         if info != 0:
             raise np.linalg.LinAlgError(f"tridiagonal factorization failed (info={info})")
-        self.alpha = scale * op.coupling
+        alpha = scale * op.coupling
         self.jump = op.jump
         self.c = op.jump_stencil[op.jump]
         self.z = np.asarray(gttrs(*factors, self.ipiv, op.jump_stencil)[0], dtype=complex)
-        self.gain = self.alpha / (1.0 + self.alpha * (self.c @ self.z[self.jump]))
+        self.gain = alpha / (1.0 + alpha * (self.c @ self.z[self.jump]))
         self.factors = [np.asarray(f, dtype=complex) for f in factors]
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         y = lapack.zgttrs(*self.factors, self.ipiv, r)[0]
         y -= (self.gain * (self.c @ y[self.jump])) * self.z
         return y
-
-    def matvec(self, values: np.ndarray) -> np.ndarray:
-        """(shift + scale * M) values, from the matrix itself rather than
-        from its rounded factors."""
-        return _tridiagonal_plus_rank_one(self.diag, self.off, self.alpha, self.c,
-                                          self.jump, values)
 
 
 @lru_cache(maxsize=64)

@@ -244,6 +244,16 @@ def test_extreme_half_width_numerical_failure(argv, capsys):
     assert cap.out == ""
 
 
+@pytest.mark.parametrize("command", ["evolve", "stability"])
+def test_unresolved_gamma_usage_error(command, capsys):
+    # dx = 12500 is coarser than gamma = 2: both commands reject the grid,
+    # stability before its perturbation's norm can vanish between the nodes
+    assert run([command, "--grid-n", "16", "--grid-l", "1e5"]) == 1
+    cap = capsys.readouterr()
+    assert cap.err.startswith("error: |gamma| = 2.0 is not resolved by dx = 12500.0")
+    assert cap.out == ""
+
+
 @pytest.mark.parametrize("command", [["evolve"], ["stability", "--trials", "1"]])
 def test_overflowing_flow_reports_its_step(command, capsys):
     # the squares of the omega = 705 profile overflow in the first record:

@@ -19,6 +19,7 @@ from lognls.fields import (
     Field,
     Grid,
     Metric,
+    form_operator,
     mass,
     orbital_distance,
     orbital_distances,
@@ -73,6 +74,29 @@ class TestLinearStep:
         u = bound_state(grid, 2.0)
         v = linear_step(linear_step(u, 2.0, 1e-3), 2.0, -1e-3)
         assert np.allclose(v.values, u.values, atol=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.5, 2.0])
+    @pytest.mark.parametrize("dt", [1e-3, -2e-3])
+    def test_matches_dense_cayley_transform(self, gamma, dt):
+        # (I + iA)^-1 (I - iA) v with A = (dt/2) M/dx, M assembled densely
+        # from the form operator; the mass projection moves the step only
+        # at roundoff, and makes its mass that of its input to a few ulp
+        g = Grid(5.0, 64)
+        eye = np.eye(g.n)
+        a = 0.5 * dt / g.dx * np.column_stack([form_operator(g, gamma).apply(e) for e in eye])
+        rng = np.random.default_rng(4)
+        v = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+        want = np.linalg.solve(eye + 1j * a, (eye - 1j * a) @ v)
+        w = linear_step(Field(g, v), gamma, dt).values
+        assert np.max(np.abs(w - want)) <= 1e-12 * np.max(np.abs(v))
+        m = np.vdot(v, v).real
+        assert abs(np.vdot(w, w).real - m) <= 4 * np.finfo(float).eps * m
+
+    def test_zero_field_stays_zero(self, grid):
+        # the mass projection must not divide the zero state's 0 by 0
+        with np.errstate(all="raise"):
+            v = linear_step(Field.zero(grid), 2.0, 1e-3)
+        assert not np.any(v.values)
 
 
 class TestNonlinearStep:
