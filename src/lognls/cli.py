@@ -57,6 +57,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    # argparse takes a token such as -5e-1 or -inf for an unknown flag, so
+    # "--omega -inf" would fail with "expected one argument"; no flag here
+    # is spelled like a number, so a token that parses as one is a value
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 def fmt(x) -> str:
     return format(float(x), ".17g")
@@ -118,11 +128,10 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def field_csv(field: Field) -> str:
-    lines = ["x,re_u,im_u"]
-    x = field.grid.nodes()
-    for xi, ui in zip(x, field.values):
-        lines.append(f"{fmt(xi)},{fmt(ui.real)},{fmt(ui.imag)}")
-    return "\n".join(lines) + "\n"
+    # "%.17g" on Python floats gives the digits of fmt, one row per format
+    v = field.values
+    rows = zip(field.grid.nodes().tolist(), v.real.tolist(), v.imag.tolist())
+    return "x,re_u,im_u\n" + "".join("%.17g,%.17g,%.17g\n" % row for row in rows)
 
 
 def load_config_file(path: str) -> dict[str, str]:

@@ -35,8 +35,9 @@ from .fields import (
     Grid,
     Metric,
     ShiftedSolver,
+    _orbital_distances,
+    derivative,
     form_operator,
-    orbital_distances,
     random_smooth_field,
     sample_profile,
     sigma_norm,
@@ -184,7 +185,10 @@ def evolve(
     op = form_operator(u0.grid, gamma)
     dx = u0.grid.dx
     m = config.m
-    phi = sample_profile(reference, u0.grid) if reference is not None else None
+    phi = dphi = None
+    if reference is not None:
+        phi = sample_profile(reference, u0.grid)
+        dphi = derivative(phi)  # the fixed reference's: once per run, not per record
 
     def make_record(t: float, vals: np.ndarray) -> TrajectoryRecord:
         # the mass, and the energy (1/2) t_gamma[u] - (1/2) entropy written
@@ -196,7 +200,7 @@ def evolve(
         if phi is None:
             ds = dw = 0.0
         else:
-            ds, dw = orbital_distances(u0.with_values(vals), phi)
+            ds, dw = _orbital_distances(u0.with_values(vals), phi, dphi)
         return TrajectoryRecord(time=t, mass=q, energy=en,
                                 orbital_distance_sigma=ds, orbital_distance_w=dw)
 

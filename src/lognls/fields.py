@@ -18,9 +18,10 @@ Laplacian on the two half-lines, plus a rank-one jump term with the
 trace stencil c.  The same M supplies the exact gradient of the action
 (divided by dx, also the stationary residual), the minimizer's implicit
 step and the Hamiltonian M/dx of the Crank-Nicolson propagator; shifted
-systems with M are solved by a tridiagonal LU (LAPACK gttrf in the dtype
-of the shift: real for the minimizer, complex for the propagator) plus a
-Sherman-Morrison correction.
+systems with M are solved by a tridiagonal LU plus a Sherman-Morrison
+correction.  Factorization and solves run in the dtype of the shift:
+real for the minimizer, which descends on real profiles, and complex
+for the propagator.
 
 Mass and entropy integrals use the midpoint rule, which on this mesh
 tiles each half-line exactly.
@@ -267,28 +268,33 @@ class ShiftedSolver:
     """y = (shift + scale * M)^-1 r for one FormOperator M = T + coupling c c^T.
 
     The tridiagonal part shift + scale * T is factored once by LAPACK
-    gttrf in its own dtype: real arithmetic (dgttrf) when shift and scale
-    are real, complex (zgttrf) otherwise.  Each call is one zgttrs solve
-    on the factors, cast to complex once, plus the Sherman-Morrison
-    correction for the rank-one jump term.
+    gttrf, and each call is one gttrs solve on the factors plus the
+    Sherman-Morrison correction for the rank-one jump term.  Factors,
+    solves and correction all run in the dtype of shift and scale: real
+    arithmetic (dgttrf/dgttrs) when both are real, complex
+    (zgttrf/zgttrs) otherwise.  A real factorization solves only real
+    right-hand sides.
     """
 
     def __init__(self, op: FormOperator, shift, scale: complex):
         diag = shift + scale * op.diag
         off = scale * op.off
-        gttrf, gttrs = lapack.get_lapack_funcs(("gttrf", "gttrs"), (diag, off))
-        *factors, self.ipiv, info = gttrf(off, diag, off)
+        gttrf, self.gttrs = lapack.get_lapack_funcs(("gttrf", "gttrs"), (diag, off))
+        *self.factors, self.ipiv, info = gttrf(off, diag, off)
         if info != 0:
             raise np.linalg.LinAlgError(f"tridiagonal factorization failed (info={info})")
         alpha = scale * op.coupling
         self.jump = op.jump
         self.c = op.jump_stencil[op.jump]
-        self.z = np.asarray(gttrs(*factors, self.ipiv, op.jump_stencil)[0], dtype=complex)
+        self.z = self.gttrs(*self.factors, self.ipiv, op.jump_stencil)[0]
         self.gain = alpha / (1.0 + alpha * (self.c @ self.z[self.jump]))
-        self.factors = [np.asarray(f, dtype=complex) for f in factors]
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        y = lapack.zgttrs(*self.factors, self.ipiv, r)[0]
+        # gttrs would cast a complex r to the real factors' dtype, dropping
+        # its imaginary part with only a ComplexWarning
+        if self.z.dtype.kind != "c" and np.iscomplexobj(r):
+            raise TypeError("a real factorization cannot solve a complex right-hand side")
+        y = self.gttrs(*self.factors, self.ipiv, r)[0]
         y -= (self.gain * (self.c @ y[self.jump])) * self.z
         return y
 
@@ -422,16 +428,16 @@ def stationary_residual(u: Field, gamma: float, omega: float) -> StationaryResid
 # ----------------------------------------------------------------------
 
 
-def _phase_fit(u: Field, phi: Field):
+def _phase_fit(u: Field, phi: Field, dphi: np.ndarray):
     """theta* = arg of the complex H^1 inner product <phi, u> (values plus
-    derivatives), which minimizes the H^1 part of the distance; returned
-    with the node derivatives of u and phi."""
+    derivatives, dphi the node derivatives of phi), which minimizes the
+    H^1 part of the distance; returned with the node derivatives of u."""
     if u.grid != phi.grid:
         raise ValueError("fields live on different grids")
-    du, dphi = derivative(u), derivative(phi)
+    du = derivative(u)
     ip = u.grid.dx * (np.vdot(phi.values, u.values) + np.vdot(dphi, du))
     theta = float(np.angle(ip)) if ip != 0 else 0.0
-    return theta, du, dphi
+    return theta, du
 
 
 def _sigma_dist_at(u: Field, phi: Field, du, dphi, theta: float):
@@ -472,7 +478,8 @@ def orbital_distance(u: Field, phi: Field, metric: Metric = Metric.SIGMA_ONLY,
     refined by golden-section search in a +-0.5 rad window around
     theta* (skipped when refine is False).
     """
-    theta, du, dphi = _phase_fit(u, phi)
+    dphi = derivative(phi)
+    theta, du = _phase_fit(u, phi, dphi)
     if metric is Metric.SIGMA_ONLY:
         return _sigma_dist_at(u, phi, du, dphi, theta)[0]
 
@@ -492,7 +499,13 @@ def orbital_distances(u: Field, phi: Field) -> tuple[float, float]:
     sigma distance plus the Luxemburg norm of u - e^{i theta*} phi.  Equal
     to orbital_distance(u, phi, SIGMA_ONLY) and
     orbital_distance(u, phi, FULL_W, refine=False)."""
-    theta, du, dphi = _phase_fit(u, phi)
+    return _orbital_distances(u, phi, derivative(phi))
+
+
+def _orbital_distances(u: Field, phi: Field, dphi: np.ndarray) -> tuple[float, float]:
+    """orbital_distances(u, phi) given the node derivatives dphi of phi,
+    for callers that measure many fields against one reference."""
+    theta, du = _phase_fit(u, phi, dphi)
     d, diff = _sigma_dist_at(u, phi, du, dphi, theta)
     return d, d + corefn.luxemburg_norm(diff, u.grid.dx)
 
@@ -544,22 +557,25 @@ class MinimizeResult:
     action: float
 
 
-def _seed_field(seed, gamma: float, omega: float, grid: Grid) -> Field:
+def _seed_values(seed, gamma: float, omega: float, grid: Grid) -> np.ndarray:
+    """The seed's samples as a real profile."""
     if isinstance(seed, Field):
         if seed.grid != grid:
             raise ValueError("custom seed lives on a different grid")
+        if np.any(seed.values.imag):
+            raise ValueError("custom seed must be real: the minimizer works on real profiles")
         if mass(seed) <= 0.0:
             raise ValueError("custom seed must be nonzero")
-        return seed
-    base = sample_profile(branch_params(gamma, omega, Branch.SYMMETRIC), grid)
+        return seed.values.real.copy()
+    base = sample_profile(branch_params(gamma, omega, Branch.SYMMETRIC), grid).values.real.copy()
     if seed is Seed.SYMMETRIC:
         return base
     x = grid.nodes()
     if seed is Seed.LEFT:
         # biases the descent toward the t1 < t2 pair (mass on x > 0)
-        return base.with_values(np.where(x > 0, 2.0, 0.5) * base.values)
+        return np.where(x > 0, 2.0, 0.5) * base
     if seed is Seed.RIGHT:
-        return base.with_values(np.where(x > 0, 0.5, 2.0) * base.values)
+        return np.where(x > 0, 0.5, 2.0) * base
     raise ValueError(f"unknown seed {seed!r}")
 
 
@@ -577,8 +593,11 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
     stagnate (relative change below ACTION_RTOL) and the interior
     stationary residual to drop below RESIDUAL_TOL.
 
-    Returns the minimizer and half its squared L2 norm, which is the
-    least-action value.  With odd_constraint the iterate is forced
+    The minimizer works on real profiles, as every ground state is
+    e^{i theta} times a real one: the descent runs in real arithmetic, and
+    a custom Field seed must have zero imaginary part.  Returns the
+    minimizer and half its squared L2 norm, which is the least-action
+    value.  With odd_constraint the iterate is forced
     odd each step, selecting the sign-symmetric branch even where it is
     only a saddle (gamma > 2).
     """
@@ -597,7 +616,7 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
             v = 0.5 * (v - v[::-1])
         return _project(op, v, omega)
 
-    v, S = constrain(_seed_field(seed, gamma, omega, grid).values.copy())
+    v, S = constrain(_seed_values(seed, gamma, omega, grid))
     tau = TAU0
     stall = 0
     rejects = 0
@@ -618,13 +637,15 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
             field = Field(grid, v)
             res = stationary_residual(field, gamma, omega)
             if res.interior < RESIDUAL_TOL:
-                final = _report(op, v, omega)
+                # on the complex samples of the result, so that its action and
+                # value are report(field)'s to the bit
+                final = _report(op, field.values, omega)
                 return MinimizeResult(field=field, value=0.5 * final.mass,
                                       iterations=it, residual=res, action=final.action)
             stall = 0
     field = Field(grid, v)
     res = stationary_residual(field, gamma, omega)
-    action = _report(op, v, omega).action
+    action = _report(op, field.values, omega).action
     raise ConvergenceError(
         f"no convergence after {it} iterations at gamma={gamma}, omega={omega} "
         f"(action {action:.12g}, interior residual {res.interior:.3g})",

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lognls import cli
+from lognls.fields import Field, Grid
 
 
 def run(argv):
@@ -361,6 +362,34 @@ def test_float_format_is_17_significant_digits(tmp_path):
     assert float(row[2]) == float(format(float(row[2]), ".17g"))
 
 
+def test_field_csv_matches_per_value_format():
+    # one "%.17g" row format over Python floats writes the digits of fmt,
+    # signed zeros, subnormals and extremes included
+    g = Grid(3.0, 16)
+    rng = np.random.default_rng(5)
+    vals = rng.standard_normal(16) * 10.0 ** rng.integers(-300, 300, 16) + 1j * rng.standard_normal(16)
+    vals[:5] = [0.0, -0.0, complex(5e-324, -0.0), complex(-1.7976931348623157e308, 1e-310), 1 / 3]
+    field = Field(g, vals)
+    want = ["x,re_u,im_u"] + [f"{cli.fmt(x)},{cli.fmt(u.real)},{cli.fmt(u.imag)}"
+                              for x, u in zip(g.nodes(), field.values)]
+    assert cli.field_csv(field) == "\n".join(want) + "\n"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["ground", "--omega", "-5e-1", "--grid-n", "64", "--grid-l", "8"], 0, ""),
+    (["ground", "--omega", "-inf"], 1, "omega must be finite"),
+    (["ground", "--omega", "-nan"], 1, "omega must be finite"),
+    (["bifurcate", "--gamma-min", "-1e-3"], 1, "need 0 < gamma_min"),
+], ids=["exponent", "minus-inf", "minus-nan", "negative-gamma-min"])
+def test_negative_number_as_separate_token(argv, code, message, capsys):
+    # a value that parses as a float reaches its option, not argparse's
+    # "expected one argument"
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert "expected one argument" not in err
+
+
 # ----------------------------------------------------------------------
 # fuzzing the option layer: parse and merge only, no command runs
 # ----------------------------------------------------------------------
@@ -466,8 +495,9 @@ def _run_argv(draw):
         if key in _RUN_REQUIRED or draw(st.booleans()):
             valid, odd = _RUN_VALUES[key]
             values = odd if draw(st.integers(0, 7)) == 0 else valid
-            # one token, so that argparse reads "-inf" as a value, not a flag
-            argv.append(f"--{key.replace('_', '-')}={draw(st.sampled_from(values))}")
+            flag, value = f"--{key.replace('_', '-')}", draw(st.sampled_from(values))
+            # as one token or two; either way "-inf" is read as a value
+            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     return argv
 
 

@@ -145,6 +145,20 @@ class TestEvolve:
             assert (r.orbital_distance_sigma, r.orbital_distance_w) == want
         assert want[0] > 1.0
 
+    def test_records_match_orbital_distances(self, grid):
+        # evolve takes the reference's derivative once per run; its records
+        # keep the bits of the public distances of each recorded state
+        params = branch_params(3.0, 0.0, Branch.ASYMMETRIC_LEFT)
+        phi = sample_profile(params, grid)
+        pert = random_smooth_field(grid, np.random.default_rng(4))
+        u0 = phi.with_values(phi.values + 1e-2 * pert.values)
+        cfg = EvolutionConfig(dt=1e-3, t_end=0.02, record_every=5, snapshot_every=1)
+        res = evolve(u0, 3.0, cfg, reference=params)
+        states = [u0] + [f for _, f in res.snapshots]
+        assert len(states) == len(res.records) == 5
+        for r, u in zip(res.records, states):
+            assert (r.orbital_distance_sigma, r.orbital_distance_w) == orbital_distances(u, phi)
+
     def test_standing_wave_short(self, grid):
         params = ground_states(2.0, 0.0)[0]
         u0 = sample_profile(params, grid)

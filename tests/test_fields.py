@@ -382,6 +382,16 @@ class TestMinimize:
         with pytest.raises(ValueError, match="zero field"):
             minimize_dgamma(1.0, 0.0, seed=seed, grid=g, odd_constraint=True)
 
+    def test_complex_seed_rejected(self):
+        # the minimizer works on real profiles; a complex seed's imaginary
+        # part is refused, not dropped
+        g = Grid(20.0, 256)
+        seed = free_gaussian(g)
+        with pytest.raises(ValueError, match="custom seed must be real"):
+            minimize_dgamma(1.0, 0.0, seed=seed.with_values(np.exp(0.3j) * seed.values), grid=g)
+        r = minimize_dgamma(1.0, 0.0, seed=seed, grid=g)
+        assert not np.any(r.field.values.imag)
+
     def test_default_grid(self):
         grid = inspect.signature(minimize_dgamma).parameters["grid"]
         assert grid.default is DEFAULT_GRID == Grid(20.0, 4096)
@@ -505,21 +515,29 @@ class TestOperatorReference:
 
 @pytest.mark.parametrize("complex_rhs", [True, False])
 def test_real_shift_solves_like_complex_shift(complex_rhs):
-    # a real shift and scale are factored in real arithmetic, which must
-    # give the bits of the same system factored in complex arithmetic;
-    # several draws, as a rounding difference shows in only some of them
-    g = Grid(20.0, 1024)
-    op = form_operator(g, 3.0)
-    for seed in range(8):
-        rng = np.random.default_rng(seed)
-        r = rng.standard_normal(g.n)
-        if complex_rhs:
-            r = r + 1j * rng.standard_normal(g.n)
-        shift = 1.0 + rng.uniform(0.0, 2.0, g.n)
-        s = rng.uniform(0.01, 2.0) / g.dx
-        real = op.solver(shift, s)(r)
-        cplx = op.solver(shift + 0j, s + 0j)(r)
-        assert real.tobytes() == cplx.tobytes()
+    # a real shift and scale are factored and solved in real arithmetic:
+    # the solve returns float64 and agrees with the same system in complex
+    # arithmetic, whose imaginary part stays exactly 0, to rounding; a
+    # complex right-hand side would lose its imaginary part there, so the
+    # real factorization refuses it
+    for n in (1024, 4096):
+        g = Grid(20.0, n)
+        op = form_operator(g, 3.0)
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            r = rng.standard_normal(g.n)
+            shift = 1.0 + rng.uniform(0.0, 2.0, g.n)
+            s = rng.uniform(0.01, 2.0) / g.dx
+            solve = op.solver(shift, s)
+            if complex_rhs:
+                with pytest.raises(TypeError, match="complex right-hand side"):
+                    solve(r + 1j * rng.standard_normal(g.n))
+                continue
+            real = solve(r)
+            cplx = op.solver(shift + 0j, s + 0j)(r)
+            assert real.dtype == np.float64
+            assert np.all(cplx.imag == 0.0)
+            assert np.max(np.abs(real - cplx.real)) <= 1e-15 * np.max(np.abs(cplx.real))
 
 
 def test_operator_cache_shared():
