@@ -17,11 +17,14 @@ u* M u = t_gamma[u]: a real symmetric tridiagonal part T, the free
 Laplacian on the two half-lines, plus a rank-one jump term with the
 trace stencil c.  The same M supplies the exact gradient of the action
 (divided by dx, also the stationary residual), the minimizer's implicit
-step and the Hamiltonian M/dx of the Crank-Nicolson propagator; shifted
-systems with M are solved by a tridiagonal LU plus a Sherman-Morrison
-correction.  Factorization and solves run in the dtype of the shift:
-real for the minimizer, which descends on real profiles, and complex
-for the propagator.
+step and the Hamiltonian M/dx of the Crank-Nicolson propagator.  Shifted
+systems with M are solved by tridiagonal elimination plus a
+Sherman-Morrison correction, in two forms: the minimizer solves each
+step's system once, in one LAPACK gtsv sweep over the iterate and the
+jump stencil (FormOperator.solve); the propagator factors its system
+once with gttrf and solves it many times with gttrs (ShiftedSolver).
+Both run in the dtype of their inputs: real for the minimizer, which
+descends on real profiles, and complex for the propagator.
 
 Mass and entropy integrals use the midpoint rule, which on this mesh
 tiles each half-line exactly.
@@ -188,14 +191,18 @@ class StationaryResidual:
 
 
 class ConvergenceError(RuntimeError):
-    """Minimizer did not reach its tolerances; carries the last iterate."""
+    """Minimizer did not reach its tolerances; carries the last iterate and
+    the step counts of MinimizeResult."""
 
-    def __init__(self, message, last_field=None, iterations=0, action=None, residual=None):
+    def __init__(self, message, last_field=None, iterations=0, action=None, residual=None,
+                 rejected=0, forced=0):
         super().__init__(message)
         self.last_field = last_field
         self.iterations = iterations
         self.action = action
         self.residual = residual
+        self.rejected = rejected
+        self.forced = forced
 
 
 # ----------------------------------------------------------------------
@@ -263,17 +270,55 @@ class FormOperator:
         """Factor shift + scale * M once; shift is a scalar or one value per node."""
         return ShiftedSolver(self, shift, scale)
 
+    def solve(self, shift, scale: complex, r: np.ndarray) -> np.ndarray:
+        """(shift + scale * M)^-1 r for a system that is solved only once.
+
+        One LAPACK gtsv call eliminates the tridiagonal part and
+        forward-substitutes r and the jump stencil c together, then
+        back-substitutes each; the Sherman-Morrison correction follows.
+        The routine runs in the common dtype of shift, scale and r, so a
+        complex r is solved in complex arithmetic.  Bitwise equal to
+        solver(shift, scale)(r), pivoting included.
+        """
+        diag = shift + scale * self.diag
+        off = scale * self.off
+        (gtsv,) = lapack.get_lapack_funcs(("gtsv",), (diag, off, r))
+        b = np.empty((self.grid.n, 2), dtype=gtsv.dtype, order="F")
+        b[:, 0] = r
+        b[:, 1] = self.jump_stencil
+        *_, x, info = gtsv(off, diag, off, b, overwrite_d=1, overwrite_b=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"tridiagonal solve failed (info={info})")
+        y, z = x[:, 0], x[:, 1]
+        c = self.jump_stencil[self.jump]
+        _remove_jump(y, z, _jump_gain(scale * self.coupling, c, z[self.jump]), c, self.jump)
+        return y
+
+
+def _jump_gain(alpha, c, zj):
+    """Sherman-Morrison gain for T + alpha c c^T, given zj = (T^-1 c) on the
+    span of c."""
+    return alpha / (1.0 + alpha * (c @ zj))
+
+
+def _remove_jump(y, z, gain, c, span):
+    """Turn y = T^-1 r into (T + alpha c c^T)^-1 r in place, with z = T^-1 c
+    and gain = _jump_gain(alpha, c, z[span])."""
+    y -= (gain * (c @ y[span])) * z
+
 
 class ShiftedSolver:
     """y = (shift + scale * M)^-1 r for one FormOperator M = T + coupling c c^T.
 
     The tridiagonal part shift + scale * T is factored once by LAPACK
     gttrf, and each call is one gttrs solve on the factors plus the
-    Sherman-Morrison correction for the rank-one jump term.  Factors,
-    solves and correction all run in the dtype of shift and scale: real
-    arithmetic (dgttrf/dgttrs) when both are real, complex
-    (zgttrf/zgttrs) otherwise.  A real factorization solves only real
-    right-hand sides.
+    Sherman-Morrison correction for the rank-one jump term.  This is the
+    propagator's solver: one factorization, then thousands of solves.  A
+    system solved only once (a minimizer step) takes FormOperator.solve,
+    one gtsv sweep, instead.  Factors, solves and correction all run in
+    the dtype of shift and scale: real arithmetic (dgttrf/dgttrs) when
+    both are real, complex (zgttrf/zgttrs) otherwise.  A real
+    factorization solves only real right-hand sides.
     """
 
     def __init__(self, op: FormOperator, shift, scale: complex):
@@ -283,11 +328,10 @@ class ShiftedSolver:
         *self.factors, self.ipiv, info = gttrf(off, diag, off)
         if info != 0:
             raise np.linalg.LinAlgError(f"tridiagonal factorization failed (info={info})")
-        alpha = scale * op.coupling
         self.jump = op.jump
         self.c = op.jump_stencil[op.jump]
         self.z = self.gttrs(*self.factors, self.ipiv, op.jump_stencil)[0]
-        self.gain = alpha / (1.0 + alpha * (self.c @ self.z[self.jump]))
+        self.gain = _jump_gain(scale * op.coupling, self.c, self.z[self.jump])
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         # gttrs would cast a complex r to the real factors' dtype, dropping
@@ -295,7 +339,7 @@ class ShiftedSolver:
         if self.z.dtype.kind != "c" and np.iscomplexobj(r):
             raise TypeError("a real factorization cannot solve a complex right-hand side")
         y = self.gttrs(*self.factors, self.ipiv, r)[0]
-        y -= (self.gain * (self.c @ y[self.jump])) * self.z
+        _remove_jump(y, self.z, self.gain, self.c, self.jump)
         return y
 
 
@@ -544,6 +588,7 @@ def random_smooth_field(grid: Grid, rng: np.random.Generator,
 # tolerances on the relative action change and the interior residual
 TAU0 = 0.2
 TAU_MAX = 2.0
+MAX_REJECTS = 8
 ACTION_RTOL = 1e-10
 RESIDUAL_TOL = 1e-6
 
@@ -552,9 +597,11 @@ RESIDUAL_TOL = 1e-6
 class MinimizeResult:
     field: Field
     value: float  # half the squared L2 norm of the minimizer
-    iterations: int
+    iterations: int  # every step tried, rejected ones included
     residual: StationaryResidual
     action: float
+    rejected: int  # steps that raised the action and were retried with a smaller tau
+    forced: int  # uphill steps accepted because MAX_REJECTS retries in a row failed
 
 
 def _seed_values(seed, gamma: float, omega: float, grid: Grid) -> np.ndarray:
@@ -589,7 +636,10 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
     are treated implicitly, which keeps tiny-amplitude tails stable) and
     then reprojects onto the constraint set with nehari_project.  The
     step size adapts: it grows on accepted steps and backtracks whenever
-    the projected action increases.  Convergence requires the action to
+    the projected action increases, up to MAX_REJECTS times in a row,
+    after which the uphill step is taken; the result counts both kinds
+    of step.  Each step's shifted system is solved once, so it takes
+    FormOperator.solve, one gtsv sweep.  Convergence requires the action to
     stagnate (relative change below ACTION_RTOL) and the interior
     stationary residual to drop below RESIDUAL_TOL.
 
@@ -619,15 +669,18 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
     v, S = constrain(_seed_values(seed, gamma, omega, grid))
     tau = TAU0
     stall = 0
-    rejects = 0
+    rejects = 0  # in a row
+    rejected = forced = 0
     it = 0
     for it in range(1, max_iter + 1):
-        solve = op.solver(1.0 + tau * (omega - _log_abs2(v)), tau / dx)
-        v_try, S_try = constrain(solve(v))
-        if S_try > S + 1e-12 * abs(S) and rejects < 8:
-            tau = max(0.4 * tau, 1e-3)
-            rejects += 1
-            continue
+        v_try, S_try = constrain(op.solve(1.0 + tau * (omega - _log_abs2(v)), tau / dx, v))
+        if S_try > S + 1e-12 * abs(S):
+            if rejects < MAX_REJECTS:
+                tau = max(0.4 * tau, 1e-3)
+                rejects += 1
+                rejected += 1
+                continue
+            forced += 1
         rejects = 0
         rel = abs(S_try - S) / max(abs(S_try), 1e-300)
         v, S = v_try, S_try
@@ -641,7 +694,8 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
                 # value are report(field)'s to the bit
                 final = _report(op, field.values, omega)
                 return MinimizeResult(field=field, value=0.5 * final.mass,
-                                      iterations=it, residual=res, action=final.action)
+                                      iterations=it, residual=res, action=final.action,
+                                      rejected=rejected, forced=forced)
             stall = 0
     field = Field(grid, v)
     res = stationary_residual(field, gamma, omega)
@@ -650,4 +704,5 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
         f"no convergence after {it} iterations at gamma={gamma}, omega={omega} "
         f"(action {action:.12g}, interior residual {res.interior:.3g})",
         last_field=field, iterations=it, action=action, residual=res,
+        rejected=rejected, forced=forced,
     )

@@ -7,7 +7,9 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import lapack
 
+from lognls import fields
 from lognls.corefn import SQRT_PI
 from lognls.dynamics import linear_step
 from lognls.fields import (
@@ -33,7 +35,13 @@ from lognls.fields import (
     sigma_norm,
     stationary_residual,
 )
-from lognls.stationary import action_closed_form, gamma_tail, ground_states
+from lognls.stationary import (
+    Branch,
+    action_closed_form,
+    branch_params,
+    gamma_tail,
+    ground_states,
+)
 
 
 @pytest.fixture(scope="module")
@@ -442,6 +450,28 @@ class TestMinimize:
         assert r.iterations == iterations
         assert r.action == report(r.field, gamma, 0.0).action
 
+    def test_step_counts_pinned(self):
+        # the benchmark's 2.1-left minimization takes no step back, so every
+        # one of its iterations is an accepted descent step
+        r = minimize_dgamma(2.1, 0.0, seed=Seed.LEFT, grid=Grid(20.0, 4096))
+        assert (r.iterations, r.rejected, r.forced) == (102, 0, 0)
+        # a narrow Gaussian seed overshoots twice on its way down
+        g = Grid(20.0, 1024)
+        r = minimize_dgamma(1.0, 0.0, seed=Field(g, np.exp(-(g.nodes() / 0.1) ** 2)), grid=g)
+        assert (r.iterations, r.rejected, r.forced) == (386, 2, 0)
+
+    def test_forced_steps_counted(self, monkeypatch):
+        # every projection reads a larger action, so every step is uphill:
+        # MAX_REJECTS rejections, then one forced step, and again
+        project, bump = fields._project, iter(range(1, 10**6))
+        monkeypatch.setattr(fields, "_project",
+                            lambda op, v, omega: (project(op, v, omega)[0], float(next(bump))))
+        steps = 2 * (fields.MAX_REJECTS + 1)
+        with pytest.raises(ConvergenceError) as info:
+            minimize_dgamma(1.0, 0.0, grid=Grid(20.0, 256), max_iter=steps)
+        err = info.value
+        assert (err.iterations, err.rejected, err.forced) == (steps, 2 * fields.MAX_REJECTS, 2)
+
     def test_compactly_supported_seed(self):
         # exact zeros in the seed must not reach the implicit step as log 0
         g = Grid(20.0, 1024)
@@ -538,6 +568,48 @@ def test_real_shift_solves_like_complex_shift(complex_rhs):
             assert real.dtype == np.float64
             assert np.all(cplx.imag == 0.0)
             assert np.max(np.abs(real - cplx.real)) <= 1e-15 * np.max(np.abs(cplx.real))
+
+
+def minimizer_shift(grid, tau):
+    """The minimizer's first shift and scale on the 2.01-left seed."""
+    base = sample_profile(branch_params(2.01, 0.0, Branch.SYMMETRIC), grid).values.real
+    v = np.where(grid.nodes() > 0, 2.0, 0.5) * base
+    return v, 1.0 + tau * (0.0 - np.log(v**2)), tau / grid.dx
+
+
+def row_interchanges(op, shift, scale):
+    ipiv = lapack.dgttrf(scale * op.off, shift + scale * op.diag, scale * op.off)[4]
+    return np.count_nonzero(ipiv != np.arange(1, len(ipiv) + 1))
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_one_sweep_solve_is_factored_solve(n):
+    # solve (one gtsv sweep over r and the jump stencil) returns the bits of
+    # the factor-once solver, with row interchanges (tau = 2) and without
+    # (tau = 0.2); a complex r is solved in complex arithmetic, as by the
+    # complex-typed factorization, not cut to its real part
+    g = Grid(20.0, n)
+    op = form_operator(g, 2.01)
+    rng = np.random.default_rng(n)
+    for tau, pivots in ((0.2, False), (2.0, True)):
+        v, shift, scale = minimizer_shift(g, tau)
+        assert (row_interchanges(op, shift, scale) > 0) == pivots
+        got = op.solve(shift, scale, v)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, op.solver(shift, scale)(v))
+        r = v + 1j * rng.standard_normal(n)
+        got = op.solve(shift, scale, r)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, op.solver(shift + 0j, scale + 0j)(r))
+
+
+def test_one_sweep_solve_singular():
+    # scale 0 leaves the diagonal shift, exactly singular with one zero in it
+    g = Grid(20.0, 256)
+    shift = np.ones(g.n)
+    shift[10] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="info=11"):
+        form_operator(g, 3.0).solve(shift, 0.0, np.ones(g.n))
 
 
 def test_operator_cache_shared():
