@@ -22,7 +22,6 @@ from .fields import (
     ConvergenceError,
     Field,
     Grid,
-    Metric,
     Seed,
     minimize_dgamma,
     report,
@@ -34,6 +33,7 @@ from .stationary import (
     action_closed_form,
     bifurcation_sweep,
     branch_params,
+    d_gamma,
     d_zero,
     dgamma_lower_bound,
     ground_states,
@@ -156,7 +156,6 @@ def load_config_file(path: str) -> dict[str, str]:
 _CHOICES = {
     "branch": {b.value: b for b in Branch},
     "seed": {s.value: s for s in Seed},
-    "metric": {m.value: m for m in Metric},
 }
 
 
@@ -284,8 +283,7 @@ def cmd_minimize(opt) -> int:
     gamma, omega = opt["gamma"], opt["omega"]
     result = minimize_dgamma(gamma, omega, seed=opt["seed"], grid=_grid(opt),
                              max_iter=opt["max_iter"])
-    states = ground_states(gamma, omega)
-    closed = min(action_closed_form(p) for p in states)
+    closed = d_gamma(gamma, omega)
     bound = dgamma_lower_bound(gamma, omega)
     half_line = d_zero(omega)
     print(f"least action (half squared L2 norm): {fmt(result.value)}")
@@ -294,7 +292,8 @@ def cmd_minimize(opt) -> int:
     print(f"lower bound:                         {fmt(bound)}")
     print(f"half-line upper bound:               {fmt(half_line)}")
     print(
-        f"iterations={result.iterations} interior_residual={fmt(result.residual.interior)}"
+        f"iterations={result.iterations} rejected={result.rejected} forced={result.forced} "
+        f"interior_residual={fmt(result.residual.interior)}"
     )
     if not (bound <= result.value < half_line):
         print("warning: computed value escapes the analytic bracket", file=sys.stderr)
@@ -343,7 +342,7 @@ def cmd_evolve(opt) -> int:
 STABILITY_DEFAULTS = dict(
     gamma=2.0, omega=0.0, branch="symmetric", delta=1e-2, t_end=50.0,
     trials=8, rng_seed=0, grid_n=DEFAULT_GRID.n, grid_l=DEFAULT_GRID.L,
-    dt=1e-3, record_every=125, metric="sigma", out="",
+    dt=1e-3, record_every=125, out="",
 )
 
 
@@ -359,7 +358,6 @@ def cmd_stability(opt) -> int:
         grid=_grid(opt),
         dt=opt["dt"],
         record_every=opt["record_every"],
-        metric=opt["metric"],
     )
     doc = {
         "command": "stability",
@@ -368,21 +366,21 @@ def cmd_stability(opt) -> int:
         "branch": summary.branch.value,
         "branch_convention": BRANCH_NOTE,
         "perturbation_size": summary.perturbation_size,
-        "metric": summary.metric.value,
         "mode": "exploratory (excited state; no stability claim)"
         if summary.exploratory
         else "gated",
         "rng_seed": opt["rng_seed"],
         "trials": [asdict(t) for t in summary.trials],
-        "max_ratio": summary.max_ratio,
+        "max_ratio_sigma": summary.max_ratio_sigma,
+        "max_ratio_w": summary.max_ratio_w,
     }
     text = _json_text(doc) + "\n"
     if opt["out"]:
         write_atomic(opt["out"], text)
     else:
         print(text, end="")
-    print(f"# max ratio over {len(summary.trials)} trials: {fmt(summary.max_ratio)}",
-          file=sys.stderr)
+    print(f"# max ratio over {len(summary.trials)} trials: sigma {fmt(summary.max_ratio_sigma)}, "
+          f"w {fmt(summary.max_ratio_w)}", file=sys.stderr)
     return 0
 
 
@@ -433,10 +431,12 @@ def main(argv=None) -> int:
     # ConvergenceError, EvolutionAborted and every ArithmeticError
     except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        if isinstance(exc, ConvergenceError) and exc.residual is not None:
+        if isinstance(exc, ConvergenceError):
+            r = exc.result
             print(
-                f"  last action {fmt(exc.action)}, interior residual "
-                f"{fmt(exc.residual.interior)} after {exc.iterations} iterations",
+                f"  last action {fmt(r.action)}, interior residual "
+                f"{fmt(r.residual.interior)} after {r.iterations} iterations "
+                f"(rejected={r.rejected} forced={r.forced})",
                 file=sys.stderr,
             )
         return 2

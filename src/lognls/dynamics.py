@@ -33,7 +33,6 @@ from .fields import (
     DEFAULT_GRID,
     Field,
     Grid,
-    Metric,
     ShiftedSolver,
     _orbital_distances,
     derivative,
@@ -121,7 +120,7 @@ class EvolutionAborted(RuntimeError):
 @lru_cache(maxsize=16)
 def _propagator(grid: Grid, gamma: float, dt: float) -> ShiftedSolver:
     """(I + iA)^-1 with A = (dt/2) H and H = M/dx, factored once."""
-    return form_operator(grid, gamma).solver(1.0, 0.5j * dt / grid.dx)
+    return ShiftedSolver(form_operator(grid, gamma), 1.0, 0.5j * dt / grid.dx)
 
 
 def _cn_step(solve: ShiftedSolver, values: np.ndarray) -> np.ndarray:
@@ -241,10 +240,16 @@ def evolve(
 
 @dataclass(frozen=True)
 class TrialResult:
+    """A trial's first and largest orbital distance and their ratio, in the
+    H^1 (sigma) and then the energy-space (W) distance of its records."""
+
     trial: int
-    initial_distance: float
-    max_distance: float
-    ratio: float
+    initial_distance_sigma: float
+    max_distance_sigma: float
+    ratio_sigma: float
+    initial_distance_w: float
+    max_distance_w: float
+    ratio_w: float
 
 
 @dataclass(frozen=True)
@@ -253,10 +258,16 @@ class StabilitySummary:
     omega: float
     branch: Branch
     perturbation_size: float
-    metric: Metric
     exploratory: bool
     trials: tuple[TrialResult, ...]
-    max_ratio: float
+    max_ratio_sigma: float
+    max_ratio_w: float
+
+
+def _excursion(dists: list[float]) -> tuple[float, float, float]:
+    """First value, largest value and their ratio of one distance series."""
+    d0, dmax = dists[0], max(dists)
+    return d0, dmax, dmax / d0 if d0 > 0 else math.inf
 
 
 def stability_experiment(
@@ -270,18 +281,18 @@ def stability_experiment(
     grid: Grid = DEFAULT_GRID,
     dt: float = 1e-3,
     record_every: int = 125,
-    metric: Metric = Metric.SIGMA_ONLY,
 ) -> StabilitySummary:
     """Perturb a standing wave and track its orbital excursion.
 
     Each trial adds an independent random smooth field scaled to
     perturbation_size times the profile's H^1 norm, evolves it to t_end
-    and reports max-over-time orbital distance and its ratio to the
-    initial distance.  Trial k depends only on (rng_seed, k): its
-    perturbation draws from a generator seeded with that pair, so the
-    summary is reproducible and its first k trials do not depend on the
-    trial count.  A symmetric branch above the pitchfork is only an
-    excited state; such runs are flagged exploratory.
+    and reports, in both distances evolve records, the max-over-time
+    orbital distance and its ratio to the initial distance.  Trial k
+    depends only on (rng_seed, k): its perturbation draws from a
+    generator seeded with that pair, so the summary is reproducible and
+    its first k trials do not depend on the trial count.  A symmetric
+    branch above the pitchfork is only an excited state; such runs are
+    flagged exploratory.
     """
     if not (math.isfinite(perturbation_size) and perturbation_size > 0):
         raise ValueError(
@@ -299,15 +310,9 @@ def stability_experiment(
         pert = random_smooth_field(grid, rng)
         pert_vals = pert.values * (perturbation_size * phi_norm / sigma_norm(pert))
         u0 = phi.with_values(phi.values + pert_vals)
-        result = evolve(u0, gamma, config, reference=params)
-        if metric is Metric.SIGMA_ONLY:
-            dists = [r.orbital_distance_sigma for r in result.records]
-        else:
-            dists = [r.orbital_distance_w for r in result.records]
-        d0 = dists[0]
-        dmax = max(dists)
-        return TrialResult(trial=k, initial_distance=d0, max_distance=dmax,
-                           ratio=dmax / d0 if d0 > 0 else math.inf)
+        records = evolve(u0, gamma, config, reference=params).records
+        return TrialResult(k, *_excursion([r.orbital_distance_sigma for r in records]),
+                           *_excursion([r.orbital_distance_w for r in records]))
 
     results = [run_trial(k) for k in range(trials)]
     return StabilitySummary(
@@ -315,8 +320,8 @@ def stability_experiment(
         omega=omega,
         branch=branch,
         perturbation_size=perturbation_size,
-        metric=metric,
         exploratory=not params.is_ground_state,
         trials=tuple(results),
-        max_ratio=max(r.ratio for r in results),
+        max_ratio_sigma=max(r.ratio_sigma for r in results),
+        max_ratio_w=max(r.ratio_w for r in results),
     )

@@ -65,7 +65,6 @@ __all__ = [
     "nehari_project",
     "stationary_residual",
     "orbital_distance",
-    "orbital_distances",
     "sample_profile",
     "random_smooth_field",
     "minimize_dgamma",
@@ -190,35 +189,9 @@ class StationaryResidual:
     bc2: float
 
 
-class ConvergenceError(RuntimeError):
-    """Minimizer did not reach its tolerances; carries the last iterate and
-    the step counts of MinimizeResult."""
-
-    def __init__(self, message, last_field=None, iterations=0, action=None, residual=None,
-                 rejected=0, forced=0):
-        super().__init__(message)
-        self.last_field = last_field
-        self.iterations = iterations
-        self.action = action
-        self.residual = residual
-        self.rejected = rejected
-        self.forced = forced
-
-
 # ----------------------------------------------------------------------
 # form operator
 # ----------------------------------------------------------------------
-
-
-def _tridiagonal_plus_rank_one(diag, off, coeff, c, span, values):
-    """(T + coeff c c^T) values for the symmetric tridiagonal T with
-    diagonal diag and off-diagonal off; c holds the entries of the
-    rank-one vector on span, which is zero elsewhere."""
-    out = diag * values
-    out[:-1] += off * values[1:]
-    out[1:] += off * values[:-1]
-    out[span] += (coeff * (c @ values[span])) * c
-    return out
 
 
 class FormOperator:
@@ -260,15 +233,15 @@ class FormOperator:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """M values."""
-        return _tridiagonal_plus_rank_one(self.diag, self.off, self.coupling,
-                                          self.jump_stencil[self.jump], self.jump, values)
+        out = self.diag * values
+        out[:-1] += self.off * values[1:]
+        out[1:] += self.off * values[:-1]
+        c = self.jump_stencil[self.jump]
+        out[self.jump] += (self.coupling * (c @ values[self.jump])) * c
+        return out
 
     def form(self, values: np.ndarray) -> float:
         return float(np.real(np.vdot(values, self.apply(values))))
-
-    def solver(self, shift, scale: complex) -> "ShiftedSolver":
-        """Factor shift + scale * M once; shift is a scalar or one value per node."""
-        return ShiftedSolver(self, shift, scale)
 
     def solve(self, shift, scale: complex, r: np.ndarray) -> np.ndarray:
         """(shift + scale * M)^-1 r for a system that is solved only once.
@@ -278,7 +251,7 @@ class FormOperator:
         back-substitutes each; the Sherman-Morrison correction follows.
         The routine runs in the common dtype of shift, scale and r, so a
         complex r is solved in complex arithmetic.  Bitwise equal to
-        solver(shift, scale)(r), pivoting included.
+        ShiftedSolver(self, shift, scale)(r), pivoting included.
         """
         diag = shift + scale * self.diag
         off = scale * self.off
@@ -308,7 +281,8 @@ def _remove_jump(y, z, gain, c, span):
 
 
 class ShiftedSolver:
-    """y = (shift + scale * M)^-1 r for one FormOperator M = T + coupling c c^T.
+    """y = (shift + scale * M)^-1 r for one FormOperator M = T + coupling c c^T;
+    shift is a scalar or one value per node.
 
     The tridiagonal part shift + scale * T is factored once by LAPACK
     gttrf, and each call is one gttrs solve on the factors plus the
@@ -426,6 +400,11 @@ def action_gradient(u: Field, gamma: float, omega: float) -> np.ndarray:
     return form_operator(u.grid, gamma).apply(v) + u.grid.dx * (omega - _log_abs2(v)) * v
 
 
+# natural logarithms of the largest double and of the smallest positive one
+_LOG_MAX = math.log(np.finfo(float).max)
+_LOG_MIN = math.log(math.ulp(0.0))
+
+
 def _project(op: FormOperator, values: np.ndarray, omega: float):
     """nehari_project on the samples `values` with the form of op, and the
     action of the result: on the constraint set it is half the mass, so
@@ -433,7 +412,16 @@ def _project(op: FormOperator, values: np.ndarray, omega: float):
     r = _report(op, values, omega)
     if r.mass <= 0.0:
         raise ValueError("cannot project the zero field")
-    lam = math.exp(r.nehari / (2.0 * r.mass))
+    # log lambda and the log of the projected mass, checked before exp: a
+    # field far from the constraint set would overflow them, or flush them to 0
+    log_lam = r.nehari / (2.0 * r.mass)
+    log_mass = 2.0 * log_lam + math.log(r.mass)
+    if not (_LOG_MIN < log_lam < _LOG_MAX and _LOG_MIN < log_mass < _LOG_MAX):
+        raise ValueError(
+            f"cannot project onto the constraint set: the factor exp(I/(2 mass)) = "
+            f"exp({log_lam:.6g}) takes the mass to exp({log_mass:.6g}), outside the "
+            f"range of doubles (I = {r.nehari:.6g}, mass = {r.mass:.6g})")
+    lam = math.exp(log_lam)
     return lam * values, 0.5 * lam * lam * r.mass
 
 
@@ -537,18 +525,13 @@ def orbital_distance(u: Field, phi: Field, metric: Metric = Metric.SIGMA_ONLY,
     return min(best, objective(theta))
 
 
-def orbital_distances(u: Field, phi: Field) -> tuple[float, float]:
-    """The SIGMA_ONLY and the unrefined FULL_W orbital distance from one
-    phase fit: both are evaluated at theta*, where the W distance is the
-    sigma distance plus the Luxemburg norm of u - e^{i theta*} phi.  Equal
-    to orbital_distance(u, phi, SIGMA_ONLY) and
-    orbital_distance(u, phi, FULL_W, refine=False)."""
-    return _orbital_distances(u, phi, derivative(phi))
-
-
 def _orbital_distances(u: Field, phi: Field, dphi: np.ndarray) -> tuple[float, float]:
-    """orbital_distances(u, phi) given the node derivatives dphi of phi,
-    for callers that measure many fields against one reference."""
+    """The SIGMA_ONLY and the unrefined FULL_W orbital distance from one
+    phase fit, given the node derivatives dphi of phi: both are evaluated
+    at theta*, where the W distance is the sigma distance plus the
+    Luxemburg norm of u - e^{i theta*} phi.  Equal to
+    orbital_distance(u, phi, SIGMA_ONLY) and
+    orbital_distance(u, phi, FULL_W, refine=False)."""
     theta, du = _phase_fit(u, phi, dphi)
     d, diff = _sigma_dist_at(u, phi, du, dphi, theta)
     return d, d + corefn.luxemburg_norm(diff, u.grid.dx)
@@ -604,6 +587,15 @@ class MinimizeResult:
     forced: int  # uphill steps accepted because MAX_REJECTS retries in a row failed
 
 
+class ConvergenceError(RuntimeError):
+    """Minimizer did not reach its tolerances; result is the MinimizeResult
+    of the last iterate."""
+
+    def __init__(self, message, result: MinimizeResult):
+        super().__init__(message)
+        self.result = result
+
+
 def _seed_values(seed, gamma: float, omega: float, grid: Grid) -> np.ndarray:
     """The seed's samples as a real profile."""
     if isinstance(seed, Field):
@@ -649,7 +641,8 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
     minimizer and half its squared L2 norm, which is the least-action
     value.  With odd_constraint the iterate is forced
     odd each step, selecting the sign-symmetric branch even where it is
-    only a saddle (gamma > 2).
+    only a saddle (gamma > 2).  After max_iter steps without convergence
+    it raises ConvergenceError with the MinimizeResult of the last iterate.
     """
     if not (0 < gamma < math.inf):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
@@ -666,12 +659,19 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
             v = 0.5 * (v - v[::-1])
         return _project(op, v, omega)
 
+    def result(it: int, field: Field, res: StationaryResidual) -> MinimizeResult:
+        # on the complex samples of the field, so that its action and value
+        # are report(field)'s to the bit
+        final = _report(op, field.values, omega)
+        return MinimizeResult(field=field, value=0.5 * final.mass, iterations=it,
+                              residual=res, action=final.action,
+                              rejected=rejected, forced=forced)
+
     v, S = constrain(_seed_values(seed, gamma, omega, grid))
     tau = TAU0
     stall = 0
     rejects = 0  # in a row
     rejected = forced = 0
-    it = 0
     for it in range(1, max_iter + 1):
         v_try, S_try = constrain(op.solve(1.0 + tau * (omega - _log_abs2(v)), tau / dx, v))
         if S_try > S + 1e-12 * abs(S):
@@ -690,19 +690,10 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
             field = Field(grid, v)
             res = stationary_residual(field, gamma, omega)
             if res.interior < RESIDUAL_TOL:
-                # on the complex samples of the result, so that its action and
-                # value are report(field)'s to the bit
-                final = _report(op, field.values, omega)
-                return MinimizeResult(field=field, value=0.5 * final.mass,
-                                      iterations=it, residual=res, action=final.action,
-                                      rejected=rejected, forced=forced)
+                return result(it, field, res)
             stall = 0
     field = Field(grid, v)
-    res = stationary_residual(field, gamma, omega)
-    action = _report(op, field.values, omega).action
+    last = result(it, field, stationary_residual(field, gamma, omega))
     raise ConvergenceError(
         f"no convergence after {it} iterations at gamma={gamma}, omega={omega} "
-        f"(action {action:.12g}, interior residual {res.interior:.3g})",
-        last_field=field, iterations=it, action=action, residual=res,
-        rejected=rejected, forced=forced,
-    )
+        f"(action {last.action:.12g}, interior residual {last.residual.interior:.3g})", last)

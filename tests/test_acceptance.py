@@ -14,7 +14,6 @@ from lognls.dynamics import EvolutionConfig, evolve, stability_experiment
 from lognls.fields import (
     Field,
     Grid,
-    Metric,
     Seed,
     action_gradient,
     derivative_norm_sq,
@@ -182,8 +181,7 @@ def test_criterion_9_conservation():
 def test_criterion_10_orbital_stability():
     grid = Grid(20.0, 2048)
     common = dict(omega=0.0, perturbation_size=1e-2, t_end=50.0, trials=8,
-                  rng_seed=0, grid=grid, dt=2e-3, record_every=125,
-                  metric=Metric.SIGMA_ONLY)
+                  rng_seed=0, grid=grid, dt=2e-3, record_every=125)
     gated = [
         (1.0, Branch.SYMMETRIC),
         (2.0, Branch.SYMMETRIC),
@@ -193,8 +191,10 @@ def test_criterion_10_orbital_stability():
     parts = []
     for gamma, branch in gated:
         s = stability_experiment(gamma=gamma, branch=branch, **common)
-        parts.append(f"gamma={gamma} {branch.value}: max ratio {s.max_ratio:.2f}")
-        if s.max_ratio > 10.0:
+        # the gate is on the sigma ratio; the W ratio is reported beside it
+        parts.append(f"gamma={gamma} {branch.value}: max ratio sigma {s.max_ratio_sigma!r} "
+                     f"({s.max_ratio_sigma / 10.0:.3f} of 10), W {s.max_ratio_w!r}")
+        if s.max_ratio_sigma > 10.0:
             ok = False
     gate(10, "perturbed ground states stay within 10x of the initial distance",
          ok, "; ".join(parts))

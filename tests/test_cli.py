@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lognls import cli
-from lognls.fields import Field, Grid
+from lognls.fields import ConvergenceError, Field, Grid, minimize_dgamma
+from lognls.stationary import d_gamma
 
 
 def run(argv):
@@ -142,6 +143,12 @@ class TestMinimize:
         msg = capsys.readouterr().out
         rel = float(re.search(r"relative difference:\s+(\S+)", msg).group(1))
         assert abs(rel) < 0.01
+        # the closed form is stationary.d_gamma; the step counts are the result's
+        r = minimize_dgamma(1.0, 0.0, grid=Grid(20.0, 1024))
+        closed = cli.fmt(d_gamma(1.0, 0.0))
+        assert f"closed form minimum over branches:   {closed}\n" in msg
+        assert (f"\niterations={r.iterations} rejected={r.rejected} forced={r.forced} "
+                f"interior_residual={cli.fmt(r.residual.interior)}\n") in msg
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "x,re_u,im_u"
         assert len(lines) == 1 + 1024
@@ -154,7 +161,14 @@ class TestMinimize:
         code = run(["minimize", "--gamma", "3", "--grid-n", "1024",
                     "--max-iter", "2"])
         assert code == 2
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        with pytest.raises(ConvergenceError) as info:
+            minimize_dgamma(3.0, 0.0, grid=Grid(20.0, 1024), max_iter=2)
+        r = info.value.result
+        assert (f"  last action {cli.fmt(r.action)}, interior residual "
+                f"{cli.fmt(r.residual.interior)} after 2 iterations "
+                f"(rejected={r.rejected} forced={r.forced})\n") in err
 
 
 class TestEvolve:
@@ -283,7 +297,11 @@ class TestStability:
         doc = json.loads(out.read_text())
         assert doc["mode"] == "gated"
         assert len(doc["trials"]) == 2
-        assert doc["max_ratio"] == max(t["ratio"] for t in doc["trials"])
+        assert "metric" not in doc
+        for name in ("sigma", "w"):
+            assert doc["max_ratio_" + name] == max(t["ratio_" + name] for t in doc["trials"])
+            for t in doc["trials"]:
+                assert t["ratio_" + name] == t["max_distance_" + name] / t["initial_distance_" + name]
 
     def test_excited_run_labeled_exploratory(self, tmp_path):
         out = tmp_path / "e.json"
@@ -297,6 +315,15 @@ class TestStability:
     def test_threads_flag_removed(self, capsys):
         assert run(self.ARGS + ["--threads", "2"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_metric_flag_removed(self, tmp_path, capsys):
+        # both distances are reported, so there is no metric to choose
+        assert run(self.ARGS + ["--metric", "w"]) == 1
+        assert capsys.readouterr().err.startswith("error: unrecognized arguments: --metric")
+        cfg = tmp_path / "metric.cfg"
+        cfg.write_text("metric = w\n")
+        assert run(self.ARGS + ["--config", str(cfg)]) == 1
+        assert "error: unknown config key 'metric'" in capsys.readouterr().err
 
     def test_missing_branch_usage_error(self, tmp_path, capsys):
         out = tmp_path / "s.json"
@@ -338,7 +365,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("command, line", [("evolve", "branch = bogus"),
                                                ("minimize", "seed = bogus"),
-                                               ("stability", "metric = x")])
+                                               ("stability", "branch = x")])
     def test_bad_choice_rejected(self, command, line, tmp_path, capsys):
         cfg = tmp_path / "choice.cfg"
         cfg.write_text(line + "\n")
@@ -404,7 +431,7 @@ _TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters
                 max_size=10).filter(_not_help_or_config)
 _VALUE = st.one_of(
     st.sampled_from(["0", "1", "-1", "2.5", "1e-3", "nan", "inf", "-inf", "1e999", "",
-                     "symmetric", "left", "asymmetric-left", "sigma", "w", "x"]),
+                     "symmetric", "left", "asymmetric-left", "x"]),
     st.integers(-10**6, 10**6).map(str),
     st.integers(1, 10**4).map(str),
     st.floats().map(repr),
@@ -468,7 +495,6 @@ _RUN_VALUES = {
     "steps": (["2", "5"], ["-1", "0", "1"]),
     "seed": (["symmetric", "left", "right"], ["bogus"]),
     "branch": (["symmetric", "asymmetric-left", "asymmetric-right"], ["bogus"]),
-    "metric": (["sigma", "w"], ["bogus"]),
     "grid_n": (["16", "32", "64"], ["-2", "0", "7", "8", "10"]),
     "grid_l": (["1", "2", "4"], ["-1", "0", "nan", "inf", "1e-300", "20", "1e300"]),
     "max_iter": (["1", "10", "50"], ["-5", "0"]),

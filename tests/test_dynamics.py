@@ -22,9 +22,9 @@ from lognls.fields import (
     form_operator,
     mass,
     orbital_distance,
-    orbital_distances,
     random_smooth_field,
     sample_profile,
+    sigma_norm,
 )
 from lognls.stationary import Branch, branch_params, ground_states
 
@@ -138,26 +138,14 @@ class TestEvolve:
         params = ground_states(2.0, 0.0)[0]
         res = evolve(Field.zero(grid), 2.0,
                      EvolutionConfig(dt=1e-3, t_end=0.01, record_every=2), reference=params)
-        want = orbital_distances(Field.zero(grid), sample_profile(params, grid))
+        phi = sample_profile(params, grid)
+        want = (orbital_distance(Field.zero(grid), phi),
+                orbital_distance(Field.zero(grid), phi, Metric.FULL_W, refine=False))
         assert len(res.records) == 6
         for r in res.records:
             assert (r.mass, r.energy) == (0.0, 0.0)
             assert (r.orbital_distance_sigma, r.orbital_distance_w) == want
         assert want[0] > 1.0
-
-    def test_records_match_orbital_distances(self, grid):
-        # evolve takes the reference's derivative once per run; its records
-        # keep the bits of the public distances of each recorded state
-        params = branch_params(3.0, 0.0, Branch.ASYMMETRIC_LEFT)
-        phi = sample_profile(params, grid)
-        pert = random_smooth_field(grid, np.random.default_rng(4))
-        u0 = phi.with_values(phi.values + 1e-2 * pert.values)
-        cfg = EvolutionConfig(dt=1e-3, t_end=0.02, record_every=5, snapshot_every=1)
-        res = evolve(u0, 3.0, cfg, reference=params)
-        states = [u0] + [f for _, f in res.snapshots]
-        assert len(states) == len(res.records) == 5
-        for r, u in zip(res.records, states):
-            assert (r.orbital_distance_sigma, r.orbital_distance_w) == orbital_distances(u, phi)
 
     def test_standing_wave_short(self, grid):
         params = ground_states(2.0, 0.0)[0]
@@ -198,17 +186,23 @@ class TestEvolve:
         drift = np.angle(res.final.values[peak] / u0.values[peak])
         assert drift == pytest.approx(omega * 1.0, abs=1e-3)
 
-    def test_record_distances_match_orbital_distance(self, grid):
-        # each record's two distances come from one phase fit; they must be
-        # exactly the two separate orbital_distance calls on the snapshot
-        params = ground_states(2.0, 0.0)[0]
+    @pytest.mark.parametrize("gamma, branch, size, seed, t_end, every", [
+        (2.0, Branch.SYMMETRIC, 0.05, 3, 0.05, 10),
+        (3.0, Branch.ASYMMETRIC_LEFT, 1e-2, 4, 0.02, 5),
+    ], ids=["2-symmetric", "3-left"])
+    def test_record_distances_match_orbital_distance(self, grid, gamma, branch, size, seed,
+                                                     t_end, every):
+        # each record's two distances come from one phase fit, with the
+        # reference's derivative taken once per run; they must be exactly
+        # the two separate orbital_distance calls on the snapshot
+        params = branch_params(gamma, 0.0, branch)
         phi = sample_profile(params, grid)
-        bump = random_smooth_field(grid, np.random.default_rng(3))
-        u0 = phi.with_values(phi.values + 0.05 * bump.values)
-        cfg = EvolutionConfig(dt=1e-3, t_end=0.05, record_every=10, snapshot_every=1)
-        res = evolve(u0, 2.0, cfg, reference=params)
+        bump = random_smooth_field(grid, np.random.default_rng(seed))
+        u0 = phi.with_values(phi.values + size * bump.values)
+        cfg = EvolutionConfig(dt=1e-3, t_end=t_end, record_every=every, snapshot_every=1)
+        res = evolve(u0, gamma, cfg, reference=params)
         states = [u0] + [f for _, f in res.snapshots]
-        assert len(states) == len(res.records) == 6
+        assert len(states) == len(res.records) == 1 + round(t_end / 1e-3) // every
         for rec, f in zip(res.records, states):
             assert rec.orbital_distance_sigma == orbital_distance(f, phi, Metric.SIGMA_ONLY)
             assert rec.orbital_distance_w == orbital_distance(f, phi, Metric.FULL_W, refine=False)
@@ -299,6 +293,29 @@ class TestStabilityExperiment:
                   grid=g, dt=2.5e-3, record_every=50)
         three = stability_experiment(**kw, trials=3)
         assert three.trials[:2] == stability_experiment(**kw, trials=2).trials
+
+    def test_trials_report_both_distances(self):
+        # each trial's sigma and W fields are the first and the largest
+        # value of evolve's records for the same (rng_seed, k), and their ratio
+        g = Grid(10.0, 512)
+        gamma, params = 3.0, branch_params(3.0, 0.0, Branch.ASYMMETRIC_LEFT)
+        s = stability_experiment(gamma, 0.0, Branch.ASYMMETRIC_LEFT, 1e-2, 0.25, 2, 5,
+                                 grid=g, dt=2.5e-3, record_every=20)
+        phi = sample_profile(params, g)
+        cfg = EvolutionConfig(dt=2.5e-3, t_end=0.25, record_every=20)
+        for k, t in enumerate(s.trials):
+            pert = random_smooth_field(g, np.random.default_rng((5, k)))
+            u0 = phi.with_values(phi.values + pert.values * (1e-2 * sigma_norm(phi)
+                                                             / sigma_norm(pert)))
+            recs = evolve(u0, gamma, cfg, reference=params).records
+            for name in ("sigma", "w"):
+                dists = [getattr(r, "orbital_distance_" + name) for r in recs]
+                assert getattr(t, "initial_distance_" + name) == dists[0]
+                assert getattr(t, "max_distance_" + name) == max(dists)
+                assert getattr(t, "ratio_" + name) == max(dists) / dists[0]
+        assert t.trial == k == 1
+        assert s.max_ratio_sigma == max(t.ratio_sigma for t in s.trials)
+        assert s.max_ratio_w == max(t.ratio_w for t in s.trials)
 
     def test_missing_branch_rejected(self):
         with pytest.raises(ValueError):

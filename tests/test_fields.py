@@ -18,7 +18,9 @@ from lognls.fields import (
     Field,
     Grid,
     Metric,
+    MinimizeResult,
     Seed,
+    ShiftedSolver,
     action_gradient,
     derivative,
     derivative_norm_sq,
@@ -234,6 +236,17 @@ class TestNehariProjection:
         with pytest.raises(ValueError):
             nehari_project(Field.zero(grid), 2.0, 0.0)
 
+    def test_rough_field_fails_with_named_cause(self):
+        # white noise is so far from the constraint set that the projected
+        # mass, e^650 squared times 37.9, is no double: a ValueError that
+        # says so, not an overflow warning and an infinite field
+        g = Grid(20.0, 1024)
+        u = Field(g, np.random.default_rng(0).standard_normal(g.n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="outside the range of doubles"):
+                nehari_project(u, 1.0, 0.0)
+
 
 class TestStationaryResidual:
     def test_zero_field(self, grid):
@@ -419,9 +432,16 @@ class TestMinimize:
         with pytest.raises(ConvergenceError) as info:
             minimize_dgamma(3.0, 0.0, seed=Seed.LEFT, grid=Grid(20.0, 1024), max_iter=2)
         err = info.value
-        assert err.last_field is not None
-        assert err.iterations == 2
-        assert err.action is not None
+        # the error holds its message and the last iterate's result, whose
+        # action and value are report's, as on convergence
+        assert vars(err) == {"result": err.result}
+        r = err.result
+        assert isinstance(r, MinimizeResult)
+        assert (r.iterations, r.rejected, r.forced) == (2, 0, 0)
+        rep = report(r.field, 3.0, 0.0)
+        assert (r.action, r.value) == (rep.action, 0.5 * rep.mass)
+        assert r.residual == stationary_residual(r.field, 3.0, 0.0)
+        assert "no convergence after 2 iterations" in str(err)
 
     def test_gamma_validation(self):
         for bad in (-1.0, math.nan, math.inf):
@@ -469,8 +489,18 @@ class TestMinimize:
         steps = 2 * (fields.MAX_REJECTS + 1)
         with pytest.raises(ConvergenceError) as info:
             minimize_dgamma(1.0, 0.0, grid=Grid(20.0, 256), max_iter=steps)
-        err = info.value
-        assert (err.iterations, err.rejected, err.forced) == (steps, 2 * fields.MAX_REJECTS, 2)
+        r = info.value.result
+        assert (r.iterations, r.rejected, r.forced) == (steps, 2 * fields.MAX_REJECTS, 2)
+
+    def test_rough_seed_fails_with_named_cause(self):
+        # the seed's first projection fails with its cause, not with
+        # "cannot project the zero field" after an overflow warning
+        g = Grid(20.0, 1024)
+        seed = Field(g, np.random.default_rng(0).standard_normal(g.n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"exp\(I/\(2 mass\)\).*outside the range"):
+                minimize_dgamma(1.0, 0.0, seed=seed, grid=g)
 
     def test_compactly_supported_seed(self):
         # exact zeros in the seed must not reach the implicit step as log 0
@@ -558,13 +588,13 @@ def test_real_shift_solves_like_complex_shift(complex_rhs):
             r = rng.standard_normal(g.n)
             shift = 1.0 + rng.uniform(0.0, 2.0, g.n)
             s = rng.uniform(0.01, 2.0) / g.dx
-            solve = op.solver(shift, s)
+            solve = ShiftedSolver(op, shift, s)
             if complex_rhs:
                 with pytest.raises(TypeError, match="complex right-hand side"):
                     solve(r + 1j * rng.standard_normal(g.n))
                 continue
             real = solve(r)
-            cplx = op.solver(shift + 0j, s + 0j)(r)
+            cplx = ShiftedSolver(op, shift + 0j, s + 0j)(r)
             assert real.dtype == np.float64
             assert np.all(cplx.imag == 0.0)
             assert np.max(np.abs(real - cplx.real)) <= 1e-15 * np.max(np.abs(cplx.real))
@@ -596,11 +626,11 @@ def test_one_sweep_solve_is_factored_solve(n):
         assert (row_interchanges(op, shift, scale) > 0) == pivots
         got = op.solve(shift, scale, v)
         assert got.dtype == np.float64
-        assert np.array_equal(got, op.solver(shift, scale)(v))
+        assert np.array_equal(got, ShiftedSolver(op, shift, scale)(v))
         r = v + 1j * rng.standard_normal(n)
         got = op.solve(shift, scale, r)
         assert got.dtype == np.complex128
-        assert np.array_equal(got, op.solver(shift + 0j, scale + 0j)(r))
+        assert np.array_equal(got, ShiftedSolver(op, shift + 0j, scale + 0j)(r))
 
 
 def test_one_sweep_solve_singular():

@@ -6,8 +6,11 @@ while every import succeeds.  This walks the bytecode of the package and
 each submodule and checks each LOAD_GLOBAL against the module namespace
 and builtins, and each name a module exports in ``__all__`` against the
 module itself: a stale ``__all__`` entry fails only on ``import *``.
+The same holds for the benchmark's workloads, whose imports from lognls
+are checked by parsing their source.
 """
 
+import ast
 import builtins
 import dis
 import importlib.util
@@ -77,6 +80,47 @@ def test_detects_unbound_name():
     code = compile(source, "probe", "exec")
     exec(code, namespace)
     assert undefined_globals(code, namespace) == ["f -> missing_name"]
+
+
+def unbound_lognls_names(source: str) -> list[str]:
+    """Each name that source imports from a lognls module, and each
+    attribute it reads off an imported lognls module, that is not bound.
+    The source is parsed, never run."""
+    tree = ast.parse(source)
+    modules = {}  # local name -> imported lognls module
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "lognls":
+            parent = importlib.import_module(node.module)
+            for alias in node.names:
+                try:
+                    obj = importlib.import_module(f"{node.module}.{alias.name}")
+                except ImportError:
+                    obj = getattr(parent, alias.name, None)
+                    if obj is None:
+                        missing.append(f"{node.module}.{alias.name}")
+                if isinstance(obj, types.ModuleType):
+                    modules[alias.asname or alias.name] = obj
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and not hasattr(modules[node.value.id], node.attr)):
+            missing.append(f"{modules[node.value.id].__name__}.{node.attr}")
+    return sorted(set(missing))
+
+
+def test_benchmark_imports_bound():
+    # the benchmark's workloads call lognls through these names; a deletion
+    # that breaks them fails here instead of in a benchmark run
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    with open(path, encoding="utf-8") as fh:
+        assert unbound_lognls_names(fh.read()) == []
+
+
+def test_detects_unbound_benchmark_name():
+    source = ("from lognls import fields\nfrom lognls.fields import Grid, gone\n"
+              "fields.report(fields.missing, Grid)\n")
+    assert unbound_lognls_names(source) == ["lognls.fields.gone", "lognls.fields.missing"]
 
 
 @pytest.mark.parametrize("name", MODULES)
