@@ -9,7 +9,8 @@ Layers:
 * :mod:`lognls.stationary` - the standing-wave pair system, its
   pitchfork at gamma = 2, closed-form masses/actions and bounds.
 * :mod:`lognls.fields` - staggered-grid fields, energy functionals,
-  the constrained action minimizer and orbital distances.
+  the constrained action minimizer with its Newton finish, the Morse
+  index and orbital distances.
 * :mod:`lognls.dynamics` - Strang/Crank-Nicolson time stepping and the
   random-perturbation stability experiment.
 * :mod:`lognls.cli` - the ``lognls`` command-line tool.

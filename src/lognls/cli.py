@@ -293,6 +293,7 @@ def cmd_minimize(opt) -> int:
     print(f"half-line upper bound:               {fmt(half_line)}")
     print(
         f"iterations={result.iterations} rejected={result.rejected} forced={result.forced} "
+        f"newton={result.newton} index={result.index} "
         f"interior_residual={fmt(result.residual.interior)}"
     )
     if not (bound <= result.value < half_line):
@@ -436,7 +437,7 @@ def main(argv=None) -> int:
             print(
                 f"  last action {fmt(r.action)}, interior residual "
                 f"{fmt(r.residual.interior)} after {r.iterations} iterations "
-                f"(rejected={r.rejected} forced={r.forced})",
+                f"(rejected={r.rejected} forced={r.forced} newton={r.newton} index={r.index})",
                 file=sys.stderr,
             )
         return 2

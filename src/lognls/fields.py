@@ -26,6 +26,16 @@ once with gttrf and solves it many times with gttrs (ShiftedSolver).
 Both run in the dtype of their inputs: real for the minimizer, which
 descends on real profiles, and complex for the propagator.
 
+The minimizer ends with Newton's method on action_gradient = 0, whose
+Jacobian M + dx (omega - 2 - log u^2) is the same structure with another
+diagonal, so each Newton step is one FormOperator.solve sweep.  The
+projected descent selects the state; the Newton state is kept only if it
+passes three checks: Morse index 1 (morse_index, by Sylvester's law of
+inertia on the tridiagonal part and the Sherman-Morrison denominator),
+an action no higher than the descent's, and an interior residual below
+RESIDUAL_TOL.  At gamma = 2 the symmetric seed returns a weak saddle of
+index 2, as the discrete pitchfork lies below 2.
+
 Mass and entropy integrals use the midpoint rule, which on this mesh
 tiles each half-line exactly.
 """
@@ -64,9 +74,11 @@ __all__ = [
     "action_gradient",
     "nehari_project",
     "stationary_residual",
+    "morse_index",
     "orbital_distance",
     "sample_profile",
     "random_smooth_field",
+    "stationary_newton",
     "minimize_dgamma",
 ]
 
@@ -397,7 +409,14 @@ def action_gradient(u: Field, gamma: float, omega: float) -> np.ndarray:
     inner product Re sum a conj(b); matches finite differences of
     report().action."""
     v = u.values
-    return form_operator(u.grid, gamma).apply(v) + u.grid.dx * (omega - _log_abs2(v)) * v
+    return _gradient(form_operator(u.grid, gamma), v, omega, _log_abs2(v))
+
+
+def _gradient(op: FormOperator, values: np.ndarray, omega: float,
+              log_abs2: np.ndarray) -> np.ndarray:
+    """action_gradient of the samples `values` with the form of op, given
+    their _log_abs2."""
+    return op.apply(values) + op.grid.dx * (omega - log_abs2) * values
 
 
 # natural logarithms of the largest double and of the smallest positive one
@@ -567,33 +586,149 @@ def random_smooth_field(grid: Grid, rng: np.random.Generator,
 # ----------------------------------------------------------------------
 
 
-# projected descent: initial and largest step size, and the convergence
+# projected descent: initial and largest step size, the relative action
+# rise a step may make and still count as downhill, and the convergence
 # tolerances on the relative action change and the interior residual
 TAU0 = 0.2
 TAU_MAX = 2.0
 MAX_REJECTS = 8
+ACTION_RISE_RTOL = 1e-12
 ACTION_RTOL = 1e-10
 RESIDUAL_TOL = 1e-6
+# Newton finish: the descent hands over once the relative action change has
+# been below HANDOVER_RTOL twice in a row.  Newton stops when its step,
+# measured relative to max|u|, falls below NEWTON_STEP_RTOL or stops
+# shrinking; the latter is the rounding floor when the last step taken was
+# below NEWTON_STALL_RTOL (the quadratic convergence then leaves an error
+# of order eps), and a stall otherwise, as is running out of
+# NEWTON_MAX_ITER steps.  No residual tolerance: the residual's rounding
+# floor grows like 1/dx^2.
+HANDOVER_RTOL = 1e-8
+NEWTON_STEP_RTOL = 1024 * np.finfo(float).eps
+NEWTON_STALL_RTOL = math.sqrt(np.finfo(float).eps)
+NEWTON_MAX_ITER = 30
 
 
 @dataclass(frozen=True)
 class MinimizeResult:
     field: Field
     value: float  # half the squared L2 norm of the minimizer
-    iterations: int  # every step tried, rejected ones included
+    iterations: int  # every step tried, rejected ones and Newton steps included
     residual: StationaryResidual
     action: float
     rejected: int  # steps that raised the action and were retried with a smaller tau
     forced: int  # uphill steps accepted because MAX_REJECTS retries in a row failed
+    newton: int  # Newton steps tried
+    index: int  # Morse index of the field, morse_index(field, gamma, omega)
 
 
 class ConvergenceError(RuntimeError):
-    """Minimizer did not reach its tolerances; result is the MinimizeResult
-    of the last iterate."""
+    """Minimizer or Newton's method did not reach its tolerances; result is
+    the MinimizeResult of the last iterate."""
 
     def __init__(self, message, result: MinimizeResult):
         super().__init__(message)
         self.result = result
+
+
+def _check_parameters(gamma: float, omega: float) -> None:
+    if not (0 < gamma < math.inf):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega}")
+
+
+def _real_values(u: Field, what: str) -> np.ndarray:
+    if np.any(u.values.imag):
+        raise ValueError(f"{what} must be real: the minimizer and Newton's method work on "
+                         "real profiles")
+    return u.values.real.copy()
+
+
+def _result(op: FormOperator, field: Field, omega: float, residual: StationaryResidual,
+            index: int, **counts) -> MinimizeResult:
+    # on the complex samples of the field, so that its action and value
+    # are report(field)'s to the bit
+    final = _report(op, field.values, omega)
+    return MinimizeResult(field=field, value=0.5 * final.mass, residual=residual,
+                          action=final.action, index=index, **counts)
+
+
+def morse_index(u: Field, gamma: float, omega: float) -> int:
+    """Number of negative eigenvalues of the action's Hessian at the real
+    profile u, on real perturbations: the Jacobian of action_gradient,
+    dx L+ = M + dx (omega - 2 - log u^2) with M = T - (1/gamma) c c^T.
+
+    By Sylvester's law of inertia it is the negative count of the
+    tridiagonal part T' = T + dx (omega - 2 - log u^2), plus 1 when the
+    Sherman-Morrison denominator 1 - (1/gamma) c^T T'^-1 c is negative.
+    The count is one LAPACK dstebz Sturm count over an interval that holds
+    the negative spectrum; it is exact, so the eigenvalues it brackets are
+    located only to a coarse tolerance.  The index is 1 at a ground state
+    and 2 at the symmetric state above the discrete pitchfork.
+    """
+    _check_parameters(gamma, omega)
+    op = form_operator(u.grid, gamma)
+    v = _real_values(u, "the profile")
+    diag = op.diag + u.grid.dx * (omega - 2.0 - _log_abs2(v))
+    # Gershgorin: every eigenvalue of T' lies above lo
+    lo = float(np.min(diag)) - 2.0 * float(np.max(np.abs(op.off))) - 1.0
+    count, *_, info = lapack.dstebz(diag, op.off, 1, lo, 0.0, 1, 1, -lo, b"E")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Sturm count failed (info={info})")
+    (gtsv,) = lapack.get_lapack_funcs(("gtsv",), (diag, op.off))
+    *_, z, info = gtsv(op.off, diag, op.off, op.jump_stencil.copy(), overwrite_d=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"tridiagonal solve failed (info={info})")
+    c = op.jump_stencil[op.jump]
+    return int(count) + int(1.0 + op.coupling * (c @ z[op.jump]) < 0.0)
+
+
+def _newton(op: FormOperator, v: np.ndarray, omega: float):
+    """Newton's method on action_gradient = 0 from the real samples v.
+
+    Each step solves the Jacobian system, dx L+ with the form of op, in
+    one FormOperator.solve sweep.  Returns the last samples, the steps
+    tried and whether they converged (see NEWTON_STEP_RTOL); a step that
+    did not shrink is tried but not taken.
+    """
+    dx = op.grid.dx
+    last = math.inf
+    for k in range(1, NEWTON_MAX_ITER + 1):
+        log_abs2 = _log_abs2(v)
+        step = op.solve(dx * (omega - 2.0 - log_abs2), 1.0, _gradient(op, v, omega, log_abs2))
+        size = float(np.max(np.abs(step)) / np.max(np.abs(v)))
+        if size >= last:
+            return v, k, last <= NEWTON_STALL_RTOL
+        v = v - step
+        if size <= NEWTON_STEP_RTOL:
+            return v, k, True
+        last = size
+    return v, k, False
+
+
+def stationary_newton(u: Field, gamma: float, omega: float) -> MinimizeResult:
+    """The discrete stationary state near the real profile u, by Newton's
+    method on action_gradient = 0.
+
+    Newton selects no branch: it converges to whichever stationary state
+    is nearest, ground state or saddle, and the result's index tells them
+    apart.  Its iterations and newton count the Newton steps tried, and its
+    value is half the mass of the state.  A stall raises ConvergenceError
+    with the MinimizeResult of the last iterate.
+    """
+    _check_parameters(gamma, omega)
+    op = form_operator(u.grid, gamma)
+    v, steps, converged = _newton(op, _real_values(u, "the start"), omega)
+    field = Field(u.grid, v)
+    result = _result(op, field, omega, stationary_residual(field, gamma, omega),
+                     morse_index(field, gamma, omega),
+                     iterations=steps, rejected=0, forced=0, newton=steps)
+    if not converged:
+        raise ConvergenceError(
+            f"Newton stalled after {steps} steps at gamma={gamma}, omega={omega} "
+            f"(interior residual {result.residual.interior:.3g})", result)
+    return result
 
 
 def _seed_values(seed, gamma: float, omega: float, grid: Grid) -> np.ndarray:
@@ -601,11 +736,10 @@ def _seed_values(seed, gamma: float, omega: float, grid: Grid) -> np.ndarray:
     if isinstance(seed, Field):
         if seed.grid != grid:
             raise ValueError("custom seed lives on a different grid")
-        if np.any(seed.values.imag):
-            raise ValueError("custom seed must be real: the minimizer works on real profiles")
+        values = _real_values(seed, "custom seed")
         if mass(seed) <= 0.0:
             raise ValueError("custom seed must be nonzero")
-        return seed.values.real.copy()
+        return values
     base = sample_profile(branch_params(gamma, omega, Branch.SYMMETRIC), grid).values.real.copy()
     if seed is Seed.SYMMETRIC:
         return base
@@ -619,11 +753,11 @@ def _seed_values(seed, gamma: float, omega: float, grid: Grid) -> np.ndarray:
 
 
 def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
-                    grid: Grid = DEFAULT_GRID, max_iter: int = 4000,
-                    odd_constraint: bool = False) -> MinimizeResult:
-    """Least action over the constraint set by projected descent.
+                    grid: Grid = DEFAULT_GRID, max_iter: int = 4000) -> MinimizeResult:
+    """Least action over the constraint set by projected descent, with a
+    Newton finish.
 
-    Each iteration takes one linearly implicit gradient step on the
+    Each descent iteration takes one linearly implicit gradient step on the
     action (the stiff quadratic part and the diagonal logarithmic term
     are treated implicitly, which keeps tiny-amplitude tails stable) and
     then reprojects onto the constraint set with nehari_project.  The
@@ -631,50 +765,60 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
     the projected action increases, up to MAX_REJECTS times in a row,
     after which the uphill step is taken; the result counts both kinds
     of step.  Each step's shifted system is solved once, so it takes
-    FormOperator.solve, one gtsv sweep.  Convergence requires the action to
-    stagnate (relative change below ACTION_RTOL) and the interior
-    stationary residual to drop below RESIDUAL_TOL.
+    FormOperator.solve, one gtsv sweep.
+
+    The descent does the variational selection.  Once its relative action
+    change has been below HANDOVER_RTOL twice in a row, Newton's method
+    (stationary_newton) finishes on action_gradient = 0, once per run.  The
+    projected Newton state is returned if it passes three checks: its
+    Morse index is 1, its action has not risen above the descent's, and
+    its interior stationary residual is below RESIDUAL_TOL.  Otherwise the
+    descent carries on from its own iterate, as if Newton had not run,
+    until the action stagnates (relative change below ACTION_RTOL twice in
+    a row) with the interior residual below RESIDUAL_TOL.  The result
+    counts the Newton steps tried (newton) and carries the Morse index of
+    the returned field (index): 1 at a ground state, 2 at the symmetric
+    seed's weak saddle at gamma = 2, as the discrete pitchfork lies below 2.
 
     The minimizer works on real profiles, as every ground state is
     e^{i theta} times a real one: the descent runs in real arithmetic, and
     a custom Field seed must have zero imaginary part.  Returns the
     minimizer and half its squared L2 norm, which is the least-action
-    value.  With odd_constraint the iterate is forced
-    odd each step, selecting the sign-symmetric branch even where it is
-    only a saddle (gamma > 2).  After max_iter steps without convergence
-    it raises ConvergenceError with the MinimizeResult of the last iterate.
+    value.  After max_iter descent steps without convergence it raises
+    ConvergenceError with the MinimizeResult of the last iterate.
     """
-    if not (0 < gamma < math.inf):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    if not math.isfinite(omega):
-        raise ValueError(f"omega must be finite, got {omega}")
+    _check_parameters(gamma, omega)
     if max_iter < 1:
         raise ValueError(f"max_iter must be a positive integer, got {max_iter}")
     op = form_operator(grid, gamma)
     dx = grid.dx
 
-    def constrain(v):
-        # the projected samples and their action, half their mass
-        if odd_constraint:
-            v = 0.5 * (v - v[::-1])
-        return _project(op, v, omega)
+    def result(it: int, field: Field, res: StationaryResidual, index: int) -> MinimizeResult:
+        return _result(op, field, omega, res, index, iterations=it + newton,
+                       rejected=rejected, forced=forced, newton=newton)
 
-    def result(it: int, field: Field, res: StationaryResidual) -> MinimizeResult:
-        # on the complex samples of the field, so that its action and value
-        # are report(field)'s to the bit
-        final = _report(op, field.values, omega)
-        return MinimizeResult(field=field, value=0.5 * final.mass, iterations=it,
-                              residual=res, action=final.action,
-                              rejected=rejected, forced=forced)
+    def finish(v, S):
+        # Newton from the descent iterate: the steps tried, and the projected
+        # Newton state with its residual if it passes the three checks
+        v, steps, converged = _newton(op, v, omega)
+        if converged:
+            v, S_newton = _project(op, v, omega)
+            field = Field(grid, v)
+            res = stationary_residual(field, gamma, omega)
+            if (S_newton <= S + ACTION_RISE_RTOL * abs(S) and res.interior < RESIDUAL_TOL
+                    and morse_index(field, gamma, omega) == 1):
+                return steps, (field, res)
+        return steps, None
 
-    v, S = constrain(_seed_values(seed, gamma, omega, grid))
+    v, S = _project(op, _seed_values(seed, gamma, omega, grid), omega)
     tau = TAU0
-    stall = 0
+    stall = near = 0
     rejects = 0  # in a row
-    rejected = forced = 0
+    rejected = forced = newton = 0
     for it in range(1, max_iter + 1):
-        v_try, S_try = constrain(op.solve(1.0 + tau * (omega - _log_abs2(v)), tau / dx, v))
-        if S_try > S + 1e-12 * abs(S):
+        v_try, S_try = _project(op, op.solve(1.0 + tau * (omega - _log_abs2(v)), tau / dx, v),
+                                omega)
+        if S_try > S + ACTION_RISE_RTOL * abs(S):
             if rejects < MAX_REJECTS:
                 tau = max(0.4 * tau, 1e-3)
                 rejects += 1
@@ -686,14 +830,20 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
         v, S = v_try, S_try
         tau = min(1.3 * tau, TAU_MAX)
         stall = stall + 1 if rel < ACTION_RTOL else 0
+        near = near + 1 if rel < HANDOVER_RTOL else 0
+        if near >= 2 and not newton:
+            newton, done = finish(v, S)
+            if done:
+                return result(it, *done, 1)
         if stall >= 2:
             field = Field(grid, v)
             res = stationary_residual(field, gamma, omega)
             if res.interior < RESIDUAL_TOL:
-                return result(it, field, res)
+                return result(it, field, res, morse_index(field, gamma, omega))
             stall = 0
     field = Field(grid, v)
-    last = result(it, field, stationary_residual(field, gamma, omega))
+    last = result(it, field, stationary_residual(field, gamma, omega),
+                  morse_index(field, gamma, omega))
     raise ConvergenceError(
-        f"no convergence after {it} iterations at gamma={gamma}, omega={omega} "
+        f"no convergence after {last.iterations} iterations at gamma={gamma}, omega={omega} "
         f"(action {last.action:.12g}, interior residual {last.residual.interior:.3g})", last)

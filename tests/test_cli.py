@@ -145,9 +145,11 @@ class TestMinimize:
         assert abs(rel) < 0.01
         # the closed form is stationary.d_gamma; the step counts are the result's
         r = minimize_dgamma(1.0, 0.0, grid=Grid(20.0, 1024))
+        assert r.newton > 0 and r.index == 1
         closed = cli.fmt(d_gamma(1.0, 0.0))
         assert f"closed form minimum over branches:   {closed}\n" in msg
         assert (f"\niterations={r.iterations} rejected={r.rejected} forced={r.forced} "
+                f"newton={r.newton} index=1 "
                 f"interior_residual={cli.fmt(r.residual.interior)}\n") in msg
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "x,re_u,im_u"
@@ -168,7 +170,7 @@ class TestMinimize:
         r = info.value.result
         assert (f"  last action {cli.fmt(r.action)}, interior residual "
                 f"{cli.fmt(r.residual.interior)} after 2 iterations "
-                f"(rejected={r.rejected} forced={r.forced})\n") in err
+                f"(rejected={r.rejected} forced={r.forced} newton=0 index={r.index})\n") in err
 
 
 class TestEvolve:

@@ -1,5 +1,6 @@
 """Grid, traces, functionals, projection, distances and the minimizer."""
 
+import hashlib
 import inspect
 import math
 import warnings
@@ -28,6 +29,7 @@ from lognls.fields import (
     form_operator,
     mass,
     minimize_dgamma,
+    morse_index,
     nehari_project,
     orbital_distance,
     quadratic_form,
@@ -35,6 +37,7 @@ from lognls.fields import (
     report,
     sample_profile,
     sigma_norm,
+    stationary_newton,
     stationary_residual,
 )
 from lognls.stationary import (
@@ -396,13 +399,6 @@ class TestMinimize:
         assert r.action == rep.action
         assert r.value == 0.5 * rep.mass
 
-    def test_even_seed_with_odd_constraint_rejected(self):
-        # the odd part of an even seed is zero, which cannot be projected
-        g = Grid(20.0, 256)
-        seed = Field(g, np.exp(-g.nodes() ** 2) + 0j)
-        with pytest.raises(ValueError, match="zero field"):
-            minimize_dgamma(1.0, 0.0, seed=seed, grid=g, odd_constraint=True)
-
     def test_complex_seed_rejected(self):
         # the minimizer works on real profiles; a complex seed's imaginary
         # part is refused, not dropped
@@ -422,12 +418,6 @@ class TestMinimize:
             with pytest.raises(ValueError, match="max_iter"):
                 minimize_dgamma(1.0, 0.0, grid=Grid(20.0, 256), max_iter=bad)
 
-    def test_odd_constraint_reaches_saddle(self):
-        g = Grid(20.0, 1024)
-        r = minimize_dgamma(3.0, 0.0, grid=g, odd_constraint=True)
-        closed = action_closed_form(ground_states(3.0, 0.0)[0])
-        assert abs(r.value - closed) / closed < 0.01
-
     def test_nonconvergence_carries_diagnostics(self):
         with pytest.raises(ConvergenceError) as info:
             minimize_dgamma(3.0, 0.0, seed=Seed.LEFT, grid=Grid(20.0, 1024), max_iter=2)
@@ -437,7 +427,8 @@ class TestMinimize:
         assert vars(err) == {"result": err.result}
         r = err.result
         assert isinstance(r, MinimizeResult)
-        assert (r.iterations, r.rejected, r.forced) == (2, 0, 0)
+        assert (r.iterations, r.rejected, r.forced, r.newton) == (2, 0, 0, 0)
+        assert r.index == morse_index(r.field, 3.0, 0.0)
         rep = report(r.field, 3.0, 0.0)
         assert (r.action, r.value) == (rep.action, 0.5 * rep.mass)
         assert r.residual == stationary_residual(r.field, 3.0, 0.0)
@@ -458,27 +449,60 @@ class TestMinimize:
             with pytest.raises(ValueError, match="omega must be finite"):
                 minimize_dgamma(1.0, bad, seed=free_gaussian(g), grid=g)
 
-    @pytest.mark.parametrize("gamma, seed, iterations", [(1.0, Seed.SYMMETRIC, 4),
-                                                         (3.0, Seed.LEFT, 26),
-                                                         (3.0, Seed.RIGHT, 26),
-                                                         (2.01, Seed.LEFT, 624),
-                                                         (2.1, Seed.LEFT, 102)])
-    def test_descent_path_pinned(self, gamma, seed, iterations):
+    @pytest.mark.parametrize("gamma, seed, descent", [(1.0, Seed.SYMMETRIC, 4),
+                                                      (3.0, Seed.LEFT, 26),
+                                                      (3.0, Seed.RIGHT, 26),
+                                                      (2.01, Seed.LEFT, 624),
+                                                      (2.1, Seed.LEFT, 102)])
+    def test_descent_path_pinned(self, gamma, seed, descent, monkeypatch):
         # the benchmark's minimizations at their grid: a speed-up that bends
-        # the descent path changes these iteration counts
-        r = minimize_dgamma(gamma, 0.0, seed=seed, grid=Grid(20.0, 4096))
-        assert r.iterations == iterations
+        # the descent path changes these iteration counts.  Each ends on the
+        # Newton state of a ground state; with that state refused, the
+        # descent runs on to its own end after `descent` steps
+        finish = {1.0: (5, 2), 3.0: (21, 3), 2.01: (243, 5), 2.1: (62, 4)}
+        grid = Grid(20.0, 4096)
+        r = minimize_dgamma(gamma, 0.0, seed=seed, grid=grid)
+        assert (r.iterations, r.newton, r.index) == (*finish[gamma], 1)
+        assert r.residual.interior <= 1e-10
         assert r.action == report(r.field, gamma, 0.0).action
+        monkeypatch.setattr(fields, "morse_index", lambda u, gamma, omega: 2)
+        r = minimize_dgamma(gamma, 0.0, seed=seed, grid=grid)
+        assert r.iterations - r.newton == descent
 
     def test_step_counts_pinned(self):
         # the benchmark's 2.1-left minimization takes no step back, so every
-        # one of its iterations is an accepted descent step
+        # one of its iterations is an accepted descent step or a Newton step
         r = minimize_dgamma(2.1, 0.0, seed=Seed.LEFT, grid=Grid(20.0, 4096))
-        assert (r.iterations, r.rejected, r.forced) == (102, 0, 0)
+        assert (r.iterations, r.rejected, r.forced) == (62, 0, 0)
         # a narrow Gaussian seed overshoots twice on its way down
         g = Grid(20.0, 1024)
         r = minimize_dgamma(1.0, 0.0, seed=Field(g, np.exp(-(g.nodes() / 0.1) ** 2)), grid=g)
-        assert (r.iterations, r.rejected, r.forced) == (386, 2, 0)
+        assert (r.iterations, r.rejected, r.forced) == (387, 2, 0)
+
+    def test_rejected_newton_state_leaves_descent_path(self, monkeypatch):
+        # a Newton state that fails a check is dropped: the descent carries
+        # on from its own iterate, tau and counters, and returns the bits of
+        # the descent without a Newton finish (102 steps)
+        monkeypatch.setattr(fields, "morse_index", lambda u, gamma, omega: 2)
+        r = minimize_dgamma(2.1, 0.0, seed=Seed.LEFT, grid=Grid(20.0, 1024))
+        assert (r.iterations - r.newton, r.rejected, r.forced, r.index) == (102, 0, 0, 2)
+        assert r.newton > 0
+        assert r.value == 0.4260450048185108
+        assert hashlib.sha256(r.field.values.tobytes()).hexdigest()[:16] == "1099ca245187f12c"
+
+    def test_newton_finish_next_to_pitchfork(self):
+        # the descent alone creeps here: it stopped at max_iter = 4000 with an
+        # interior residual of 1.5e-6; Newton ends it on the ground state
+        r = minimize_dgamma(2.0005, 0.0, seed=Seed.LEFT, grid=Grid(20.0, 4096))
+        assert (r.iterations, r.newton, r.index) == (480, 9, 1)
+        assert r.residual.interior <= 1e-10
+
+    def test_newton_finish_on_fine_grid(self):
+        # the residual's rounding floor grows like 1/dx^2; the step-based stop
+        # still ends the finish at n = 8192
+        r = minimize_dgamma(3.0, 0.0, seed=Seed.LEFT, grid=Grid(20.0, 8192))
+        assert r.newton > 0 and r.index == 1
+        assert r.residual.interior <= 1e-10
 
     def test_forced_steps_counted(self, monkeypatch):
         # every projection reads a larger action, so every step is uphill:
@@ -512,6 +536,46 @@ class TestMinimize:
         closed = action_closed_form(params)
         assert abs(r.value - closed) / closed < 0.01
         assert r.residual.interior < 1e-6
+
+
+def symmetric_profile(gamma, n):
+    """The closed-form symmetric branch sampled on Grid(20, n)."""
+    return sample_profile(branch_params(gamma, 0.0, Branch.SYMMETRIC), Grid(20.0, n))
+
+
+class TestNewton:
+    @pytest.mark.parametrize("gamma", [2.01, 3.0])
+    def test_symmetric_saddle(self, gamma):
+        # Newton keeps the symmetric branch above the pitchfork, where it is a
+        # saddle of index 2 whose half-mass is the branch's action
+        r = stationary_newton(symmetric_profile(gamma, 1024), gamma, 0.0)
+        closed = action_closed_form(branch_params(gamma, 0.0, Branch.SYMMETRIC))
+        assert r.index == 2
+        assert abs(r.value - closed) / closed < 0.01
+        assert r.iterations == r.newton > 0 and r.rejected == r.forced == 0
+        assert r.residual == stationary_residual(r.field, gamma, 0.0)
+        assert r.residual.interior <= 1e-10
+
+    @pytest.mark.parametrize("gamma, index", [(1.9999, 1), (2.0, 2)])
+    def test_discrete_pitchfork_below_two(self, gamma, index):
+        # at n = 2048 the symmetric state turns into a saddle between
+        # gamma = 2 - 1e-4 and 2 (at 2 - 2.2e-5)
+        assert stationary_newton(symmetric_profile(gamma, 2048), gamma, 0.0).index == index
+
+    def test_stall_carries_last_iterate(self, monkeypatch):
+        monkeypatch.setattr(fields, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="Newton stalled after 1 steps") as info:
+            stationary_newton(symmetric_profile(3.0, 1024), 3.0, 0.0)
+        r = info.value.result
+        assert (r.iterations, r.newton) == (1, 1)
+        assert (r.action, r.value) == (report(r.field, 3.0, 0.0).action, 0.5 * mass(r.field))
+
+    def test_complex_profile_rejected(self):
+        u = symmetric_profile(3.0, 256)
+        u = u.with_values(np.exp(0.3j) * u.values)
+        for fn in (stationary_newton, morse_index):
+            with pytest.raises(ValueError, match="must be real"):
+                fn(u, 3.0, 0.0)
 
 
 def edge_sum_form(u, gamma):
@@ -563,6 +627,20 @@ class TestOperatorReference:
             want = np.linalg.solve(eye + 0.5j * dt * H, (eye - 0.5j * dt * H) @ u.values)
             got = linear_step(u, self.gamma, dt).values
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_morse_index(self):
+        # the negative eigenvalues of the dense Jacobian of the gradient,
+        # M + dx (omega - 2 - log u^2), with and without the jump term
+        dx, omega = self.grid.dx, 0.4
+        M, T = reference_matrix(self.grid, self.gamma), reference_matrix(self.grid, math.inf)
+        jump_counts = 0
+        for seed in range(12):
+            v = np.random.default_rng(seed).standard_normal(self.grid.n)
+            V = np.diag(dx * (omega - 2.0 - np.log(v**2)))
+            want = int(np.sum(np.linalg.eigvalsh(M + V) < 0.0))
+            jump_counts += want != np.sum(np.linalg.eigvalsh(T + V) < 0.0)
+            assert morse_index(Field(self.grid, v), self.gamma, omega) == want
+        assert jump_counts > 0
 
     def test_action_gradient(self):
         H = reference_matrix(self.grid, self.gamma) / self.grid.dx
