@@ -298,6 +298,9 @@ def cmd_minimize(opt) -> int:
     )
     if not (bound <= result.value < half_line):
         print("warning: computed value escapes the analytic bracket", file=sys.stderr)
+    if result.index != 1:
+        print(f"warning: the computed state has Morse index {result.index}, not 1, so it is "
+              "not the discrete least action", file=sys.stderr)
     if opt["out"]:
         write_atomic(opt["out"], field_csv(result.field))
     return 0

@@ -24,7 +24,11 @@ step's system once, in one LAPACK gtsv sweep over the iterate and the
 jump stencil (FormOperator.solve); the propagator factors its system
 once with gttrf and solves it many times with gttrs (ShiftedSolver).
 Both run in the dtype of their inputs: real for the minimizer, which
-descends on real profiles, and complex for the propagator.
+descends on real profiles, and complex for the propagator.  The LAPACK
+routines come from scipy.linalg, which is imported at the first
+tridiagonal solve (minimizer, Newton step, Morse index, propagator), not
+with this module: ``import lognls`` loads numpy but not scipy, and the
+``ground`` and ``bifurcate`` commands never import it.
 
 The minimizer ends with Newton's method on action_gradient = 0, whose
 Jacobian M + dx (omega - 2 - log u^2) is the same structure with another
@@ -48,7 +52,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import corefn, stationary
 from .stationary import Branch, GroundStateParams, branch_params
@@ -206,6 +209,15 @@ class StationaryResidual:
 # ----------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _lapack():
+    """scipy.linalg.lapack, imported at the first tridiagonal solve: it
+    costs about 0.3 s, which commands that solve nothing never pay."""
+    from scipy.linalg import lapack
+
+    return lapack
+
+
 class FormOperator:
     """The quadratic form at fixed (grid, gamma) as a structured operator.
 
@@ -267,7 +279,7 @@ class FormOperator:
         """
         diag = shift + scale * self.diag
         off = scale * self.off
-        (gtsv,) = lapack.get_lapack_funcs(("gtsv",), (diag, off, r))
+        (gtsv,) = _lapack().get_lapack_funcs(("gtsv",), (diag, off, r))
         b = np.empty((self.grid.n, 2), dtype=gtsv.dtype, order="F")
         b[:, 0] = r
         b[:, 1] = self.jump_stencil
@@ -310,7 +322,7 @@ class ShiftedSolver:
     def __init__(self, op: FormOperator, shift, scale: complex):
         diag = shift + scale * op.diag
         off = scale * op.off
-        gttrf, self.gttrs = lapack.get_lapack_funcs(("gttrf", "gttrs"), (diag, off))
+        gttrf, self.gttrs = _lapack().get_lapack_funcs(("gttrf", "gttrs"), (diag, off))
         *self.factors, self.ipiv, info = gttrf(off, diag, off)
         if info != 0:
             raise np.linalg.LinAlgError(f"tridiagonal factorization failed (info={info})")
@@ -673,10 +685,10 @@ def morse_index(u: Field, gamma: float, omega: float) -> int:
     diag = op.diag + u.grid.dx * (omega - 2.0 - _log_abs2(v))
     # Gershgorin: every eigenvalue of T' lies above lo
     lo = float(np.min(diag)) - 2.0 * float(np.max(np.abs(op.off))) - 1.0
-    count, *_, info = lapack.dstebz(diag, op.off, 1, lo, 0.0, 1, 1, -lo, b"E")
+    count, *_, info = _lapack().dstebz(diag, op.off, 1, lo, 0.0, 1, 1, -lo, b"E")
     if info != 0:
         raise np.linalg.LinAlgError(f"Sturm count failed (info={info})")
-    (gtsv,) = lapack.get_lapack_funcs(("gtsv",), (diag, op.off))
+    (gtsv,) = _lapack().get_lapack_funcs(("gtsv",), (diag, op.off))
     *_, z, info = gtsv(op.off, diag, op.off, op.jump_stencil.copy(), overwrite_d=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"tridiagonal solve failed (info={info})")

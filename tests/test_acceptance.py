@@ -53,9 +53,15 @@ def gate(num, desc, ok, detail=""):
     assert ok, f"criterion {num}: {desc} {detail}"
 
 
+def of(value, bound):
+    """A gated value as a fraction of its bound, for the gate line."""
+    return f"{value / bound:.3g} of {bound:g}"
+
+
 def test_criterion_1_pair_system_structure():
     ok = True
     detail = ""
+    worst_all = 0.0
     for g in SINGLE_GAMMAS + TRIPLE_GAMMAS:
         sols = solve_3s(g)
         want = 1 if g <= 2.0 else 3
@@ -63,9 +69,11 @@ def test_criterion_1_pair_system_structure():
             ok, detail = False, f"gamma={g} returned {len(sols)} solutions"
             break
         worst = max(max(pair_residuals(t1, t2, g)) for t1, t2 in sols)
+        worst_all = max(worst_all, worst)
         if worst > 1e-10:
-            ok, detail = False, f"gamma={g} residual {worst:.2e}"
+            ok, detail = False, f"gamma={g} residual {worst:.2e}, {of(worst, 1e-10)}"
             break
+    detail = detail or f"worst residual {worst_all:.2e}, {of(worst_all, 1e-10)}"
     gate(1, "pair-system solution counts and residuals <= 1e-10", ok, detail)
 
 
@@ -75,7 +83,7 @@ def test_criterion_2_symmetric_branch_exact():
         t1, t2 = solve_3s(g)[0]
         worst = max(worst, abs(t1 - 2.0 / g), abs(t2 - 2.0 / g))
     gate(2, "symmetric branch t1 = t2 = 2/gamma to 1e-12", worst <= 1e-12,
-         f"worst deviation {worst:.2e}")
+         f"worst deviation {worst:.2e}, {of(worst, 1e-12)}")
 
 
 def test_criterion_3_straddle():
@@ -94,8 +102,8 @@ def test_criterion_4_action_ordering():
         asym = math.exp(w + 1.0) * n_gamma(t1, g)
         sym = math.exp(w + 1.0) * n_gamma(2.0 / g, g)
         worst_margin = min(worst_margin, (sym - asym) / sym)
-    gate(4, "asymmetric action strictly below symmetric action",
-         worst_margin > 1e-6, f"smallest relative margin {worst_margin:.3e}")
+    gate(4, "asymmetric action strictly below symmetric action", worst_margin > 1e-6,
+         f"smallest relative margin {worst_margin:.3e}, {of(worst_margin, 1e-6)}")
 
 
 def test_criterion_5_bounds_chain():
@@ -135,7 +143,7 @@ def test_criterion_7_linear_spectrum():
     ray = quadratic_form(psi, gamma) / mass(psi)
     err = abs(ray - (-4.0 / gamma**2))
     gate(7, "bound-state Rayleigh quotient within 1e-4 of -4/gamma^2",
-         err <= 1e-4, f"error {err:.2e}")
+         err <= 1e-4, f"error {err:.2e}, {of(err, 1e-4)}")
 
 
 def test_criterion_8_variational_recovery():
@@ -150,7 +158,8 @@ def test_criterion_8_variational_recovery():
     mirror = abs(left.value - right.value) / left.value
     ok = e1 < 0.01 and e3 < 0.01 and mirror <= 1e-8
     gate(8, "minimizer matches closed forms (1%) and mirror seeds agree (1e-8)",
-         ok, f"rel errors {e1:.2e}, {e3:.2e}; mirror {mirror:.2e}")
+         ok, f"rel errors {e1:.2e}, {e3:.2e} ({of(e1, 0.01)}, {of(e3, 0.01)}); "
+             f"mirror {mirror:.2e} ({of(mirror, 1e-8)})")
 
 
 def test_criterion_9_conservation():
@@ -175,7 +184,8 @@ def test_criterion_9_conservation():
     ratio = de / de_half
     ok = dm <= 1e-10 and de / escale <= 1e-6 and 3.0 <= ratio <= 5.0
     gate(9, "mass drift <= 1e-10, energy drift <= 1e-6, halving gains ~4x",
-         ok, f"mass {dm:.2e}, energy {de / escale:.2e}, ratio {ratio:.2f}")
+         ok, f"mass {dm:.2e} ({of(dm, 1e-10)}), energy {de / escale:.2e} "
+             f"({of(de / escale, 1e-6)}), ratio {ratio:.2f} ({of(ratio, 3.0)}, {of(ratio, 5.0)})")
 
 
 def test_criterion_10_orbital_stability():

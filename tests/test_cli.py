@@ -155,6 +155,20 @@ class TestMinimize:
         assert lines[0] == "x,re_u,im_u"
         assert len(lines) == 1 + 1024
 
+    @pytest.mark.parametrize("argv, warning", [
+        # the defaults: the symmetric state at gamma = 2 is a weak saddle on
+        # the grid, as the discrete pitchfork lies below 2
+        ([], "warning: the computed state has Morse index 2, not 1, so it is not the "
+             "discrete least action\n"),
+        (["--gamma", "3", "--seed", "left"], ""),
+    ], ids=["defaults", "gamma3-left"])
+    def test_saddle_warning(self, argv, warning, capsys):
+        assert run(["minimize", *argv, "--grid-n", "1024"]) == 0
+        out, err = capsys.readouterr()
+        index = 2 if warning else 1
+        assert f" index={index} " in out
+        assert err == warning
+
     def test_nonpositive_max_iter_usage_error(self, capsys):
         assert run(["minimize", "--grid-n", "256", "--max-iter", "-1"]) == 1
         assert "error: max_iter must be a positive integer" in capsys.readouterr().err

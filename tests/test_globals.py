@@ -134,11 +134,52 @@ def test_no_thread_pool_import(name):
     assert not {m for m in imported if m.split(".")[0] in ("concurrent", "threading")}
 
 
-def test_import_leaves_out_scipy_sparse():
-    # the form operator is tridiagonal plus rank one; no sparse matrices
+def _fresh(code: str) -> str:
+    """stdout of code run in a fresh interpreter that imports lognls from
+    this checkout."""
     src = os.path.dirname(os.path.dirname(lognls.__file__))
-    probe = (f"import sys; sys.path.insert(0, {src!r}); import lognls, lognls.cli; "
-             "print('scipy.sparse' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+    head = f"import sys; sys.path.insert(0, {src!r})\n"
+    out = subprocess.run([sys.executable, "-c", head + code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout
+
+
+def test_classification_leaves_out_scipy():
+    # scipy.linalg costs about 0.3 s to import and is needed only to solve
+    # a tridiagonal system; classifying the ground states solves none
+    probe = ("import contextlib, io, lognls, lognls.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    codes = [lognls.cli.main(['ground', '--gamma', '3']), "
+             "lognls.cli.main(['bifurcate'])]\n"
+             "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh(probe).strip() == "[0, 0] []"
+
+
+_SOLVE_SETUP = """\
+import hashlib
+import numpy as np
+from lognls import dynamics, fields, stationary
+grid = fields.Grid(20.0, 256)
+u = fields.sample_profile(
+    stationary.branch_params(3.0, 0.0, stationary.Branch.ASYMMETRIC_LEFT), grid)
+"""
+
+# one expression per LAPACK entry point: gtsv, gttrf/gttrs, dstebz and gtsv
+_FIRST_SOLVES = {
+    "FormOperator.solve": "fields.form_operator(grid, 3.0).solve(0.5, 1.0, u.values.real)",
+    "ShiftedSolver": "dynamics.linear_step(u, 3.0, 1e-3).values",
+    "morse_index": "np.array(fields.morse_index(u, 3.0, 0.0))",
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_FIRST_SOLVES))
+def test_first_solve_imports_lapack(entry):
+    # each entry point imports scipy.linalg itself when it is the process's
+    # first solve, and gives the bits it gives in a process that has it
+    digest = "hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()"
+    probe = (_SOLVE_SETUP + "before = 'scipy' in sys.modules\n"
+             f"value = {_FIRST_SOLVES[entry]}\n"
+             f"print(before, 'scipy.linalg' in sys.modules, {digest})")
+    namespace = {}
+    exec(_SOLVE_SETUP + f"value = {_FIRST_SOLVES[entry]}\nout = {digest}", namespace)
+    assert _fresh(probe).split() == ["False", "True", namespace["out"]]
