@@ -83,11 +83,6 @@ def _A_arr(s):
     return np.where(s <= _E3, lo, hi)
 
 
-def _B_arr(s):
-    """B = F + A; identically zero on [0, e^-3] (array version)."""
-    return entropy_density(s) + _A_arr(s)
-
-
 def _rate_A(s):
     """A(s)/s^2 without forming s^2 (array version): -2 log s up to e^-3,
     with s floored at the smallest positive double inside the log, and

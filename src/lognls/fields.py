@@ -54,7 +54,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import corefn, stationary
-from .stationary import Branch, GroundStateParams, branch_params
+from .stationary import Branch, GroundStateParams, _check_gamma, _check_omega, branch_params
 
 __all__ = [
     "Grid",
@@ -230,8 +230,9 @@ class FormOperator:
     """
 
     def __init__(self, grid: Grid, gamma: float):
-        if gamma == 0.0:
-            raise ValueError("the quadratic form requires gamma != 0")
+        # +-inf is the decoupled limit, two Neumann half-lines
+        if gamma == 0.0 or math.isnan(gamma):
+            raise ValueError(f"the quadratic form requires gamma != 0 and not NaN, got {gamma}")
         n, m, dx = grid.n, grid.mid, grid.dx
         if abs(gamma) <= 2.0 * dx:
             raise ValueError(
@@ -342,12 +343,8 @@ class ShiftedSolver:
 
 
 @lru_cache(maxsize=64)
-def _operator(grid: Grid, gamma: float) -> FormOperator:
-    return FormOperator(grid, gamma)
-
-
 def form_operator(grid: Grid, gamma: float) -> FormOperator:
-    return _operator(grid, float(gamma))
+    return FormOperator(grid, gamma)
 
 
 # ----------------------------------------------------------------------
@@ -413,6 +410,7 @@ def _report(op: FormOperator, values: np.ndarray, omega: float) -> FunctionalRep
 def report(u: Field, gamma: float, omega: float) -> FunctionalReport:
     """All six functionals; action = nehari/2 + mass/2 and
     energy = form/2 - entropy/2 hold exactly by construction."""
+    _check_omega(omega)
     return _report(form_operator(u.grid, gamma), u.values, omega)
 
 
@@ -420,6 +418,7 @@ def action_gradient(u: Field, gamma: float, omega: float) -> np.ndarray:
     """Gradient of the action with respect to the samples, under the real
     inner product Re sum a conj(b); matches finite differences of
     report().action."""
+    _check_omega(omega)
     v = u.values
     return _gradient(form_operator(u.grid, gamma), v, omega, _log_abs2(v))
 
@@ -463,6 +462,7 @@ def nehari_project(u: Field, gamma: float, omega: float) -> Field:
     The logarithmic nonlinearity makes this exact: under u -> lambda u
     the entropy picks up exactly log(lambda^2) * mass.
     """
+    _check_omega(omega)
     return u.with_values(_project(form_operator(u.grid, gamma), u.values, omega)[0])
 
 
@@ -643,27 +643,11 @@ class ConvergenceError(RuntimeError):
         self.result = result
 
 
-def _check_parameters(gamma: float, omega: float) -> None:
-    if not (0 < gamma < math.inf):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    if not math.isfinite(omega):
-        raise ValueError(f"omega must be finite, got {omega}")
-
-
 def _real_values(u: Field, what: str) -> np.ndarray:
     if np.any(u.values.imag):
         raise ValueError(f"{what} must be real: the minimizer and Newton's method work on "
                          "real profiles")
     return u.values.real.copy()
-
-
-def _result(op: FormOperator, field: Field, omega: float, residual: StationaryResidual,
-            index: int, **counts) -> MinimizeResult:
-    # on the complex samples of the field, so that its action and value
-    # are report(field)'s to the bit
-    final = _report(op, field.values, omega)
-    return MinimizeResult(field=field, value=0.5 * final.mass, residual=residual,
-                          action=final.action, index=index, **counts)
 
 
 def morse_index(u: Field, gamma: float, omega: float) -> int:
@@ -679,7 +663,8 @@ def morse_index(u: Field, gamma: float, omega: float) -> int:
     located only to a coarse tolerance.  The index is 1 at a ground state
     and 2 at the symmetric state above the discrete pitchfork.
     """
-    _check_parameters(gamma, omega)
+    _check_gamma(gamma)
+    _check_omega(omega)
     op = form_operator(u.grid, gamma)
     v = _real_values(u, "the profile")
     diag = op.diag + u.grid.dx * (omega - 2.0 - _log_abs2(v))
@@ -719,6 +704,18 @@ def _newton(op: FormOperator, v: np.ndarray, omega: float):
     return v, k, False
 
 
+def _certify(op: FormOperator, gamma: float, omega: float, v: np.ndarray,
+             **counts) -> MinimizeResult:
+    """The MinimizeResult of the real samples v, with their stationary
+    residual and Morse index; value and action come from the complex
+    samples of its field, so they are report(field)'s to the bit."""
+    field = Field(op.grid, v)
+    final = _report(op, field.values, omega)
+    return MinimizeResult(field=field, value=0.5 * final.mass, action=final.action,
+                          residual=stationary_residual(field, gamma, omega),
+                          index=morse_index(field, gamma, omega), **counts)
+
+
 def stationary_newton(u: Field, gamma: float, omega: float) -> MinimizeResult:
     """The discrete stationary state near the real profile u, by Newton's
     method on action_gradient = 0.
@@ -729,13 +726,11 @@ def stationary_newton(u: Field, gamma: float, omega: float) -> MinimizeResult:
     value is half the mass of the state.  A stall raises ConvergenceError
     with the MinimizeResult of the last iterate.
     """
-    _check_parameters(gamma, omega)
+    _check_gamma(gamma)
+    _check_omega(omega)
     op = form_operator(u.grid, gamma)
     v, steps, converged = _newton(op, _real_values(u, "the start"), omega)
-    field = Field(u.grid, v)
-    result = _result(op, field, omega, stationary_residual(field, gamma, omega),
-                     morse_index(field, gamma, omega),
-                     iterations=steps, rejected=0, forced=0, newton=steps)
+    result = _certify(op, gamma, omega, v, iterations=steps, rejected=0, forced=0, newton=steps)
     if not converged:
         raise ConvergenceError(
             f"Newton stalled after {steps} steps at gamma={gamma}, omega={omega} "
@@ -799,29 +794,12 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
     value.  After max_iter descent steps without convergence it raises
     ConvergenceError with the MinimizeResult of the last iterate.
     """
-    _check_parameters(gamma, omega)
+    _check_gamma(gamma)
+    _check_omega(omega)
     if max_iter < 1:
         raise ValueError(f"max_iter must be a positive integer, got {max_iter}")
     op = form_operator(grid, gamma)
     dx = grid.dx
-
-    def result(it: int, field: Field, res: StationaryResidual, index: int) -> MinimizeResult:
-        return _result(op, field, omega, res, index, iterations=it + newton,
-                       rejected=rejected, forced=forced, newton=newton)
-
-    def finish(v, S):
-        # Newton from the descent iterate: the steps tried, and the projected
-        # Newton state with its residual if it passes the three checks
-        v, steps, converged = _newton(op, v, omega)
-        if converged:
-            v, S_newton = _project(op, v, omega)
-            field = Field(grid, v)
-            res = stationary_residual(field, gamma, omega)
-            if (S_newton <= S + ACTION_RISE_RTOL * abs(S) and res.interior < RESIDUAL_TOL
-                    and morse_index(field, gamma, omega) == 1):
-                return steps, (field, res)
-        return steps, None
-
     v, S = _project(op, _seed_values(seed, gamma, omega, grid), omega)
     tau = TAU0
     stall = near = 0
@@ -844,18 +822,24 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
         stall = stall + 1 if rel < ACTION_RTOL else 0
         near = near + 1 if rel < HANDOVER_RTOL else 0
         if near >= 2 and not newton:
-            newton, done = finish(v, S)
-            if done:
-                return result(it, *done, 1)
+            # Newton from the descent iterate, once per run; its projected
+            # state is kept if it passes the three checks, action first
+            w, newton, converged = _newton(op, v, omega)
+            if converged:
+                w, S_newton = _project(op, w, omega)
+                if S_newton <= S + ACTION_RISE_RTOL * abs(S):
+                    done = _certify(op, gamma, omega, w, iterations=it + newton,
+                                    rejected=rejected, forced=forced, newton=newton)
+                    if done.residual.interior < RESIDUAL_TOL and done.index == 1:
+                        return done
         if stall >= 2:
-            field = Field(grid, v)
-            res = stationary_residual(field, gamma, omega)
-            if res.interior < RESIDUAL_TOL:
-                return result(it, field, res, morse_index(field, gamma, omega))
+            done = _certify(op, gamma, omega, v, iterations=it + newton, rejected=rejected,
+                            forced=forced, newton=newton)
+            if done.residual.interior < RESIDUAL_TOL:
+                return done
             stall = 0
-    field = Field(grid, v)
-    last = result(it, field, stationary_residual(field, gamma, omega),
-                  morse_index(field, gamma, omega))
+    last = _certify(op, gamma, omega, v, iterations=it + newton, rejected=rejected,
+                    forced=forced, newton=newton)
     raise ConvergenceError(
         f"no convergence after {last.iterations} iterations at gamma={gamma}, omega={omega} "
         f"(action {last.action:.12g}, interior residual {last.residual.interior:.3g})", last)

@@ -63,6 +63,16 @@ __all__ = [
 PAIR_RESIDUAL_TOL = 1e-10
 
 
+def _check_gamma(gamma: float) -> None:
+    if not (0 < gamma < math.inf):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+
+
+def _check_omega(omega: float) -> None:
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega}")
+
+
 class Branch(enum.Enum):
     """Stationary branch labels.
 
@@ -88,10 +98,8 @@ class GroundStateParams:
     branch: Branch
 
     def __post_init__(self):
-        if not (0 < self.gamma < math.inf):
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if not math.isfinite(self.omega):
-            raise ValueError(f"omega must be finite, got {self.omega}")
+        _check_gamma(self.gamma)
+        _check_omega(self.omega)
         if self.t1 <= 0 or self.t2 <= 0:
             raise ValueError("t1, t2 must be positive")
         r1, r2 = pair_residuals(self.t1, self.t2, self.gamma)
@@ -179,8 +187,7 @@ def solve_3s(gamma: float) -> list[tuple[float, float]]:
     Raises RuntimeError where no pair within PAIR_RESIDUAL_TOL is found.
     """
     gamma = float(gamma)
-    if not (0 < gamma < math.inf):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    _check_gamma(gamma)
     tstar = 2.0 / gamma
     pairs = [(tstar, tstar)]
     if gamma > 2.0:
@@ -270,19 +277,21 @@ def d_gamma(gamma: float, omega: float) -> float:
 def dgamma_lower_bound(gamma: float, omega: float) -> float:
     """Lower bound (1/4) sqrt(pi/2) e^{omega+1} e^{-8/gamma^2} for the
     least action, valid for every gamma > 0."""
-    if not (0 < gamma < math.inf):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    _check_gamma(gamma)
+    _check_omega(omega)
     return 0.25 * math.sqrt(math.pi / 2.0) * math.exp(omega + 1.0) * math.exp(-8.0 / (gamma * gamma))
 
 
 def d_zero(omega: float) -> float:
     """Least action e^{omega+1} sqrt(pi)/4 over half-line-supported states;
     a strict upper bound for the interacting problem at every gamma."""
+    _check_omega(omega)
     return math.exp(omega + 1.0) * SQRT_PI / 4.0
 
 
 def d_free_line(omega: float) -> float:
     """Least action e^{omega+1} sqrt(pi)/2 of the free-line Gaussian."""
+    _check_omega(omega)
     return math.exp(omega + 1.0) * SQRT_PI / 2.0
 
 

@@ -22,9 +22,14 @@ E3 = math.exp(-3.0)
 SQRT_PI = math.sqrt(math.pi)
 
 
-F, A, B = corefn.entropy_density, corefn._A_arr, corefn._B_arr
+F, A = corefn.entropy_density, corefn._A_arr
 # a(z) = z rate_A(|z|), b(z) = z rate_B(|z|), g_m(z) = z gm_phase_rate(|z|, m)
 rate_A, rate_B = corefn._rate_A, corefn._rate_B
+
+
+def B(s):
+    """B = F + A; identically zero on [0, e^-3]."""
+    return F(s) + A(s)
 
 
 class TestF:

@@ -7,22 +7,28 @@ each submodule and checks each LOAD_GLOBAL against the module namespace
 and builtins, and each name a module exports in ``__all__`` against the
 module itself: a stale ``__all__`` entry fails only on ``import *``.
 The same holds for the benchmark's workloads, whose imports from lognls
-are checked by parsing their source.
+are checked by parsing their source.  Every public function that takes
+omega rejects a non-finite one, so a new entry point cannot skip the check.
 """
 
 import ast
 import builtins
 import dis
 import importlib.util
+import inspect
+import math
 import os
 import pkgutil
 import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
 
 import lognls
+from lognls import corefn, dynamics, fields, stationary
+from lognls.stationary import Branch
 
 MODULES = ["lognls"] + sorted(
     info.name for info in pkgutil.iter_modules(lognls.__path__, prefix="lognls.")
@@ -183,3 +189,52 @@ def test_first_solve_imports_lapack(entry):
     namespace = {}
     exec(_SOLVE_SETUP + f"value = {_FIRST_SOLVES[entry]}\nout = {digest}", namespace)
     assert _fresh(probe).split() == ["False", "True", namespace["out"]]
+
+
+_GRID = fields.Grid(20.0, 256)
+_U = fields.Field(_GRID, math.exp(0.5) * np.exp(-0.5 * _GRID.nodes() ** 2))
+
+# one call per public function with an omega parameter, omega left open
+_OMEGA_CALLS = {
+    "fields.report": lambda w: fields.report(_U, 1.0, w),
+    "fields.action_gradient": lambda w: fields.action_gradient(_U, 1.0, w),
+    "fields.nehari_project": lambda w: fields.nehari_project(_U, 1.0, w),
+    "fields.stationary_residual": lambda w: fields.stationary_residual(_U, 1.0, w),
+    "fields.morse_index": lambda w: fields.morse_index(_U, 1.0, w),
+    "fields.stationary_newton": lambda w: fields.stationary_newton(_U, 1.0, w),
+    "fields.minimize_dgamma": lambda w: fields.minimize_dgamma(1.0, w, grid=_GRID),
+    "stationary.d_gamma": lambda w: stationary.d_gamma(1.0, w),
+    "stationary.dgamma_lower_bound": lambda w: stationary.dgamma_lower_bound(1.0, w),
+    "stationary.d_zero": stationary.d_zero,
+    "stationary.d_free_line": stationary.d_free_line,
+    "stationary.ground_states": lambda w: stationary.ground_states(1.0, w),
+    "stationary.branch_params": lambda w: stationary.branch_params(1.0, w, Branch.SYMMETRIC),
+    "stationary.bifurcation_sweep": lambda w: stationary.bifurcation_sweep(1.0, 3.0, 3, w),
+    "dynamics.stability_experiment": lambda w: dynamics.stability_experiment(
+        1.0, w, Branch.SYMMETRIC, 1e-2, 1e-2, 1, 0, grid=_GRID),
+}
+
+
+def test_omega_table_covers_every_entry():
+    takes_omega = {
+        f"{mod.__name__.split('.')[-1]}.{name}"
+        for mod in (corefn, dynamics, fields, stationary) for name in mod.__all__
+        if inspect.isfunction(getattr(mod, name))
+        and "omega" in inspect.signature(getattr(mod, name)).parameters}
+    assert set(_OMEGA_CALLS) == takes_omega
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(_OMEGA_CALLS))
+def test_nonfinite_omega_rejected(entry, omega):
+    with pytest.raises(ValueError, match="omega must be finite"):
+        _OMEGA_CALLS[entry](omega)
+
+
+@pytest.mark.parametrize("call", [lambda: fields.quadratic_form(_U, math.nan),
+                                  lambda: fields.report(_U, math.nan, 0.0),
+                                  lambda: dynamics.linear_step(_U, math.nan, 1e-3)],
+                         ids=["quadratic_form", "report", "linear_step"])
+def test_nan_gamma_rejected_by_form(call):
+    with pytest.raises(ValueError, match="requires gamma != 0 and not NaN"):
+        call()
