@@ -128,10 +128,10 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def field_csv(field: Field) -> str:
-    # "%.17g" on Python floats gives the digits of fmt, one row per format
+    # "%.17g" on Python floats gives the digits of fmt, all rows in one format
     v = field.values
-    rows = zip(field.grid.nodes().tolist(), v.real.tolist(), v.imag.tolist())
-    return "x,re_u,im_u\n" + "".join("%.17g,%.17g,%.17g\n" % row for row in rows)
+    flat = np.column_stack((field.grid.nodes(), v.real, v.imag)).ravel().tolist()
+    return "x,re_u,im_u\n" + "%.17g,%.17g,%.17g\n" * v.size % tuple(flat)
 
 
 def load_config_file(path: str) -> dict[str, str]:

@@ -19,10 +19,11 @@ s = e^-3, quadratic above) and B = F + A.  From A and B come:
   g_m(z) = z gm_phase_rate(|z|, m), and its primitive G_m, eval_Gm; any
   finite level m >= 1 gives finite values,
 * the Luxemburg (gauge) norm of the Orlicz space generated by A, found by
-  bisection on the gauge k after one sort of the amplitudes: summed over
-  the samples, each branch of A(s/k) is a quadratic in 1/k (times log k
-  on the low branch) whose coefficients are prefix or suffix sums over
-  the sorted amplitudes, so every bisection step costs one binary search,
+  monotone Newton in x = max|u|/k after one sort of the amplitudes:
+  summed over the samples, each branch of A(x t) is a quadratic in x
+  (times log x on the low branch) whose coefficients are slice sums over
+  the sorted t = |u|/max|u|, so every Newton step costs one binary search
+  and four slice sums, and a handful of steps reach the root to rounding,
 * the Gaussian tail integral gamma_tail(t) = int_t^inf exp(-s^2) ds used
   by the closed-form ground-state masses, from libm's erfc.
 
@@ -53,11 +54,10 @@ SQRT_PI = math.sqrt(math.pi)
 A_SPLIT = math.exp(-3.0)
 _E3 = A_SPLIT
 _E6 = A_SPLIT * A_SPLIT
-_TINY = float(np.finfo(float).tiny)
 # smallest positive (subnormal) double
 _SUBNORMAL = math.ulp(0.0)
-# relative width at which the Luxemburg bisection stops
-_LUX_RTOL = 1e-10
+# modular evaluations after which Newton on the Luxemburg gauge gives up
+_GAUGE_MAX_EVALS = 100
 
 
 def _level(m) -> float:
@@ -188,74 +188,57 @@ def modular(values, dx: float, k: float = 1.0) -> float:
     return float(dx * np.sum(_A_arr(vals / k)))
 
 
-def _sorted_modular(vals: np.ndarray, dx: float, vmax: float):
-    """k -> modular(vals, dx, k), in O(log n) per k after one sort.
-
-    With t = |u|/vmax sorted and x = vmax/k, the samples with t x <= e^-3
-    are a prefix of t and the rest a suffix, and the two branches of A sum
-    to
-        -x^2 (sum F(t) + log(x^2) sum t^2)               over the prefix,
-        3 x^2 sum t^2 + 4 e^-3 x sum t - e^-6 count      over the suffix.
-    Row j of `sums` holds the prefix sums of F(t) and t^2 over t[:j] and
-    the suffix sums of t^2 and t over t[j:].  Scaling by vmax keeps t^2
-    clear of overflow whatever the size of the samples.
-    """
-    t = vals / vmax
-    t.sort()
-    n = t.size
-    sums = np.zeros((n + 1, 4))
-    np.cumsum(entropy_density(t), out=sums[1:, 0])
-    t2 = t * t
-    np.cumsum(t2, out=sums[1:, 1])
-    np.cumsum(t2[::-1], out=sums[-2::-1, 2])
-    np.cumsum(t[::-1], out=sums[-2::-1, 3])
-
-    def modular_at(k: float) -> float:
-        x = vmax / k
-        x2 = x * x
-        if x2 == 0.0:  # every |u|/k squares to 0, as in entropy_density
-            return 0.0
-        if x2 == math.inf:  # A(max |u|/k) overflows
-            return math.inf
-        j = int(np.searchsorted(t, _E3 / x, side="right"))
-        f_lo, q_lo, q_hi, l_hi = sums[j].tolist()
-        low = -x2 * (f_lo + math.log(x2) * q_lo)
-        high = 3.0 * x2 * q_hi + 4.0 * _E3 * x * l_hi - _E6 * (n - j)
-        return dx * (low + high)
-
-    return modular_at
-
-
 def luxemburg_norm(values, dx: float) -> float:
-    """Gauge norm inf{k > 0 : int A(|u|/k) dx <= 1} by monotone bisection.
+    """Gauge norm inf{k > 0 : int A(|u|/k) dx <= 1}, by Newton's method.
 
-    The map k -> int A(|u|/k) is continuous and strictly decreasing
-    wherever it is positive, so bisection on k converges
-    unconditionally.  The amplitudes are sorted once; each bisection step
-    then evaluates the modular from prefix sums (see _sorted_modular)
-    with one binary search.  The bracket starts at [1e-12, max|u| n dx + 1],
-    doubles its upper end until the modular is <= 1 there, and halves its
-    lower end (moving the upper end down with it) until the modular
-    exceeds 1 there, so the norm is exactly homogeneous down to the
-    smallest normal double.  The zero field has norm 0.
+    With t = |u|/max|u| sorted once and x = max|u|/k, the modular
+    rho(x) = dx sum A(t x) is convex and increasing in x, and C^1 where a
+    sample crosses the branch junction e^-3.  The samples with t x <= e^-3
+    are a prefix of t and the rest a suffix, so rho and rho' are sums of
+    x^2, x^2 log x^2, x and 1 times slice sums of F(t), t^2 and t, split
+    at one binary search.  Newton starts at the positive root of the
+    all-quadratic continuation 3s^2 + 4e^-3 s - e^-6 of A, which lies
+    below A, so it starts above the root and falls monotonically to it.
+    It stops when its step falls below a few ulps of x or stops
+    shrinking, and raises RuntimeError if neither happens within
+    _GAUGE_MAX_EVALS (100) modular evaluations.  Dividing by max|u|
+    keeps t^2 clear of overflow whatever the size of the samples, so the
+    norm is homogeneous down to the smallest normal double.  The zero
+    field has norm 0; dx must be positive and finite.
     """
-    vals = np.abs(np.asarray(values, dtype=complex))
-    if not np.all(np.isfinite(vals)):
+    return _gauge(np.abs(np.asarray(values, dtype=complex)), dx)[0]
+
+
+def _gauge(s: np.ndarray, dx: float) -> tuple[float, int]:
+    """luxemburg_norm of the amplitudes s >= 0, and the number of modular
+    evaluations Newton took."""
+    if not 0.0 < dx < math.inf:
+        raise ValueError(f"dx must be positive and finite, got {dx}")
+    t = np.sort(s, axis=None)
+    vmax = float(t[-1]) if t.size else 0.0
+    if not math.isfinite(vmax):
         raise ValueError("field samples must be finite")
-    vmax = float(np.max(vals)) if vals.size else 0.0
     if vmax == 0.0:
-        return 0.0
-    modular_at = _sorted_modular(vals, dx, vmax)
-    lo = 1e-12
-    hi = vmax * (dx * vals.size) + 1.0
-    while modular_at(hi) > 1.0:
-        hi *= 2.0
-    while modular_at(lo) <= 1.0 and lo > _TINY:
-        hi, lo = lo, 0.5 * lo
-    while hi - lo > _LUX_RTOL * hi:
-        mid = 0.5 * (lo + hi)
-        if modular_at(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        return 0.0, 0
+    t = t[t.searchsorted(0.0, "right"):] / vmax
+    t2 = t * t
+    f = entropy_density(t)
+    # root of dx sum (3 (t x)^2 + 4e^-3 t x - e^-6) = 1 over the nonzero t
+    a, b, c = 3.0 * float(t2.sum()), 2.0 * _E3 * float(t.sum()), _E6 * t.size + 1.0 / dx
+    x = c / (b + math.sqrt(b * b + a * c))
+    last = math.inf
+    for evals in range(1, _GAUGE_MAX_EVALS + 1):
+        j = int(t.searchsorted(_E3 / x, "right"))
+        q_lo, q_hi, l_hi = float(t2[:j].sum()), float(t2[j:].sum()), float(t[j:].sum())
+        low = float(f[:j].sum()) + math.log(x * x) * q_lo  # sum t^2 log (t x)^2 over the prefix
+        rho = dx * (x * x * (3.0 * q_hi - low) + 4.0 * _E3 * x * l_hi - _E6 * (t.size - j))
+        drho = dx * (2.0 * x * (3.0 * q_hi - low - q_lo) + 4.0 * _E3 * l_hi)
+        step = (rho - 1.0) / drho
+        if abs(step) >= last:  # at the rounding floor of rho
+            return vmax / x, evals
+        x -= step
+        if abs(step) <= 4.0 * math.ulp(x):
+            return vmax / x, evals
+        last = abs(step)
+    raise RuntimeError(
+        f"Luxemburg gauge: Newton did not settle in {_GAUGE_MAX_EVALS} modular evaluations")

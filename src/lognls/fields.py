@@ -504,12 +504,12 @@ def _phase_fit(u: Field, phi: Field, dphi: np.ndarray):
 
 
 def _sigma_dist_at(u: Field, phi: Field, du, dphi, theta: float):
-    """H^1 distance from u to e^{i theta} phi, and the sample difference
-    u - e^{i theta} phi."""
+    """H^1 distance from u to e^{i theta} phi, and the amplitudes
+    |u - e^{i theta} phi| of the sample difference."""
     e = np.exp(1j * theta)
-    diff = u.values - e * phi.values
-    d2 = u.grid.dx * (np.sum(np.abs(diff) ** 2) + np.sum(np.abs(du - e * dphi) ** 2))
-    return math.sqrt(max(float(d2.real), 0.0)), diff
+    amp = np.abs(u.values - e * phi.values)
+    d2 = u.grid.dx * (np.sum(amp ** 2) + np.sum(np.abs(du - e * dphi) ** 2))
+    return math.sqrt(max(float(d2.real), 0.0)), amp
 
 
 def _golden_min(f, lo: float, hi: float, iters: int = 40):
@@ -547,8 +547,8 @@ def orbital_distance(u: Field, phi: Field, metric: Metric = Metric.SIGMA_ONLY,
         return _sigma_dist_at(u, phi, du, dphi, theta)[0]
 
     def objective(th: float) -> float:
-        d, diff = _sigma_dist_at(u, phi, du, dphi, th)
-        return d + corefn.luxemburg_norm(diff, u.grid.dx)
+        d, amp = _sigma_dist_at(u, phi, du, dphi, th)
+        return d + corefn._gauge(amp, u.grid.dx)[0]
 
     if not refine:
         return objective(theta)
@@ -564,8 +564,8 @@ def _orbital_distances(u: Field, phi: Field, dphi: np.ndarray) -> tuple[float, f
     orbital_distance(u, phi, SIGMA_ONLY) and
     orbital_distance(u, phi, FULL_W, refine=False)."""
     theta, du = _phase_fit(u, phi, dphi)
-    d, diff = _sigma_dist_at(u, phi, du, dphi, theta)
-    return d, d + corefn.luxemburg_norm(diff, u.grid.dx)
+    d, amp = _sigma_dist_at(u, phi, du, dphi, theta)
+    return d, d + corefn._gauge(amp, u.grid.dx)[0]
 
 
 # ----------------------------------------------------------------------

@@ -136,6 +136,7 @@ def eval_h(t: float, gamma: float) -> float:
     h(1) = 0 always; for gamma > 2 it has exactly one further zero in
     (1, inf), which parametrizes the asymmetric pair.
     """
+    _check_gamma(gamma)
     t = float(t)
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
@@ -219,6 +220,7 @@ def solve_3s(gamma: float) -> list[tuple[float, float]]:
 def sigma_map(t: float, gamma: float) -> float:
     """Partner map sigma(t) = t/(gamma t - 1); an involution with
     1/t + 1/sigma(t) = gamma and fixed point t = 2/gamma."""
+    _check_gamma(gamma)
     t = float(t)
     if t <= 1.0 / gamma:
         raise ValueError(f"t must exceed the pole 1/gamma = {1.0/gamma}, got {t}")

@@ -411,11 +411,16 @@ def test_field_csv_matches_per_value_format():
     g = Grid(3.0, 16)
     rng = np.random.default_rng(5)
     vals = rng.standard_normal(16) * 10.0 ** rng.integers(-300, 300, 16) + 1j * rng.standard_normal(16)
-    vals[:5] = [0.0, -0.0, complex(5e-324, -0.0), complex(-1.7976931348623157e308, 1e-310), 1 / 3]
+    vals[:6] = [0.0, -0.0, complex(5e-324, -0.0), complex(-1.7976931348623157e308, 1e-310), 1 / 3,
+                complex(-1.2345e300, 9.87e299)]
     field = Field(g, vals)
     want = ["x,re_u,im_u"] + [f"{cli.fmt(x)},{cli.fmt(u.real)},{cli.fmt(u.imag)}"
                               for x, u in zip(g.nodes(), field.values)]
     assert cli.field_csv(field) == "\n".join(want) + "\n"
+    # the same bytes as one "%" per row
+    rows = zip(g.nodes().tolist(), field.values.real.tolist(), field.values.imag.tolist())
+    per_row = "".join("%.17g,%.17g,%.17g\n" % r for r in rows)
+    assert cli.field_csv(field) == "x,re_u,im_u\n" + per_row
 
 
 @pytest.mark.parametrize("argv, code, message", [

@@ -275,6 +275,18 @@ class TestLuxemburg:
         with pytest.raises(ValueError):
             luxemburg_norm(vals, 0.1)
 
+    @pytest.mark.parametrize("dx", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_dx(self, dx):
+        with pytest.raises(ValueError, match="dx must be positive and finite"):
+            luxemburg_norm(np.ones(4), dx)
+
+    def test_newton_out_of_evaluations_raises(self, monkeypatch):
+        u = np.exp(-np.linspace(-4.0, 4.0, 256) ** 2)
+        assert corefn._gauge(u, 0.05)[1] > 2
+        monkeypatch.setattr(corefn, "_GAUGE_MAX_EVALS", 2)
+        with pytest.raises(RuntimeError, match="did not settle in 2 modular evaluations"):
+            luxemburg_norm(u, 0.05)
+
     def test_gaussian_bisection_residual(self):
         n, L = 4096, 20.0
         dx = 2 * L / n
@@ -282,7 +294,7 @@ class TestLuxemburg:
         u = np.exp(0.5) * np.exp(-0.5 * x * x)
         k = luxemburg_norm(u, dx)
         assert k > 0
-        assert abs(modular(u, dx, k) - 1.0) <= 1e-8
+        assert abs(modular(u, dx, k) - 1.0) <= 1e-12
 
     def test_sandwich_on_random_fields(self):
         # min(||u||, ||u||^2) <= int A(|u|) <= max(||u||, ||u||^2)
@@ -316,23 +328,25 @@ class TestLuxemburg:
             assert luxemburg_norm(c * u, dx) / c == pytest.approx(k, rel=1e-9)
 
 
-def _dense_luxemburg(u, dx, rtol=1e-10):
-    """The bisection of luxemburg_norm with every step a full modular()."""
+def _dense_luxemburg(u, dx):
+    """The gauge's root by bisection with every step a full modular(),
+    down to adjacent doubles: it stops when the midpoint equals an end."""
     vmax = float(np.max(np.abs(u)))
     if vmax == 0.0:
         return 0.0
-    lo, hi = 1e-12, vmax * (dx * u.size) + 1.0
+    lo, hi = 1e-12 * vmax, vmax * (dx * u.size) + 1.0
     while modular(u, dx, hi) > 1.0:
         hi *= 2.0
     while modular(u, dx, lo) <= 1.0:
         hi, lo = lo, 0.5 * lo
-    while hi - lo > rtol * hi:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         if modular(u, dx, mid) > 1.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 @st.composite
@@ -355,7 +369,26 @@ def test_luxemburg_matches_dense_bisection(u, dx):
     k = luxemburg_norm(u, dx)
     assert k == pytest.approx(_dense_luxemburg(u, dx), rel=1e-12, abs=0.0)
     if k > 0.0:
-        assert abs(modular(u, dx, k) - 1.0) <= 1e-8
+        assert abs(modular(u, dx, k) - 1.0) <= 1e-12
+    assert corefn._gauge(np.abs(u), dx)[1] <= 8  # modular evaluations
+
+
+def _bumps(n):
+    x = np.linspace(-5.0, 5.0, n)
+    return np.exp(-x * x) * (1.0 + 0.5j * np.sin(3.0 * x))
+
+
+@pytest.mark.parametrize("u", [
+    np.array([0.7]),
+    3.0 * np.eye(1, 257, 128)[0],  # one nonzero sample among zeros
+    1e-300 * _bumps(65),
+    1e300 * _bumps(65),
+], ids=["n=1", "one-nonzero", "scale-1e-300", "scale-1e300"])
+@pytest.mark.parametrize("dx", [1e-3, 0.05, 1.0])
+def test_luxemburg_edge_cases(u, dx):
+    k = luxemburg_norm(u, dx)
+    assert k == pytest.approx(_dense_luxemburg(u, dx), rel=1e-12, abs=0.0)
+    assert abs(modular(u, dx, k) - 1.0) <= 1e-12
 
 
 def test_gm_matches_raw_rate_where_resolved():

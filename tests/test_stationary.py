@@ -158,6 +158,13 @@ class TestSigma:
             sigma_map(0.5, 2.0)
 
 
+@pytest.mark.parametrize("fn", [eval_h, sigma_map, n_gamma])
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, 0.0, -1.5])
+def test_rejects_bad_gamma(fn, gamma):
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        fn(1.5, gamma)
+
+
 class TestNGamma:
     def test_symmetric_point(self):
         assert n_gamma(1.0, 2.0) == pytest.approx(2.0 * gamma_tail(1.0), rel=1e-14)
