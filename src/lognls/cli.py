@@ -13,6 +13,7 @@ import os
 import sys
 import tempfile
 from dataclasses import asdict
+from functools import lru_cache
 
 import numpy as np
 
@@ -127,11 +128,20 @@ def write_atomic(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
+@lru_cache(maxsize=4)
+def _csv_template(grid: Grid) -> str:
+    """field_csv's text on grid with the node column filled in and a
+    "%.17g" slot for each value ("%.17g" writes no "%")."""
+    return "x,re_u,im_u\n" + "%.17g,%%.17g,%%.17g\n" * grid.n % tuple(grid.nodes().tolist())
+
+
 def field_csv(field: Field) -> str:
-    # "%.17g" on Python floats gives the digits of fmt, all rows in one format
-    v = field.values
-    flat = np.column_stack((field.grid.nodes(), v.real, v.imag)).ravel().tolist()
-    return "x,re_u,im_u\n" + "%.17g,%.17g,%.17g\n" * v.size % tuple(flat)
+    """x,re_u,im_u rows, every number in "%.17g", which on Python floats
+    gives the digits of fmt.  The node column is formatted once per grid
+    (the last few grids are kept); each call formats only the values."""
+    # real and imaginary parts interleaved, in row order
+    parts = np.ascontiguousarray(field.values).view(float)
+    return _csv_template(field.grid) % tuple(parts.tolist())
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -403,9 +413,15 @@ COMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> _Parser:
     """One subcommand per COMMANDS entry, with one --key-with-dashes flag
-    per key of its defaults table, parsed to the type of the default."""
+    per key of its defaults table, parsed to the type of the default.
+
+    Built once per process: every call, and so every main() call, returns
+    the same parser.  parse_args keeps no state in it between calls; each
+    returns a new namespace in which an option not given is None.
+    """
     parser = _Parser(prog="lognls",
                      description="Ground states and stability of the logarithmic "
                                  "Schrodinger equation with a delta-prime defect")

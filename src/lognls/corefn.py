@@ -28,7 +28,7 @@ s = e^-3, quadratic above) and B = F + A.  From A and B come:
   by the closed-form ground-state masses, from libm's erfc.
 
 All functions are pure.  The densities, rates and eval_Gm take arrays of
-amplitudes and return arrays.
+amplitudes (entropy_of_squares takes their squares) and return arrays.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import numpy as np
 
 __all__ = [
     "entropy_density",
+    "entropy_of_squares",
     "eval_Gm",
     "gm_phase_rate",
     "gamma_tail",
@@ -70,7 +71,12 @@ def _level(m) -> float:
 def entropy_density(s):
     """Entropy density s^2 log s^2 of amplitudes s >= 0, vectorized, with
     the continuous extension F(0) = 0 (also where s^2 underflows to 0)."""
-    s2 = np.asarray(s, dtype=float) ** 2
+    return entropy_of_squares(np.asarray(s, dtype=float) ** 2)
+
+
+def entropy_of_squares(s2: np.ndarray) -> np.ndarray:
+    """The entropy density s2 log s2 of squared amplitudes s2 >= 0, 0 at
+    s2 = 0: the one implementation, for callers that hold the squares."""
     return s2 * np.log(np.where(s2 > 0.0, s2, 1.0))
 
 
@@ -222,7 +228,7 @@ def _gauge(s: np.ndarray, dx: float) -> tuple[float, int]:
         return 0.0, 0
     t = t[t.searchsorted(0.0, "right"):] / vmax
     t2 = t * t
-    f = entropy_density(t)
+    f = entropy_of_squares(t2)
     # root of dx sum (3 (t x)^2 + 4e^-3 t x - e^-6) = 1 over the nonzero t
     a, b, c = 3.0 * float(t2.sum()), 2.0 * _E3 * float(t.sum()), _E6 * t.size + 1.0 / dx
     x = c / (b + math.sqrt(b * b + a * c))

@@ -150,10 +150,6 @@ class Field:
             raise ValueError("field samples must be finite")
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def zero(cls, grid: Grid) -> "Field":
-        return cls(grid, np.zeros(grid.n, dtype=complex))
-
     def with_values(self, values) -> "Field":
         return Field(self.grid, values)
 
@@ -276,9 +272,14 @@ class FormOperator:
         back-substitutes each; the Sherman-Morrison correction follows.
         The routine runs in the common dtype of shift, scale and r, so a
         complex r is solved in complex arithmetic.  Bitwise equal to
-        ShiftedSolver(self, shift, scale)(r), pivoting included.
+        ShiftedSolver(self, shift, scale)(r), pivoting included.  The
+        result is a view of an array made by this call.
         """
-        diag = shift + scale * self.diag
+        return self._sweep(shift + scale * self.diag, scale, r)
+
+    def _sweep(self, diag: np.ndarray, scale, r: np.ndarray) -> np.ndarray:
+        """solve, given the diagonal shift + scale * self.diag of its
+        tridiagonal part, which the sweep overwrites."""
         off = scale * self.off
         (gtsv,) = _lapack().get_lapack_funcs(("gtsv",), (diag, off, r))
         b = np.empty((self.grid.n, 2), dtype=gtsv.dtype, order="F")
@@ -367,10 +368,25 @@ def entropy(u: Field) -> float:
     return float(u.grid.dx * np.sum(corefn.entropy_density(np.abs(u.values))))
 
 
-def _log_abs2(values: np.ndarray) -> np.ndarray:
+# smallest normal double, the floor of |v|^2 inside the logarithm
+_TINY = np.finfo(float).tiny
+
+
+def _abs2(values: np.ndarray, out=None) -> np.ndarray:
+    """|v|^2 of the samples, bitwise np.abs(values) ** 2: v * v when they
+    are real.  Written to out when it is given."""
+    if values.dtype.kind == "c":
+        values = out = np.abs(values, out=out)
+    return np.multiply(values, values, out=out)
+
+
+def _log_abs2(values: np.ndarray, out=None) -> np.ndarray:
     """log|v|^2 with |v|^2 floored at the smallest normal double, so that a
-    zero sample gives a finite logarithm (v log|v|^2 is then 0 there)."""
-    return np.log(np.maximum(np.abs(values) ** 2, np.finfo(float).tiny))
+    zero sample gives a finite logarithm (v log|v|^2 is then 0 there).
+    Written to out when it is given."""
+    a = _abs2(values, out)
+    np.maximum(a, _TINY, out=a)
+    return np.log(a, out=a)
 
 
 def derivative(u: Field) -> np.ndarray:
@@ -396,11 +412,12 @@ def sigma_norm(u: Field) -> float:
 
 
 def _report(op: FormOperator, values: np.ndarray, omega: float) -> FunctionalReport:
-    """The six functionals of the samples `values` with the form of op."""
+    """The six functionals of the samples `values` with the form of op;
+    |values|^2 is taken once, for the mass and the entropy."""
     f = op.form(values)
-    s = np.abs(values)
-    q = float(op.grid.dx * np.sum(s**2))
-    e = float(op.grid.dx * np.sum(corefn.entropy_density(s)))
+    s2 = _abs2(values)
+    q = float(op.grid.dx * np.sum(s2))
+    e = float(op.grid.dx * np.sum(corefn.entropy_of_squares(s2)))
     nehari = f + omega * q - e
     action = 0.5 * f + 0.5 * (omega + 1.0) * q - 0.5 * e
     energy = 0.5 * f - 0.5 * e
@@ -771,8 +788,12 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
     step size adapts: it grows on accepted steps and backtracks whenever
     the projected action increases, up to MAX_REJECTS times in a row,
     after which the uphill step is taken; the result counts both kinds
-    of step.  Each step's shifted system is solved once, so it takes
-    FormOperator.solve, one gtsv sweep.
+    of step.  Each step's shifted system is solved once, in one gtsv
+    sweep (FormOperator.solve).  Per step, |v|^2 of the iterate is taken
+    once, and the shift 1 + tau (omega - log|v|^2) and the shifted
+    diagonal are built in place in two buffers that belong to this call;
+    the projection squares the step's samples once for its mass and
+    entropy.
 
     The descent does the variational selection.  Once its relative action
     change has been below HANDOVER_RTOL twice in a row, Newton's method
@@ -801,13 +822,21 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
     op = form_operator(grid, gamma)
     dx = grid.dx
     v, S = _project(op, _seed_values(seed, gamma, omega, grid), omega)
+    shift, diag = np.empty(grid.n), np.empty(grid.n)
     tau = TAU0
     stall = near = 0
     rejects = 0  # in a row
     rejected = forced = newton = 0
     for it in range(1, max_iter + 1):
-        v_try, S_try = _project(op, op.solve(1.0 + tau * (omega - _log_abs2(v)), tau / dx, v),
-                                omega)
+        # the step's diagonal shift + scale * op.diag, shift = 1 + tau (omega - log|v|^2)
+        scale = tau / dx
+        _log_abs2(v, out=shift)
+        np.subtract(omega, shift, out=shift)
+        shift *= tau
+        shift += 1.0
+        np.multiply(scale, op.diag, out=diag)
+        diag += shift
+        v_try, S_try = _project(op, op._sweep(diag, scale, v), omega)
         if S_try > S + ACTION_RISE_RTOL * abs(S):
             if rejects < MAX_REJECTS:
                 tau = max(0.4 * tau, 1e-3)

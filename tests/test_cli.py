@@ -5,6 +5,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -14,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lognls import cli
-from lognls.fields import ConvergenceError, Field, Grid, minimize_dgamma
-from lognls.stationary import d_gamma
+from lognls.dynamics import EvolutionConfig, evolve
+from lognls.fields import ConvergenceError, Field, Grid, Seed, minimize_dgamma, sample_profile
+from lognls.stationary import Branch, branch_params, d_gamma
 
 
 def run(argv):
@@ -421,6 +424,60 @@ def test_field_csv_matches_per_value_format():
     rows = zip(g.nodes().tolist(), field.values.real.tolist(), field.values.imag.tolist())
     per_row = "".join("%.17g,%.17g,%.17g\n" % r for r in rows)
     assert cli.field_csv(field) == "x,re_u,im_u\n" + per_row
+
+
+def test_field_csv_cached_node_column(tmp_path):
+    # the node column is formatted once per grid: in one process, files for
+    # grids n = 256 and 1024 in turn, from a real minimizer field and from
+    # complex evolve snapshots, are the bytes of per-value "%.17g"
+    def per_value(field):
+        rows = zip(field.grid.nodes(), field.values.real, field.values.imag)
+        return "x,re_u,im_u\n" + "".join("%.17g,%.17g,%.17g\n" % tuple(map(float, r))
+                                         for r in rows)
+
+    params = branch_params(3.0, 0.0, Branch.ASYMMETRIC_LEFT)
+    config = EvolutionConfig(dt=1e-2, t_end=0.04, record_every=2, snapshot_every=1)
+    for n in (256, 1024, 256):
+        grid = Grid(20.0, n)
+        out = tmp_path / f"min{n}.csv"
+        assert run(["minimize", "--gamma", "3", "--seed", "left", "--grid-n", str(n),
+                    "--out", str(out)]) == 0
+        field = minimize_dgamma(3.0, 0.0, seed=Seed.LEFT, grid=grid).field
+        assert not np.any(field.values.imag)
+        assert out.read_text() == per_value(field)
+        prefix = tmp_path / f"snap{n}"
+        assert run(["evolve", "--gamma", "3", "--branch", "asymmetric-left", "--grid-n", str(n),
+                    "--dt", "1e-2", "--t-end", "0.04", "--record-every", "2",
+                    "--snapshot-every", "1", "--snapshot-prefix", str(prefix),
+                    "--out", str(tmp_path / "traj.csv")]) == 0
+        snapshots = evolve(sample_profile(params, grid), 3.0, config, reference=params).snapshots
+        assert len(snapshots) == 2
+        for t, field in snapshots:
+            assert np.any(field.values.imag)
+            text = (tmp_path / f"snap{n}_t{cli.fmt(t)}.csv").read_text()
+            assert text == per_value(field)
+
+
+def test_reused_parser_leaks_no_option():
+    # main() reuses one parser per process; each call's exit code, stdout
+    # and stderr are those of the same argv run in a fresh interpreter, so
+    # no value (here --max-iter 2) carries over into the next call
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    launch = ("import sys; sys.path.insert(0, sys.argv[1]); import lognls.cli; "
+              "sys.exit(lognls.cli.main(sys.argv[2:]))")
+    calls = [["minimize", "--grid-n", "256", "--max-iter", "2"],
+             ["minimize", "--grid-n", "256", "--bogus", "1"],
+             ["minimize", "--grid-n", "256"],
+             ["ground", "--gamma", "3", "--grid-n", "256"]]
+    alone = [subprocess.run([sys.executable, "-c", launch, src, *argv], capture_output=True,
+                            text=True) for argv in calls]
+    assert [p.returncode for p in alone] == [2, 1, 0, 0]
+    for argv, p in zip(calls, alone):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert (code, out.getvalue(), err.getvalue()) == (p.returncode, p.stdout, p.stderr)
+    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.mark.parametrize("argv, code, message", [

@@ -95,7 +95,7 @@ class TestLinearStep:
     def test_zero_field_stays_zero(self, grid):
         # the mass projection must not divide the zero state's 0 by 0
         with np.errstate(all="raise"):
-            v = linear_step(Field.zero(grid), 2.0, 1e-3)
+            v = linear_step(Field(grid, np.zeros(grid.n, complex)), 2.0, 1e-3)
         assert not np.any(v.values)
 
 
@@ -130,17 +130,19 @@ class TestNonlinearStep:
 
 class TestEvolve:
     def test_zero_initial_data(self, grid):
-        res = evolve(Field.zero(grid), 2.0, EvolutionConfig(dt=1e-3, t_end=0.01))
+        res = evolve(Field(grid, np.zeros(grid.n, complex)), 2.0,
+                     EvolutionConfig(dt=1e-3, t_end=0.01))
         assert not np.any(res.final.values)
         assert res.records[0].mass == 0.0
         # the zero field stays zero, and its distance to a reference orbit
         # is the norm of the reference, recorded like any other field's
         params = ground_states(2.0, 0.0)[0]
-        res = evolve(Field.zero(grid), 2.0,
+        res = evolve(Field(grid, np.zeros(grid.n, complex)), 2.0,
                      EvolutionConfig(dt=1e-3, t_end=0.01, record_every=2), reference=params)
         phi = sample_profile(params, grid)
-        want = (orbital_distance(Field.zero(grid), phi),
-                orbital_distance(Field.zero(grid), phi, Metric.FULL_W, refine=False))
+        want = (orbital_distance(Field(grid, np.zeros(grid.n, complex)), phi),
+                orbital_distance(Field(grid, np.zeros(grid.n, complex)), phi, Metric.FULL_W,
+                                 refine=False))
         assert len(res.records) == 6
         for r in res.records:
             assert (r.mass, r.energy) == (0.0, 0.0)

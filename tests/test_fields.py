@@ -153,7 +153,7 @@ class TestMassEntropy:
         assert mass(u) == pytest.approx(math.e * SQRT_PI, rel=1e-10)
 
     def test_zero_field(self, grid):
-        z = Field.zero(grid)
+        z = Field(grid, np.zeros(grid.n, complex))
         assert mass(z) == 0.0
         assert entropy(z) == 0.0
 
@@ -237,7 +237,7 @@ class TestNehariProjection:
 
     def test_zero_rejected(self, grid):
         with pytest.raises(ValueError):
-            nehari_project(Field.zero(grid), 2.0, 0.0)
+            nehari_project(Field(grid, np.zeros(grid.n, complex)), 2.0, 0.0)
 
     def test_rough_field_fails_with_named_cause(self):
         # white noise is so far from the constraint set that the projected
@@ -253,7 +253,7 @@ class TestNehariProjection:
 
 class TestStationaryResidual:
     def test_zero_field(self, grid):
-        r = stationary_residual(Field.zero(grid), 2.0, 0.0)
+        r = stationary_residual(Field(grid, np.zeros(grid.n, complex)), 2.0, 0.0)
         assert (r.interior, r.bc1, r.bc2) == (0.0, 0.0, 0.0)
 
     def test_ground_state_second_order(self):
