@@ -77,7 +77,13 @@ def entropy_density(s):
 def entropy_of_squares(s2: np.ndarray) -> np.ndarray:
     """The entropy density s2 log s2 of squared amplitudes s2 >= 0, 0 at
     s2 = 0: the one implementation, for callers that hold the squares."""
-    return s2 * np.log(np.where(s2 > 0.0, s2, 1.0))
+    # one copy, logged and multiplied in place: the bits of
+    # s2 * log(where(s2 > 0, s2, 1)), a numpy float for a scalar s2
+    t = np.array(s2, dtype=float)
+    t[~(t > 0.0)] = 1.0
+    np.log(t, out=t)
+    np.multiply(s2, t, out=t)
+    return t if t.ndim else t[()]
 
 
 def _A_arr(s):
@@ -115,16 +121,28 @@ def gm_phase_rate(s, m=None):
     """
     s = np.asarray(s, dtype=float)
     if m is None:
-        return np.log(np.maximum(s, 1e-14) ** 2)
+        return _floored_log_rate(s)
     m = _level(m)
     # b_m's rate B(s)/s^2 is frozen above m, a_m's rate A(s)/s^2 below 1/m
     return _rate_B(np.minimum(s, m)) - _rate_A(np.maximum(s, 1.0 / m))
 
 
+def _floored_log_rate(s, out=None):
+    """The unregularized rate log s^2 with s floored at 1e-14, written to
+    out (which may be s) when it is given."""
+    a = np.maximum(s, 1e-14, out=out)
+    a **= 2  # in place on an array; a numpy float stays a scalar power
+    return np.log(a, out=out)
+
+
 def _P_log(x):
     """Antiderivative of s log s^2, zero at 0: x^2 log(x^2)/2 - x^2/2."""
-    x = np.asarray(x, dtype=float)
-    return 0.5 * entropy_density(x) - 0.5 * x**2
+    return _P_log_of_squares(np.asarray(x, dtype=float) ** 2)
+
+
+def _P_log_of_squares(x2):
+    """_P_log from the squares x2 = x^2."""
+    return 0.5 * entropy_of_squares(x2) - 0.5 * x2
 
 
 def _P_a(x):

@@ -15,6 +15,11 @@ mass of v.  The rotation keeps |u| at every node and the projection the
 discrete mass sum, up to a rounding leak of ~5e-18 per step; the
 recorded energy is conserved up to the O(dt^2) splitting error.
 
+evolve allocates its state-sized arrays once per call (two complex state
+buffers, one complex scratch array, one real array) and runs every
+substep in them through the out arguments of _cn_step and _rotate, the
+same functions linear_step and nonlinear_step call without them.
+
 The logarithm may be clamped with the regularized rate g_m (config.m);
 by default it is used raw with the amplitude floored at 1e-14, which
 agrees with g_m wherever |u| >= 1/m.
@@ -34,8 +39,8 @@ from .fields import (
     Field,
     Grid,
     ShiftedSolver,
+    _derivative,
     _orbital_distances,
-    derivative,
     form_operator,
     random_smooth_field,
     sample_profile,
@@ -123,17 +128,22 @@ def _propagator(grid: Grid, gamma: float, dt: float) -> ShiftedSolver:
     return ShiftedSolver(form_operator(grid, gamma), 1.0, 0.5j * dt / grid.dx)
 
 
-def _cn_step(solve: ShiftedSolver, values: np.ndarray) -> np.ndarray:
+def _cn_step(solve: ShiftedSolver, values: np.ndarray, out=None, work=None) -> np.ndarray:
+    """One Crank-Nicolson step of values, written to out (not values) when
+    it is given, with work a complex scratch array of the same shape."""
     # Cayley identity (I + iA)^-1 (I - iA) v = 2 (I + iA)^-1 v - v, projected
     # onto the mass of v, which the factors' rounding drains by ~2e-16 a step;
     # the projection adds (sqrt(1 + c) - 1) w = c w / (1 + sqrt(1 + c)), where
-    # c = m_v / m_w - 1, because a factor sqrt(1 + c) would round to exactly 1
-    w = 2.0 * solve(values) - values
+    # c = m_v / m_w - 1, because a factor sqrt(1 + c) would round to exactly 1.
+    # The solve's result is the step's own array, so it is updated in place.
+    w = solve(values, out, work)
+    np.multiply(2.0, w, out=w)
+    np.subtract(w, values, out=w)
     m_w = np.vdot(w, w).real
     if m_w == 0.0:  # the zero state stays zero
         return w
     c = (np.vdot(values, values).real - m_w) / m_w
-    return w + (c / (1.0 + math.sqrt(1.0 + c))) * w
+    return np.add(w, np.multiply(c / (1.0 + math.sqrt(1.0 + c)), w, out=work), out=w)
 
 
 def linear_step(u: Field, gamma: float, dt: float) -> Field:
@@ -148,12 +158,16 @@ def linear_step(u: Field, gamma: float, dt: float) -> Field:
     return u.with_values(_cn_step(_propagator(u.grid, float(gamma), float(dt)), u.values))
 
 
-def _rotate(values: np.ndarray, tau: float, m) -> np.ndarray:
-    """values exp(i tau log|values|^2), the rate clamped per m."""
+def _rotate(values: np.ndarray, tau: float, m, out=None, rate=None) -> np.ndarray:
+    """values exp(i tau log|values|^2), the rate clamped per m; written to
+    out (not values) when it is given, with the amplitudes and, for
+    m = None, the rate formed in the real array rate."""
     # cos and sin cost less than exp(1j r) and equal it; the product keeps the
     # factor order of values * exp(1j r), on which its rounding depends
-    r = tau * corefn.gm_phase_rate(np.abs(values), m)
-    e = np.empty_like(values)
+    s = np.abs(values, out=rate)
+    r = corefn._floored_log_rate(s, out=s) if m is None else corefn.gm_phase_rate(s, m)
+    np.multiply(tau, r, out=r)
+    e = np.empty_like(values) if out is None else out
     np.cos(r, out=e.real)
     np.sin(r, out=e.imag)
     return np.multiply(values, e, out=e)
@@ -177,6 +191,13 @@ def evolve(
     to its phase orbit in both metrics (the W distance is evaluated at
     the closed-form optimal phase of the H^1 part).  Raises
     EvolutionAborted as soon as any sample stops being finite.
+
+    A run allocates its state-sized arrays once: two complex state
+    buffers, which the Cayley solve and the phase rotation write in
+    turn, one complex scratch array for the solve's jump correction and
+    the mass projection, and one real array for the amplitudes and the
+    rate.  Snapshots are copies, the final state is the buffer the last
+    substep wrote, and u0's samples are never written.
     """
     if not np.all(np.isfinite(u0.values)):
         raise EvolutionAborted(0, [])
@@ -186,20 +207,29 @@ def evolve(
     m = config.m
     phi = dphi = None
     if reference is not None:
-        phi = sample_profile(reference, u0.grid)
-        dphi = derivative(phi)  # the fixed reference's: once per run, not per record
+        phi = sample_profile(reference, u0.grid).values
+        dphi = _derivative(phi, u0.grid)  # the fixed reference's: once per run, not per record
+    v, spare, work = (np.empty_like(u0.values) for _ in range(3))
+    rate = np.empty(u0.values.shape)
 
     def make_record(t: float, vals: np.ndarray) -> TrajectoryRecord:
         # the mass, and the energy (1/2) t_gamma[u] - (1/2) entropy written
         # through the clamped primitive: the conserved functional of the
-        # clamped flow
-        s = np.abs(vals)
-        q = float(dx * np.sum(s * s))
-        en = 0.5 * op.form(vals) - float(dx * np.sum(corefn.eval_Gm(s, m))) - 0.5 * q
+        # clamped flow; |vals| and its squares are taken once, and vals
+        # were checked finite by the caller
+        s = np.abs(vals, out=rate)
+        if m is None:
+            s2 = np.multiply(s, s, out=s)
+            gm = corefn._P_log_of_squares(s2)  # bitwise eval_Gm(s, None)
+        else:
+            s2 = s * s
+            gm = corefn.eval_Gm(s, m)
+        q = float(dx * np.sum(s2))
+        en = 0.5 * op.form(vals) - float(dx * np.sum(gm)) - 0.5 * q
         if phi is None:
             ds = dw = 0.0
         else:
-            ds, dw = _orbital_distances(u0.with_values(vals), phi, dphi)
+            ds, dw = _orbital_distances(vals, phi, dphi, u0.grid)
         return TrajectoryRecord(time=t, mass=q, energy=en,
                                 orbital_distance_sigma=ds, orbital_distance_w=dw)
 
@@ -210,16 +240,18 @@ def evolve(
     nsteps = config.nsteps
     try:
         records.append(make_record(0.0, u0.values))
-        v = _rotate(u0.values, half, m)
+        v = _rotate(u0.values, half, m, v, rate)
         for k in range(1, nsteps + 1):
-            v = _cn_step(solve, v)
+            # each substep writes the spare buffer and hands the old state's
+            # buffer back as the next spare
+            v, spare = _cn_step(solve, v, spare, work), v
             if k < nsteps and k % config.record_every:
                 # merge the trailing and leading half rotations (|u| unchanged)
-                v = _rotate(v, config.dt, m)
+                v, spare = _rotate(v, config.dt, m, spare, rate), v
                 if k % 50 == 0 and not np.all(np.isfinite(v)):
                     raise EvolutionAborted(k, records)
                 continue
-            v = _rotate(v, half, m)
+            v, spare = _rotate(v, half, m, spare, rate), v
             if not np.all(np.isfinite(v)):
                 raise EvolutionAborted(k, records)
             records.append(make_record(k * config.dt, v))
@@ -227,7 +259,7 @@ def evolve(
             if config.snapshot_every and nrec % config.snapshot_every == 0:
                 snapshots.append((k * config.dt, u0.with_values(v.copy())))
             if k < nsteps:
-                v = _rotate(v, half, m)
+                v, spare = _rotate(v, half, m, spare, rate), v
     except FloatingPointError as exc:  # a blow-up under np.errstate(over="raise")
         raise EvolutionAborted(k, records) from exc
     return EvolutionResult(records=records, final=u0.with_values(v), snapshots=snapshots)

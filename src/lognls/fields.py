@@ -300,10 +300,11 @@ def _jump_gain(alpha, c, zj):
     return alpha / (1.0 + alpha * (c @ zj))
 
 
-def _remove_jump(y, z, gain, c, span):
+def _remove_jump(y, z, gain, c, span, work=None):
     """Turn y = T^-1 r into (T + alpha c c^T)^-1 r in place, with z = T^-1 c
-    and gain = _jump_gain(alpha, c, z[span])."""
-    y -= (gain * (c @ y[span])) * z
+    and gain = _jump_gain(alpha, c, z[span]); the correction term is formed
+    in work when it is given."""
+    y -= np.multiply(gain * (c @ y[span]), z, out=work)
 
 
 class ShiftedSolver:
@@ -333,13 +334,19 @@ class ShiftedSolver:
         self.z = self.gttrs(*self.factors, self.ipiv, op.jump_stencil)[0]
         self.gain = _jump_gain(scale * op.coupling, self.c, self.z[self.jump])
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
+    def __call__(self, r: np.ndarray, out=None, work=None) -> np.ndarray:
+        """The solution, in out when it is given (r is copied there and
+        solved in place; r itself is never written), with work a scratch
+        array of r's shape for the jump correction."""
         # gttrs would cast a complex r to the real factors' dtype, dropping
         # its imaginary part with only a ComplexWarning
         if self.z.dtype.kind != "c" and np.iscomplexobj(r):
             raise TypeError("a real factorization cannot solve a complex right-hand side")
-        y = self.gttrs(*self.factors, self.ipiv, r)[0]
-        _remove_jump(y, self.z, self.gain, self.c, self.jump)
+        if out is not None:
+            np.copyto(out, r)
+            r = out
+        y = self.gttrs(*self.factors, self.ipiv, r, overwrite_b=out is not None)[0]
+        _remove_jump(y, self.z, self.gain, self.c, self.jump, work)
         return y
 
 
@@ -392,7 +399,12 @@ def _log_abs2(values: np.ndarray, out=None) -> np.ndarray:
 def derivative(u: Field) -> np.ndarray:
     """Node derivatives: centered inside each half-line, one-sided
     second-order at the four half-line end nodes."""
-    v, m, n, dx = u.values, u.grid.mid, u.grid.n, u.grid.dx
+    return _derivative(u.values, u.grid)
+
+
+def _derivative(v: np.ndarray, grid: Grid) -> np.ndarray:
+    """derivative of the samples v on grid."""
+    m, n, dx = grid.mid, grid.n, grid.dx
     du = np.empty_like(v)
     for lo, hi in ((0, m), (m, n)):
         du[lo + 1 : hi - 1] = (v[lo + 2 : hi] - v[lo : hi - 2]) / (2.0 * dx)
@@ -508,24 +520,23 @@ def stationary_residual(u: Field, gamma: float, omega: float) -> StationaryResid
 # ----------------------------------------------------------------------
 
 
-def _phase_fit(u: Field, phi: Field, dphi: np.ndarray):
-    """theta* = arg of the complex H^1 inner product <phi, u> (values plus
-    derivatives, dphi the node derivatives of phi), which minimizes the
-    H^1 part of the distance; returned with the node derivatives of u."""
-    if u.grid != phi.grid:
-        raise ValueError("fields live on different grids")
-    du = derivative(u)
-    ip = u.grid.dx * (np.vdot(phi.values, u.values) + np.vdot(dphi, du))
+def _phase_fit(u: np.ndarray, phi: np.ndarray, dphi: np.ndarray, grid: Grid):
+    """theta* = arg of the complex H^1 inner product <phi, u> of the samples
+    u and phi on grid (values plus derivatives, dphi the node derivatives
+    of phi), which minimizes the H^1 part of the distance; returned with
+    the node derivatives of u."""
+    du = _derivative(u, grid)
+    ip = grid.dx * (np.vdot(phi, u) + np.vdot(dphi, du))
     theta = float(np.angle(ip)) if ip != 0 else 0.0
     return theta, du
 
 
-def _sigma_dist_at(u: Field, phi: Field, du, dphi, theta: float):
-    """H^1 distance from u to e^{i theta} phi, and the amplitudes
-    |u - e^{i theta} phi| of the sample difference."""
+def _sigma_dist_at(u: np.ndarray, phi: np.ndarray, du, dphi, theta: float, dx: float):
+    """H^1 distance from the samples u to e^{i theta} phi, and the
+    amplitudes |u - e^{i theta} phi| of the sample difference."""
     e = np.exp(1j * theta)
-    amp = np.abs(u.values - e * phi.values)
-    d2 = u.grid.dx * (np.sum(amp ** 2) + np.sum(np.abs(du - e * dphi) ** 2))
+    amp = np.abs(u - e * phi)
+    d2 = dx * (np.sum(amp ** 2) + np.sum(np.abs(du - e * dphi) ** 2))
     return math.sqrt(max(float(d2.real), 0.0)), amp
 
 
@@ -558,14 +569,17 @@ def orbital_distance(u: Field, phi: Field, metric: Metric = Metric.SIGMA_ONLY,
     refined by golden-section search in a +-0.5 rad window around
     theta* (skipped when refine is False).
     """
+    if u.grid != phi.grid:
+        raise ValueError("fields live on different grids")
+    dx = u.grid.dx
     dphi = derivative(phi)
-    theta, du = _phase_fit(u, phi, dphi)
+    theta, du = _phase_fit(u.values, phi.values, dphi, u.grid)
     if metric is Metric.SIGMA_ONLY:
-        return _sigma_dist_at(u, phi, du, dphi, theta)[0]
+        return _sigma_dist_at(u.values, phi.values, du, dphi, theta, dx)[0]
 
     def objective(th: float) -> float:
-        d, amp = _sigma_dist_at(u, phi, du, dphi, th)
-        return d + corefn._gauge(amp, u.grid.dx)[0]
+        d, amp = _sigma_dist_at(u.values, phi.values, du, dphi, th, dx)
+        return d + corefn._gauge(amp, dx)[0]
 
     if not refine:
         return objective(theta)
@@ -573,16 +587,17 @@ def orbital_distance(u: Field, phi: Field, metric: Metric = Metric.SIGMA_ONLY,
     return min(best, objective(theta))
 
 
-def _orbital_distances(u: Field, phi: Field, dphi: np.ndarray) -> tuple[float, float]:
+def _orbital_distances(u: np.ndarray, phi: np.ndarray, dphi: np.ndarray,
+                       grid: Grid) -> tuple[float, float]:
     """The SIGMA_ONLY and the unrefined FULL_W orbital distance from one
-    phase fit, given the node derivatives dphi of phi: both are evaluated
-    at theta*, where the W distance is the sigma distance plus the
-    Luxemburg norm of u - e^{i theta*} phi.  Equal to
-    orbital_distance(u, phi, SIGMA_ONLY) and
-    orbital_distance(u, phi, FULL_W, refine=False)."""
-    theta, du = _phase_fit(u, phi, dphi)
-    d, amp = _sigma_dist_at(u, phi, du, dphi, theta)
-    return d, d + corefn._gauge(amp, u.grid.dx)[0]
+    phase fit, for the samples u and phi on grid, given the node
+    derivatives dphi of phi: both are evaluated at theta*, where the W
+    distance is the sigma distance plus the Luxemburg norm of
+    u - e^{i theta*} phi.  Equal to orbital_distance(u, phi, SIGMA_ONLY)
+    and orbital_distance(u, phi, FULL_W, refine=False) of the Fields."""
+    theta, du = _phase_fit(u, phi, dphi, grid)
+    d, amp = _sigma_dist_at(u, phi, du, dphi, theta, grid.dx)
+    return d, d + corefn._gauge(amp, grid.dx)[0]
 
 
 # ----------------------------------------------------------------------

@@ -6,14 +6,21 @@ trees side by side.
 BASE and CHANGE are lognls checkouts (each with ``src/lognls``).  Each
 pair runs every command once per tree, each run in a new interpreter
 that imports lognls from that tree's ``src``; the tree that runs first
-alternates from pair to pair.  A run's time is the wall time of its
-process, interpreter start-up included.  Files the commands write go to
-a temporary directory, which is removed at the end.
+alternates from pair to pair.  After the command, the same process
+times perfbench's fixed probe (``make_probe`` of ``perfbench/run.py``)
+PROBE_RUNS times after one warm-up call.  A run's raw time is the wall
+time of its process, interpreter start-up included, less that probe
+phase; its scaled time is the raw time times REFERENCE_S over the
+median probe time, as perfbench scales its operations, so that a host
+that ran slower during one run does not read as a slower tree.  Files
+the commands write go to a temporary directory, which is removed at the
+end.
 
-The JSON written to FILE has, per command and tree, the run times, their
-median and quartiles, and whether stdout, stderr and the output file
-were the same bytes in every run; per command, the ratio of the medians
-and the number of pairs the change won.  It carries the run manifest of
+The JSON written to FILE has, per command and tree, the raw and the
+scaled run times with their median and quartiles, the probe medians,
+and whether stdout, stderr and the output file were the same bytes in
+every run; per command and time, the ratio of the medians and the
+number of pairs the change won.  It carries the run manifest of
 ``perfbench/manifest.py`` for each tree.  BLAS runs on one thread.
 """
 
@@ -33,6 +40,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from manifest import manifest, pin_blas_threads  # noqa: E402
+from run import REFERENCE_S  # noqa: E402
+
+# timed probe calls after each command, after one untimed warm-up call
+PROBE_RUNS = 20
 
 # the five commands of README.md's "Command line" section, with the file
 # each one writes
@@ -46,11 +57,27 @@ COMMANDS = {
                   "--grid-n", "2048", "--dt", "2e-3", "--rng-seed", "0", "--out", "stab.json"],
 }
 
-# imports lognls from argv[1] (and fails if another copy answers), then
-# runs the command in argv[2:]
-LAUNCH = ("import sys; sys.path.insert(0, sys.argv[1]); import lognls.cli; "
-          "sys.exit(lognls.cli.main(sys.argv[2:]) if lognls.cli.__file__.startswith(sys.argv[1]) "
-          "else 'lognls imported from ' + lognls.cli.__file__)")
+# imports lognls from argv[1] (and fails if another copy answers), runs
+# the command in argv[3:], then times the probe and writes its times and
+# the probe phase's own duration to the JSON file argv[2]
+LAUNCH = f"""
+import sys, time
+sys.path.insert(0, sys.argv[1])
+import lognls.cli
+if not lognls.cli.__file__.startswith(sys.argv[1]):
+    sys.exit("lognls imported from " + lognls.cli.__file__)
+code = lognls.cli.main(sys.argv[3:])
+t = time.perf_counter()
+import json
+sys.path.insert(0, {str(ROOT / "perfbench")!r})
+from run import make_probe
+probe = make_probe()
+probe()
+probe_s = [probe() for _ in range({PROBE_RUNS})]
+with open(sys.argv[2], "w") as f:
+    json.dump({{"probe_s": probe_s, "phase_s": time.perf_counter() - t}}, f)
+sys.exit(code)
+"""
 
 
 def parse_args(argv=None):
@@ -68,21 +95,24 @@ def parse_args(argv=None):
     return args
 
 
-def run_once(src: Path, argv: list[str], cwd: Path) -> tuple[float, str]:
-    """Wall seconds of one fresh-process run, and a digest of the bytes it
-    wrote: stdout, stderr and its --out file."""
+def run_once(src: Path, argv: list[str], cwd: Path) -> tuple[float, float, str]:
+    """Wall seconds of one fresh-process run less its probe phase, the
+    median probe seconds, and a digest of the bytes the command wrote:
+    stdout, stderr and its --out file."""
     out_file = cwd / argv[argv.index("--out") + 1]
+    probe_file = cwd / "probe.json"
     out_file.unlink(missing_ok=True)
     t = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", LAUNCH, str(src.resolve()), *argv],
-                          cwd=cwd, capture_output=True, timeout=600)
+    proc = subprocess.run([sys.executable, "-c", LAUNCH, str(src.resolve()), str(probe_file),
+                           *argv], cwd=cwd, capture_output=True, timeout=600)
     wall = time.perf_counter() - t
     if proc.returncode != 0:
         raise RuntimeError(f"{argv[0]} exited {proc.returncode}: {proc.stderr.decode()}")
+    probe = json.loads(probe_file.read_text())
     h = hashlib.sha256()
     for part in (proc.stdout, proc.stderr, out_file.read_bytes()):
         h.update(hashlib.sha256(part).digest())
-    return wall, h.hexdigest()
+    return wall - probe["phase_s"], statistics.median(probe["probe_s"]), h.hexdigest()
 
 
 def summary(times: list[float]) -> dict:
@@ -90,11 +120,20 @@ def summary(times: list[float]) -> dict:
     return {"runs_s": times, "median_s": median, "q1_s": q1, "q3_s": q3}
 
 
+def verdict(base: list[float], change: list[float]) -> dict:
+    """Both trees' summaries, the ratio of the medians (base over change)
+    and the number of pairs the change won."""
+    return {"base": summary(base), "change": summary(change),
+            "median_ratio": statistics.median(base) / statistics.median(change),
+            "change_faster_pairs": sum(c < b for b, c in zip(base, change))}
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     pin_blas_threads()
     trees = {"base": args.base, "change": args.change}
     times = {c: {k: [] for k in trees} for c in COMMANDS}
+    probes = {c: {k: [] for k in trees} for c in COMMANDS}
     digests = {c: {k: set() for k in trees} for c in COMMANDS}
     with tempfile.TemporaryDirectory(prefix="cli-startup-") as tmp:
         for k in trees:
@@ -103,27 +142,30 @@ def main(argv=None) -> int:
             order = list(trees) if pair % 2 == 0 else list(trees)[::-1]
             for name, argv in COMMANDS.items():
                 for k in order:
-                    wall, digest = run_once(trees[k] / "src", argv, Path(tmp) / k)
+                    wall, probe, digest = run_once(trees[k] / "src", argv, Path(tmp) / k)
                     times[name][k].append(wall)
+                    probes[name][k].append(probe)
                     digests[name][k].add(digest)
                 print(f"pair {pair + 1}/{args.pairs} {name}: "
                       + ", ".join(f"{k} {times[name][k][-1]:.3f} s" for k in trees), flush=True)
     results = {}
     for name in COMMANDS:
-        base, change = times[name]["base"], times[name]["change"]
+        scaled = {k: [w * REFERENCE_S / p for w, p in zip(times[name][k], probes[name][k])]
+                  for k in trees}
         results[name] = {
             "argv": COMMANDS[name],
-            "base": summary(base),
-            "change": summary(change),
-            "median_ratio": statistics.median(base) / statistics.median(change),
-            "change_faster_pairs": sum(c < b for b, c in zip(base, change)),
+            "raw": verdict(times[name]["base"], times[name]["change"]),
+            "scaled": verdict(scaled["base"], scaled["change"]),
+            "probe_median_s": {k: statistics.median(probes[name][k]) for k in trees},
             "same_bytes_every_run": {k: len(digests[name][k]) == 1 for k in trees},
             "same_bytes_both_trees": digests[name]["base"] == digests[name]["change"],
         }
     doc = {
         "study": "cli_startup",
         "what": "fresh-process wall time of the README lognls commands, interpreter "
-                "start-up included; median_ratio is base median over change median",
+                "start-up included and the probe phase after the command excluded, raw "
+                f"and scaled to a probe of {REFERENCE_S} s; median_ratio is base median "
+                "over change median",
         "pairs": args.pairs,
         "results": results,
         "manifest": {k: manifest(tree.resolve(), 0, "cli_startup", {"pairs": args.pairs})
@@ -131,10 +173,12 @@ def main(argv=None) -> int:
     }
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for name, r in results.items():
-        print(f"{name:10s} base {r['base']['median_s']:.3f} s, change "
-              f"{r['change']['median_s']:.3f} s, ratio {r['median_ratio']:.2f}, change "
-              f"faster in {r['change_faster_pairs']}/{args.pairs}, "
-              f"same bytes {r['same_bytes_both_trees']}")
+        for kind in ("raw", "scaled"):
+            v = r[kind]
+            print(f"{name:10s} {kind:6s} base {v['base']['median_s']:.3f} s, change "
+                  f"{v['change']['median_s']:.3f} s, ratio {v['median_ratio']:.3f}, change "
+                  f"faster in {v['change_faster_pairs']}/{args.pairs}")
+        print(f"{name:10s} same bytes {r['same_bytes_both_trees']}")
     return 0
 
 

@@ -111,8 +111,8 @@ def record_sets(seed: int, grid_n: int, dt: float, record_every: int, steps: int
         for k in range(steps // record_every + 1):
             if k:
                 u = evolve(u, gamma, segment).final
-            theta, du = fields._phase_fit(u, phi, dphi)
-            yield fields._sigma_dist_at(u, phi, du, dphi, theta)[1], grid.dx
+            theta, du = fields._phase_fit(u.values, phi.values, dphi, grid)
+            yield fields._sigma_dist_at(u.values, phi.values, du, dphi, theta, grid.dx)[1], grid.dx
 
 
 def family(sets) -> dict:

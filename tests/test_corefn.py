@@ -59,6 +59,21 @@ class TestF:
         want[nz] = s2[nz] * np.log(s2[nz])
         assert F(s).tobytes() == want.tobytes()
 
+    def test_entropy_of_squares_matches_where_form(self):
+        # the in-place form gives the bits of s2 log(where(s2 > 0, s2, 1)),
+        # also at -0.0, the smallest subnormal, inf and nan, and a numpy
+        # float (not a 0-d array) for a scalar
+        def want(s2):
+            return s2 * np.log(np.where(s2 > 0.0, s2, 1.0))
+
+        s2 = np.array([0.0, -0.0, math.ulp(0.0), 1.0, math.inf, math.nan, 0.3, 1e300])
+        with np.errstate(invalid="ignore"):
+            assert corefn.entropy_of_squares(s2).tobytes() == want(s2).tobytes()
+        for x in (0.0, -0.0, math.ulp(0.0), 1.0, 0.3, np.float64(2.5)):
+            got = corefn.entropy_of_squares(x)
+            assert type(got) is np.float64
+            assert np.float64(got).tobytes() == np.float64(want(x)).tobytes()
+
 
 class TestAB:
     def test_branch_junction_exact(self):

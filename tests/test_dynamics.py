@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from lognls.corefn import eval_Gm
 from lognls.dynamics import (
     EvolutionAborted,
     EvolutionConfig,
@@ -264,6 +265,58 @@ class TestEvolve:
         for _ in range(20):
             u = nonlinear_step(linear_step(nonlinear_step(u, dt / 2, m), gamma, dt), dt / 2, m)
         assert res.final.values.tobytes() == u.values.tobytes()
+
+    @pytest.mark.parametrize("m", [None, 4.0])
+    @pytest.mark.parametrize("nsteps", [5, 12])
+    def test_merged_rotations_from_substeps(self, m, nsteps):
+        # between records evolve merges the trailing and leading half
+        # rotations into one over dt; at a record it rotates twice by dt/2
+        gamma, dt, every = 3.0, 2e-3, 5
+        g = Grid(20.0, 512)
+        u0 = sample_profile(branch_params(gamma, 0.0, Branch.ASYMMETRIC_LEFT), g)
+        cfg = EvolutionConfig(dt=dt, t_end=nsteps * dt, m=m, record_every=every,
+                              snapshot_every=1)
+        res = evolve(u0, gamma, cfg)
+        u = nonlinear_step(u0, dt / 2, m)
+        for k in range(1, nsteps):
+            u = linear_step(u, gamma, dt)
+            if k % every:
+                u = nonlinear_step(u, dt, m)
+            else:
+                u = nonlinear_step(nonlinear_step(u, dt / 2, m), dt / 2, m)
+        u = nonlinear_step(linear_step(u, gamma, dt), dt / 2, m)
+        assert res.final.values.tobytes() == u.values.tobytes()
+        # each snapshot is its own array: the final state of a run to its time
+        assert len(res.snapshots) == len(res.records) - 1 == -(-nsteps // every)
+        for t, snap in res.snapshots:
+            short = evolve(u0, gamma, EvolutionConfig(dt=dt, t_end=t, m=m, record_every=every))
+            assert snap.values.tobytes() == short.final.values.tobytes()
+
+    @pytest.mark.parametrize("m", [None, 4.0])
+    def test_record_mass_and_energy_formula(self, grid, m):
+        # records take |u|^2 once; the values are those of the mass and of
+        # the energy through eval_Gm, bit for bit
+        u0 = sample_profile(branch_params(3.0, 0.0, Branch.ASYMMETRIC_LEFT), grid)
+        cfg = EvolutionConfig(dt=2e-3, t_end=0.04, m=m, record_every=4, snapshot_every=1)
+        res = evolve(u0, 3.0, cfg)
+        op, dx = form_operator(grid, 3.0), grid.dx
+        for rec, vals in zip(res.records, [u0.values] + [f.values for _, f in res.snapshots]):
+            s = np.abs(vals)
+            q = float(dx * np.sum(s * s))
+            en = 0.5 * op.form(vals) - float(dx * np.sum(eval_Gm(s, m))) - 0.5 * q
+            assert (rec.mass, rec.energy) == (q, en)
+
+    @pytest.mark.parametrize("m", [None, 4.0])
+    def test_caller_arrays_not_written(self, grid, m):
+        # Field keeps a complex input array without copying it
+        vals = sample_profile(branch_params(3.0, 0.0, Branch.ASYMMETRIC_LEFT), grid).values
+        u = Field(grid, vals * (1.0 + 0.1j))
+        before = u.values.tobytes()
+        res = evolve(u, 3.0, EvolutionConfig(dt=2e-3, t_end=0.02, m=m, record_every=3))
+        linear_step(u, 3.0, 2e-3)
+        nonlinear_step(u, 2e-3, m)
+        assert u.values.tobytes() == before
+        assert not np.shares_memory(res.final.values, u.values)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
