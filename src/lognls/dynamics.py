@@ -15,10 +15,10 @@ mass of v.  The rotation keeps |u| at every node and the projection the
 discrete mass sum, up to a rounding leak of ~5e-18 per step; the
 recorded energy is conserved up to the O(dt^2) splitting error.
 
+The substeps _cn_step and _rotate write to buffers their caller owns.
 evolve allocates its state-sized arrays once per call (two complex state
 buffers, one complex scratch array, one real array) and runs every
-substep in them through the out arguments of _cn_step and _rotate, the
-same functions linear_step and nonlinear_step call without them.
+substep in them; linear_step and nonlinear_step allocate theirs per call.
 
 The logarithm may be clamped with the regularized rate g_m (config.m);
 by default it is used raw with the amplitude floored at 1e-14, which
@@ -125,12 +125,13 @@ class EvolutionAborted(RuntimeError):
 @lru_cache(maxsize=16)
 def _propagator(grid: Grid, gamma: float, dt: float) -> ShiftedSolver:
     """(I + iA)^-1 with A = (dt/2) H and H = M/dx, factored once."""
-    return ShiftedSolver(form_operator(grid, gamma), 1.0, 0.5j * dt / grid.dx)
+    return ShiftedSolver(form_operator(grid, gamma), 0.5j * dt / grid.dx)
 
 
-def _cn_step(solve: ShiftedSolver, values: np.ndarray, out=None, work=None) -> np.ndarray:
-    """One Crank-Nicolson step of values, written to out (not values) when
-    it is given, with work a complex scratch array of the same shape."""
+def _cn_step(solve: ShiftedSolver, values: np.ndarray, out: np.ndarray,
+             work: np.ndarray) -> np.ndarray:
+    """One Crank-Nicolson step of values, written to out (not values), with
+    work a complex scratch array of the same shape."""
     # Cayley identity (I + iA)^-1 (I - iA) v = 2 (I + iA)^-1 v - v, projected
     # onto the mass of v, which the factors' rounding drains by ~2e-16 a step;
     # the projection adds (sqrt(1 + c) - 1) w = c w / (1 + sqrt(1 + c)), where
@@ -149,34 +150,39 @@ def _cn_step(solve: ShiftedSolver, values: np.ndarray, out=None, work=None) -> n
 def linear_step(u: Field, gamma: float, dt: float) -> Field:
     """One Crank-Nicolson step of the linear flow i u_t = H u.
 
-    Norm-preserving for any real gamma != 0 (the Cayley transform of a
+    Norm-preserving for every 0 < gamma < inf (the Cayley transform of a
     real symmetric matrix is unitary); dt = 0 returns u unchanged, and
-    negative dt steps backward.
+    negative dt steps backward.  A non-finite dt raises ValueError.
     """
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt}")
     if dt == 0.0:
         return u
-    return u.with_values(_cn_step(_propagator(u.grid, float(gamma), float(dt)), u.values))
+    solve, out = _propagator(u.grid, float(gamma), float(dt)), np.empty_like(u.values)
+    return u.with_values(_cn_step(solve, u.values, out, np.empty_like(out)))
 
 
-def _rotate(values: np.ndarray, tau: float, m, out=None, rate=None) -> np.ndarray:
-    """values exp(i tau log|values|^2), the rate clamped per m; written to
-    out (not values) when it is given, with the amplitudes and, for
-    m = None, the rate formed in the real array rate."""
+def _rotate(values: np.ndarray, tau: float, m, out: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """values exp(i tau log|values|^2), the rate clamped per m, written to
+    out (not values), with the amplitudes and, for m = None, the rate
+    formed in the real array rate."""
     # cos and sin cost less than exp(1j r) and equal it; the product keeps the
     # factor order of values * exp(1j r), on which its rounding depends
     s = np.abs(values, out=rate)
     r = corefn._floored_log_rate(s, out=s) if m is None else corefn.gm_phase_rate(s, m)
     np.multiply(tau, r, out=r)
-    e = np.empty_like(values) if out is None else out
-    np.cos(r, out=e.real)
-    np.sin(r, out=e.imag)
-    return np.multiply(values, e, out=e)
+    np.cos(r, out=out.real)
+    np.sin(r, out=out.imag)
+    return np.multiply(values, out, out=out)
 
 
 def nonlinear_step(u: Field, dt: float, m=None) -> Field:
     """Exact flow of i u_t = -u log|u|^2 over dt: a pointwise phase
-    rotation at rate log|u|^2 (clamped per m), leaving |u| unchanged."""
-    return u.with_values(_rotate(u.values, dt, m))
+    rotation at rate log|u|^2 (clamped per m), leaving |u| unchanged.  A
+    non-finite dt raises ValueError."""
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt}")
+    return u.with_values(_rotate(u.values, dt, m, np.empty_like(u.values), np.empty(u.grid.n)))
 
 
 def evolve(

@@ -15,16 +15,16 @@ each half-line, a ghost-edge Dirichlet closure at +-L, and two-node
 traces for the jump term).  That gives M = T - (1/gamma) c c^T with
 u* M u = t_gamma[u]: a real symmetric tridiagonal part T, the free
 Laplacian on the two half-lines, plus a rank-one jump term with the
-trace stencil c.  The same M supplies the exact gradient of the action
-(divided by dx, also the stationary residual), the minimizer's implicit
-step and the Hamiltonian M/dx of the Crank-Nicolson propagator.  Shifted
-systems with M are solved by tridiagonal elimination plus a
-Sherman-Morrison correction, in two forms: the minimizer solves each
-step's system once, in one LAPACK gtsv sweep over the iterate and the
-jump stencil (FormOperator.solve); the propagator factors its system
-once with gttrf and solves it many times with gttrs (ShiftedSolver).
-Both run in the dtype of their inputs: real for the minimizer, which
-descends on real profiles, and complex for the propagator.  The LAPACK
+trace stencil c, for gamma in (0, inf) (stationary._check_gamma).  The
+same M supplies the exact gradient of the action (divided by dx, also
+the stationary residual), the minimizer's implicit step and the
+Hamiltonian M/dx of the Crank-Nicolson propagator.  Shifted systems
+with M are solved by tridiagonal elimination plus a Sherman-Morrison
+correction, in two forms: the minimizer solves each real step's system
+once, in one LAPACK gtsv sweep over the iterate and the jump stencil
+(FormOperator.solve); the propagator factors its complex Cayley system
+once with zgttrf and solves it many times with zgttrs (ShiftedSolver).
+The LAPACK
 routines come from scipy.linalg, which is imported at the first
 tridiagonal solve (minimizer, Newton step, Morse index, propagator), not
 with this module: ``import lognls`` loads numpy but not scipy, and the
@@ -222,17 +222,15 @@ class FormOperator:
     weights of the first differences; ``jump_stencil`` c is the row
     vector whose dot product with the samples is the two-node trace jump
     u(0+) - u(0-), nonzero only on the four nodes ``jump``, and
-    ``coupling`` = -1/gamma.
+    ``coupling`` = -1/gamma.  gamma must lie in (0, inf) and exceed 2 dx.
     """
 
     def __init__(self, grid: Grid, gamma: float):
-        # +-inf is the decoupled limit, two Neumann half-lines
-        if gamma == 0.0 or math.isnan(gamma):
-            raise ValueError(f"the quadratic form requires gamma != 0 and not NaN, got {gamma}")
+        _check_gamma(gamma)
         n, m, dx = grid.n, grid.mid, grid.dx
-        if abs(gamma) <= 2.0 * dx:
+        if gamma <= 2.0 * dx:
             raise ValueError(
-                f"|gamma| = {abs(gamma)} is not resolved by dx = {dx}; refine the grid"
+                f"|gamma| = {gamma} is not resolved by dx = {dx}; refine the grid"
             )
         # weight of the edge between nodes k and k+1: trapezoid rule along
         # each half-line, with no edge across the origin
@@ -270,10 +268,11 @@ class FormOperator:
         One LAPACK gtsv call eliminates the tridiagonal part and
         forward-substitutes r and the jump stencil c together, then
         back-substitutes each; the Sherman-Morrison correction follows.
-        The routine runs in the common dtype of shift, scale and r, so a
-        complex r is solved in complex arithmetic.  Bitwise equal to
-        ShiftedSolver(self, shift, scale)(r), pivoting included.  The
-        result is a view of an array made by this call.
+        The routine runs in the common dtype of shift, scale and r (real
+        for the minimizer).  Bitwise equal to gttrf and gttrs with the same
+        correction, pivoting included: solve(1.0, scale, r) with a complex
+        scale is ShiftedSolver(self, scale)'s.  The result is a view of an
+        array made by this call.
         """
         return self._sweep(shift + scale * self.diag, scale, r)
 
@@ -308,44 +307,34 @@ def _remove_jump(y, z, gain, c, span, work=None):
 
 
 class ShiftedSolver:
-    """y = (shift + scale * M)^-1 r for one FormOperator M = T + coupling c c^T;
-    shift is a scalar or one value per node.
+    """y = (1 + scale * M)^-1 r for one FormOperator M = T + coupling c c^T
+    and a complex scale: the Crank-Nicolson propagator's Cayley solver.
 
-    The tridiagonal part shift + scale * T is factored once by LAPACK
-    gttrf, and each call is one gttrs solve on the factors plus the
-    Sherman-Morrison correction for the rank-one jump term.  This is the
-    propagator's solver: one factorization, then thousands of solves.  A
-    system solved only once (a minimizer step) takes FormOperator.solve,
-    one gtsv sweep, instead.  Factors, solves and correction all run in
-    the dtype of shift and scale: real arithmetic (dgttrf/dgttrs) when
-    both are real, complex (zgttrf/zgttrs) otherwise.  A real
-    factorization solves only real right-hand sides.
+    The tridiagonal part 1 + scale * T is factored once by LAPACK zgttrf,
+    and each call is one zgttrs solve on the factors plus the
+    Sherman-Morrison correction for the rank-one jump term: one
+    factorization, then thousands of solves.  A system solved only once
+    (a minimizer step) takes FormOperator.solve, one gtsv sweep, instead.
     """
 
-    def __init__(self, op: FormOperator, shift, scale: complex):
-        diag = shift + scale * op.diag
+    def __init__(self, op: FormOperator, scale: complex):
+        lapack = _lapack()
         off = scale * op.off
-        gttrf, self.gttrs = _lapack().get_lapack_funcs(("gttrf", "gttrs"), (diag, off))
-        *self.factors, self.ipiv, info = gttrf(off, diag, off)
+        *self.factors, self.ipiv, info = lapack.zgttrf(off, 1.0 + scale * op.diag, off)
         if info != 0:
             raise np.linalg.LinAlgError(f"tridiagonal factorization failed (info={info})")
+        self.gttrs = lapack.zgttrs
         self.jump = op.jump
         self.c = op.jump_stencil[op.jump]
         self.z = self.gttrs(*self.factors, self.ipiv, op.jump_stencil)[0]
         self.gain = _jump_gain(scale * op.coupling, self.c, self.z[self.jump])
 
-    def __call__(self, r: np.ndarray, out=None, work=None) -> np.ndarray:
-        """The solution, in out when it is given (r is copied there and
-        solved in place; r itself is never written), with work a scratch
-        array of r's shape for the jump correction."""
-        # gttrs would cast a complex r to the real factors' dtype, dropping
-        # its imaginary part with only a ComplexWarning
-        if self.z.dtype.kind != "c" and np.iscomplexobj(r):
-            raise TypeError("a real factorization cannot solve a complex right-hand side")
-        if out is not None:
-            np.copyto(out, r)
-            r = out
-        y = self.gttrs(*self.factors, self.ipiv, r, overwrite_b=out is not None)[0]
+    def __call__(self, r: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """The solution, in out: r is copied there and solved in place (r
+        itself is never written), with work a complex scratch array of r's
+        shape for the jump correction."""
+        np.copyto(out, r)
+        y = self.gttrs(*self.factors, self.ipiv, out, overwrite_b=1)[0]
         _remove_jump(y, self.z, self.gain, self.c, self.jump, work)
         return y
 
@@ -540,13 +529,13 @@ def _sigma_dist_at(u: np.ndarray, phi: np.ndarray, du, dphi, theta: float, dx: f
     return math.sqrt(max(float(d2.real), 0.0)), amp
 
 
-def _golden_min(f, lo: float, hi: float, iters: int = 40):
+def _golden_min(f, lo: float, hi: float):
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv * (b - a)
     d = a + inv * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(40):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv * (b - a)
@@ -695,9 +684,8 @@ def morse_index(u: Field, gamma: float, omega: float) -> int:
     located only to a coarse tolerance.  The index is 1 at a ground state
     and 2 at the symmetric state above the discrete pitchfork.
     """
-    _check_gamma(gamma)
-    _check_omega(omega)
     op = form_operator(u.grid, gamma)
+    _check_omega(omega)
     v = _real_values(u, "the profile")
     diag = op.diag + u.grid.dx * (omega - 2.0 - _log_abs2(v))
     # Gershgorin: every eigenvalue of T' lies above lo
@@ -705,8 +693,7 @@ def morse_index(u: Field, gamma: float, omega: float) -> int:
     count, *_, info = _lapack().dstebz(diag, op.off, 1, lo, 0.0, 1, 1, -lo, b"E")
     if info != 0:
         raise np.linalg.LinAlgError(f"Sturm count failed (info={info})")
-    (gtsv,) = _lapack().get_lapack_funcs(("gtsv",), (diag, op.off))
-    *_, z, info = gtsv(op.off, diag, op.off, op.jump_stencil.copy(), overwrite_d=1)
+    *_, z, info = _lapack().dgtsv(op.off, diag, op.off, op.jump_stencil.copy(), overwrite_d=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"tridiagonal solve failed (info={info})")
     c = op.jump_stencil[op.jump]
@@ -758,9 +745,8 @@ def stationary_newton(u: Field, gamma: float, omega: float) -> MinimizeResult:
     value is half the mass of the state.  A stall raises ConvergenceError
     with the MinimizeResult of the last iterate.
     """
-    _check_gamma(gamma)
-    _check_omega(omega)
     op = form_operator(u.grid, gamma)
+    _check_omega(omega)
     v, steps, converged = _newton(op, _real_values(u, "the start"), omega)
     result = _certify(op, gamma, omega, v, iterations=steps, rejected=0, forced=0, newton=steps)
     if not converged:
@@ -830,11 +816,10 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
     value.  After max_iter descent steps without convergence it raises
     ConvergenceError with the MinimizeResult of the last iterate.
     """
-    _check_gamma(gamma)
+    op = form_operator(grid, gamma)
     _check_omega(omega)
     if max_iter < 1:
         raise ValueError(f"max_iter must be a positive integer, got {max_iter}")
-    op = form_operator(grid, gamma)
     dx = grid.dx
     v, S = _project(op, _seed_values(seed, gamma, omega, grid), omega)
     shift, diag = np.empty(grid.n), np.empty(grid.n)

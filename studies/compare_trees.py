@@ -12,6 +12,11 @@ and hashes the library probes:
 * one ``stability_experiment``;
 * the five ``variational`` minimizations of perfbench (iterations,
   Newton steps, Morse index, value, action and field of each);
+* ``stationary_newton`` and ``morse_index`` from the sampled symmetric
+  branch on the cases in NEWTON (the same counts and fields, and the
+  index of the start);
+* a chain of public ``nonlinear_step`` and ``linear_step`` calls per
+  clamping level in STEPS (every state of the chain);
 
 then each README command in COMMANDS runs in a new interpreter of its
 own, and its stdout, its stderr and the file it writes are hashed.
@@ -36,6 +41,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+from cli_startup import COMMANDS as README_COMMANDS  # noqa: E402
 from manifest import manifest, pin_blas_threads  # noqa: E402
 
 # (name, grid n, gamma, branch, dt, steps, record_every, m, snapshot_every):
@@ -53,15 +59,16 @@ STABILITY = dict(gamma=3.0, omega=0.0, branch="asymmetric-left", perturbation_si
                  t_end=0.5, trials=2, rng_seed=0, grid_n=1024, dt=2e-3, record_every=25)
 # perfbench's variational minimizations, on its grid (L = 20, n = 4096)
 MINIMIZE = [(1.0, "symmetric"), (3.0, "left"), (3.0, "right"), (2.01, "left"), (2.1, "left")]
+# (gamma, grid n) of the Newton probes at omega = 0: the symmetric saddle
+# above the pitchfork, and either side of the discrete pitchfork at n = 2048
+NEWTON = [(2.01, 1024), (3.0, 1024), (1.9999, 2048), (2.0, 2048)]
+# the substep chain: each step is nonlinear_step then linear_step over dt,
+# from the perturbed asymmetric-left profile, once per clamping level m
+STEPS = dict(gamma=3.0, grid_n=2048, dt=2e-3, steps=20, m=(None, 4.0))
 
-# the README commands that write a result, each with its --out file
-COMMANDS = {
-    "ground": ["ground", "--gamma", "3", "--omega", "0", "--out", "ground3.json"],
-    "bifurcate": ["bifurcate", "--gamma-min", "1.5", "--gamma-max", "2.5", "--steps", "101",
-                  "--out", "sweep.csv"],
-    "minimize": ["minimize", "--gamma", "3", "--seed", "left", "--out", "minimizer.csv"],
-    "evolve": ["evolve", "--gamma", "2", "--dt", "1e-3", "--t-end", "10", "--out", "traj.csv"],
-}
+# the README commands that write a result, each with its --out file; the
+# stability command takes minutes and is left out
+COMMANDS = {k: v for k, v in README_COMMANDS.items() if k != "stability"}
 
 # imports lognls from argv[1] (and fails if another copy answers), then
 # runs the code that follows
@@ -90,17 +97,27 @@ def probe() -> None:
     import numpy as np
 
     from lognls import fields
-    from lognls.dynamics import EvolutionConfig, evolve, stability_experiment
+    from lognls.dynamics import (EvolutionConfig, evolve, linear_step, nonlinear_step,
+                                 stability_experiment)
     from lognls.stationary import Branch, branch_params
+
+    def perturbed(params, grid):
+        """The sampled profile plus a seeded perturbation of relative H^1
+        size 1e-2."""
+        phi = fields.sample_profile(params, grid)
+        pert = fields.random_smooth_field(grid, np.random.default_rng((7, grid.n)))
+        return phi.with_values(
+            phi.values + pert.values * (1e-2 * fields.sigma_norm(phi) / fields.sigma_norm(pert)))
+
+    def result_digest(res):
+        return digest(np.array([res.iterations, res.newton, res.index]),
+                      np.array([res.value, res.action]), res.field.values)
 
     out = {}
     for name, n, gamma, branch, dt, steps, every, m, snap in EVOLVE_CASES:
         grid = fields.Grid(20.0, n)
         params = branch_params(gamma, 0.0, Branch(branch))
-        phi = fields.sample_profile(params, grid)
-        pert = fields.random_smooth_field(grid, np.random.default_rng((7, n)))
-        u0 = phi.with_values(
-            phi.values + pert.values * (1e-2 * fields.sigma_norm(phi) / fields.sigma_norm(pert)))
+        u0 = perturbed(params, grid)
         res = evolve(u0, gamma, EvolutionConfig(dt=dt, t_end=steps * dt, m=m, record_every=every,
                                                 snapshot_every=snap), reference=params)
         out[f"evolve {name} records"] = digest(np.array(
@@ -119,9 +136,25 @@ def probe() -> None:
     for gamma, seed in MINIMIZE:
         res = fields.minimize_dgamma(gamma, 0.0, seed=fields.Seed(seed),
                                      grid=fields.Grid(20.0, 4096))
-        out[f"minimize gamma={gamma:g} seed={seed}"] = digest(
-            np.array([res.iterations, res.newton, res.index]),
-            np.array([res.value, res.action]), res.field.values)
+        out[f"minimize gamma={gamma:g} seed={seed}"] = result_digest(res)
+    for gamma, n in NEWTON:
+        u = fields.sample_profile(branch_params(gamma, 0.0, Branch.SYMMETRIC),
+                                  fields.Grid(20.0, n))
+        try:
+            out[f"newton gamma={gamma:g} n={n}"] = result_digest(
+                fields.stationary_newton(u, gamma, 0.0))
+        except fields.ConvergenceError as err:  # a stall hashes its last iterate
+            out[f"newton gamma={gamma:g} n={n}"] = "stalled " + result_digest(err.result)
+        out[f"morse_index gamma={gamma:g} n={n}"] = digest(
+            np.array([fields.morse_index(u, gamma, 0.0)]))
+    grid, dt = fields.Grid(20.0, STEPS["grid_n"]), STEPS["dt"]
+    params = branch_params(STEPS["gamma"], 0.0, Branch.ASYMMETRIC_LEFT)
+    for m in STEPS["m"]:
+        u, states = perturbed(params, grid), []
+        for _ in range(STEPS["steps"]):
+            u = linear_step(nonlinear_step(u, dt, m), STEPS["gamma"], dt)
+            states.append(u.values)
+        out[f"steps m={m}"] = digest(*states)
     print(json.dumps(out))
 
 
@@ -171,12 +204,13 @@ def main(argv=None) -> int:
                      "equal": hashes["base"].get(name) == hashes["change"].get(name)}
               for name in sorted(hashes["base"].keys() | hashes["change"].keys())}
     inputs = {"evolve": EVOLVE_CASES, "stability_experiment": STABILITY,
-              "minimize": MINIMIZE, "cli": COMMANDS}
+              "minimize": MINIMIZE, "newton": NEWTON, "steps": STEPS, "cli": COMMANDS}
     doc = {
         "study": "compare_trees",
-        "what": "sha256 of the evolve, stability_experiment and minimizer results and of "
-                "the README commands' stdout, stderr and files, one fresh interpreter per tree "
-                "for the library probes and one per command",
+        "what": "sha256 of the evolve, stability_experiment, minimizer, Newton, Morse index "
+                "and substep-chain results and of the README commands' stdout, stderr and "
+                "files, one fresh interpreter per tree for the library probes and one per "
+                "command",
         "all_equal": all(p["equal"] for p in probes.values()),
         "probes": probes,
         "manifest": {k: manifest(tree.resolve(), 0, "compare_trees", inputs)

@@ -53,9 +53,10 @@ def gate(num, desc, ok, detail=""):
     assert ok, f"criterion {num}: {desc} {detail}"
 
 
-def of(value, bound):
-    """A gated value as a fraction of its bound, for the gate line."""
-    return f"{value / bound:.3g} of {bound:g}"
+def of(value, bound, side):
+    """A gated value as a multiple of its bound, for the gate line, with the
+    side of the bound a pass lies on: the gate passes when value side bound."""
+    return f"{value / bound:.3g} x {bound:g}, must be {side}"
 
 
 def test_criterion_1_pair_system_structure():
@@ -71,9 +72,9 @@ def test_criterion_1_pair_system_structure():
         worst = max(max(pair_residuals(t1, t2, g)) for t1, t2 in sols)
         worst_all = max(worst_all, worst)
         if worst > 1e-10:
-            ok, detail = False, f"gamma={g} residual {worst:.2e}, {of(worst, 1e-10)}"
+            ok, detail = False, f"gamma={g} residual {worst:.2e}, {of(worst, 1e-10, '<=')}"
             break
-    detail = detail or f"worst residual {worst_all:.2e}, {of(worst_all, 1e-10)}"
+    detail = detail or f"worst residual {worst_all:.2e}, {of(worst_all, 1e-10, '<=')}"
     gate(1, "pair-system solution counts and residuals <= 1e-10", ok, detail)
 
 
@@ -83,7 +84,7 @@ def test_criterion_2_symmetric_branch_exact():
         t1, t2 = solve_3s(g)[0]
         worst = max(worst, abs(t1 - 2.0 / g), abs(t2 - 2.0 / g))
     gate(2, "symmetric branch t1 = t2 = 2/gamma to 1e-12", worst <= 1e-12,
-         f"worst deviation {worst:.2e}, {of(worst, 1e-12)}")
+         f"worst deviation {worst:.2e}, {of(worst, 1e-12, '<=')}")
 
 
 def test_criterion_3_straddle():
@@ -103,7 +104,7 @@ def test_criterion_4_action_ordering():
         sym = math.exp(w + 1.0) * n_gamma(2.0 / g, g)
         worst_margin = min(worst_margin, (sym - asym) / sym)
     gate(4, "asymmetric action strictly below symmetric action", worst_margin > 1e-6,
-         f"smallest relative margin {worst_margin:.3e}, {of(worst_margin, 1e-6)}")
+         f"smallest relative margin {worst_margin:.3e}, {of(worst_margin, 1e-6, '>')}")
 
 
 def test_criterion_5_bounds_chain():
@@ -132,7 +133,8 @@ def test_criterion_6_residual_second_order():
     slopes = [np.polyfit(logdx, np.log([r[k] for r in rows]), 1)[0] for k in (1, 2, 3)]
     ok = all(1.7 <= s <= 2.3 for s in slopes)
     gate(6, "stationarity residuals decay at second order",
-         ok, "slopes interior/bc1/bc2 = " + ", ".join(f"{s:.2f}" for s in slopes))
+         ok, "slopes interior/bc1/bc2 = " + ", ".join(f"{s:.2f}" for s in slopes)
+         + ", each must lie in [1.7, 2.3]")
 
 
 def test_criterion_7_linear_spectrum():
@@ -143,7 +145,7 @@ def test_criterion_7_linear_spectrum():
     ray = quadratic_form(psi, gamma) / mass(psi)
     err = abs(ray - (-4.0 / gamma**2))
     gate(7, "bound-state Rayleigh quotient within 1e-4 of -4/gamma^2",
-         err <= 1e-4, f"error {err:.2e}, {of(err, 1e-4)}")
+         err <= 1e-4, f"error {err:.2e}, {of(err, 1e-4, '<=')}")
 
 
 def test_criterion_8_variational_recovery():
@@ -158,8 +160,8 @@ def test_criterion_8_variational_recovery():
     mirror = abs(left.value - right.value) / left.value
     ok = e1 < 0.01 and e3 < 0.01 and mirror <= 1e-8
     gate(8, "minimizer matches closed forms (1%) and mirror seeds agree (1e-8)",
-         ok, f"rel errors {e1:.2e}, {e3:.2e} ({of(e1, 0.01)}, {of(e3, 0.01)}); "
-             f"mirror {mirror:.2e} ({of(mirror, 1e-8)})")
+         ok, f"rel errors {e1:.2e}, {e3:.2e} ({of(e1, 0.01, '<')}; {of(e3, 0.01, '<')}); "
+             f"mirror {mirror:.2e} ({of(mirror, 1e-8, '<=')})")
 
 
 def test_criterion_9_conservation():
@@ -184,8 +186,9 @@ def test_criterion_9_conservation():
     ratio = de / de_half
     ok = dm <= 1e-10 and de / escale <= 1e-6 and 3.0 <= ratio <= 5.0
     gate(9, "mass drift <= 1e-10, energy drift <= 1e-6, halving gains ~4x",
-         ok, f"mass {dm:.2e} ({of(dm, 1e-10)}), energy {de / escale:.2e} "
-             f"({of(de / escale, 1e-6)}), ratio {ratio:.2f} ({of(ratio, 3.0)}, {of(ratio, 5.0)})")
+         ok, f"mass {dm:.2e} ({of(dm, 1e-10, '<=')}), energy {de / escale:.2e} "
+             f"({of(de / escale, 1e-6, '<=')}), ratio {ratio:.2f} "
+             f"({of(ratio, 3.0, '>=')}; {of(ratio, 5.0, '<=')})")
 
 
 def test_criterion_10_orbital_stability():
@@ -203,7 +206,7 @@ def test_criterion_10_orbital_stability():
         s = stability_experiment(gamma=gamma, branch=branch, **common)
         # the gate is on the sigma ratio; the W ratio is reported beside it
         parts.append(f"gamma={gamma} {branch.value}: max ratio sigma {s.max_ratio_sigma!r} "
-                     f"({s.max_ratio_sigma / 10.0:.3f} of 10), W {s.max_ratio_w!r}")
+                     f"({of(s.max_ratio_sigma, 10.0, '<=')}), W {s.max_ratio_w!r}")
         if s.max_ratio_sigma > 10.0:
             ok = False
     gate(10, "perturbed ground states stay within 10x of the initial distance",
@@ -308,4 +311,5 @@ def test_criterion_11_property_suites():
 
     margins = ", ".join(f"{suite} {ratio:.2g}" for suite, ratio in worst.items())
     gate(11, "randomized property suites (>=100 cases each)", not failures,
-         f"{len(failures) or 'no'} failures; worst error/bound: {margins}")
+         f"{len(failures) or 'no'} failures; worst error/bound: {margins}, "
+         "each must be <= 1")

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from lognls import dynamics
 from lognls.corefn import eval_Gm
 from lognls.dynamics import (
     EvolutionAborted,
@@ -44,6 +45,13 @@ class TestLinearStep:
     def test_dt_zero_is_identity(self, grid):
         u = bound_state(grid, 2.0)
         assert linear_step(u, 2.0, 0.0) is u
+        # a non-finite dt is refused before a propagator is factored for it
+        size = dynamics._propagator.cache_info().currsize
+        for dt in (math.nan, math.inf, -math.inf):
+            for step in (lambda: linear_step(u, 2.0, dt), lambda: nonlinear_step(u, dt)):
+                with pytest.raises(ValueError, match="dt must be finite"):
+                    step()
+        assert dynamics._propagator.cache_info().currsize == size
 
     def test_mass_preserved_per_step(self, grid):
         rng = np.random.default_rng(1)

@@ -651,33 +651,6 @@ class TestOperatorReference:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("complex_rhs", [True, False])
-def test_real_shift_solves_like_complex_shift(complex_rhs):
-    # a real shift and scale are factored and solved in real arithmetic:
-    # the solve returns float64 and agrees with the same system in complex
-    # arithmetic, whose imaginary part stays exactly 0, to rounding; a
-    # complex right-hand side would lose its imaginary part there, so the
-    # real factorization refuses it
-    for n in (1024, 4096):
-        g = Grid(20.0, n)
-        op = form_operator(g, 3.0)
-        for seed in range(8):
-            rng = np.random.default_rng(seed)
-            r = rng.standard_normal(g.n)
-            shift = 1.0 + rng.uniform(0.0, 2.0, g.n)
-            s = rng.uniform(0.01, 2.0) / g.dx
-            solve = ShiftedSolver(op, shift, s)
-            if complex_rhs:
-                with pytest.raises(TypeError, match="complex right-hand side"):
-                    solve(r + 1j * rng.standard_normal(g.n))
-                continue
-            real = solve(r)
-            cplx = ShiftedSolver(op, shift + 0j, s + 0j)(r)
-            assert real.dtype == np.float64
-            assert np.all(cplx.imag == 0.0)
-            assert np.max(np.abs(real - cplx.real)) <= 1e-15 * np.max(np.abs(cplx.real))
-
-
 def minimizer_shift(grid, tau):
     """The minimizer's first shift and scale on the 2.01-left seed."""
     base = sample_profile(branch_params(2.01, 0.0, Branch.SYMMETRIC), grid).values.real
@@ -690,12 +663,24 @@ def row_interchanges(op, shift, scale):
     return np.count_nonzero(ipiv != np.arange(1, len(ipiv) + 1))
 
 
+def factored_solve(op, shift, scale, r):
+    """(shift + scale * M)^-1 r by dgttrf and dgttrs on the tridiagonal part
+    and the Sherman-Morrison correction for the jump term."""
+    *factors, ipiv, info = lapack.dgttrf(scale * op.off, shift + scale * op.diag, scale * op.off)
+    assert info == 0
+    y = lapack.dgttrs(*factors, ipiv, r)[0]
+    z = lapack.dgttrs(*factors, ipiv, op.jump_stencil)[0]
+    c = op.jump_stencil[op.jump]
+    fields._remove_jump(y, z, fields._jump_gain(scale * op.coupling, c, z[op.jump]), c, op.jump)
+    return y
+
+
 @pytest.mark.parametrize("n", [1024, 4096])
 def test_one_sweep_solve_is_factored_solve(n):
     # solve (one gtsv sweep over r and the jump stencil) returns the bits of
-    # the factor-once solver, with row interchanges (tau = 2) and without
-    # (tau = 0.2); a complex r is solved in complex arithmetic, as by the
-    # complex-typed factorization, not cut to its real part
+    # factor-then-solve: for the minimizer's real systems with row
+    # interchanges (tau = 2) and without (tau = 0.2), and for the
+    # propagator's complex Cayley system, as ShiftedSolver solves it
     g = Grid(20.0, n)
     op = form_operator(g, 2.01)
     rng = np.random.default_rng(n)
@@ -704,11 +689,14 @@ def test_one_sweep_solve_is_factored_solve(n):
         assert (row_interchanges(op, shift, scale) > 0) == pivots
         got = op.solve(shift, scale, v)
         assert got.dtype == np.float64
-        assert np.array_equal(got, ShiftedSolver(op, shift, scale)(v))
-        r = v + 1j * rng.standard_normal(n)
-        got = op.solve(shift, scale, r)
+        assert np.array_equal(got, factored_solve(op, shift, scale, v))
+    for dt in (1e-3, -1e-3, 2e-3):
+        scale = 0.5j * dt / g.dx
+        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        got = op.solve(1.0, scale, r)
         assert got.dtype == np.complex128
-        assert np.array_equal(got, ShiftedSolver(op, shift + 0j, scale + 0j)(r))
+        want = ShiftedSolver(op, scale)(r, np.empty_like(r), np.empty_like(r))
+        assert np.array_equal(got, want)
 
 
 def test_one_sweep_solve_singular():

@@ -231,10 +231,12 @@ def test_nonfinite_omega_rejected(entry, omega):
         _OMEGA_CALLS[entry](omega)
 
 
-@pytest.mark.parametrize("call", [lambda: fields.quadratic_form(_U, math.nan),
-                                  lambda: fields.report(_U, math.nan, 0.0),
-                                  lambda: dynamics.linear_step(_U, math.nan, 1e-3)],
+@pytest.mark.parametrize("call", [lambda g: fields.quadratic_form(_U, g),
+                                  lambda g: fields.report(_U, g, 0.0),
+                                  lambda g: dynamics.linear_step(_U, g, 1e-3)],
                          ids=["quadratic_form", "report", "linear_step"])
 def test_nan_gamma_rejected_by_form(call):
-    with pytest.raises(ValueError, match="requires gamma != 0 and not NaN"):
-        call()
+    # the form takes gamma in (0, inf) only, with the check of every other function
+    for gamma in (math.nan, -1.0, 0.0, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            call(gamma)
