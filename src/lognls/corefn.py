@@ -22,8 +22,9 @@ s = e^-3, quadratic above) and B = F + A.  From A and B come:
   monotone Newton in x = max|u|/k after one sort of the amplitudes:
   summed over the samples, each branch of A(x t) is a quadratic in x
   (times log x on the low branch) whose coefficients are slice sums over
-  the sorted t = |u|/max|u|, so every Newton step costs one binary search
-  and four slice sums, and a handful of steps reach the root to rounding,
+  the sorted t = |u|/max|u|, so a Newton step costs one binary search
+  and four slice sums when the split moves and a few scalar operations
+  when it does not, and a handful of steps reach the root to rounding,
 * the Gaussian tail integral gamma_tail(t) = int_t^inf exp(-s^2) ds used
   by the closed-form ground-state masses, from libm's erfc.
 
@@ -251,10 +252,15 @@ def _gauge(s: np.ndarray, dx: float) -> tuple[float, int]:
     a, b, c = 3.0 * float(t2.sum()), 2.0 * _E3 * float(t.sum()), _E6 * t.size + 1.0 / dx
     x = c / (b + math.sqrt(b * b + a * c))
     last = math.inf
+    t_lo = t_hi = 0.0  # the split j holds while t[j - 1] <= e^-3/x < t[j]
     for evals in range(1, _GAUGE_MAX_EVALS + 1):
-        j = int(t.searchsorted(_E3 / x, "right"))
-        q_lo, q_hi, l_hi = float(t2[:j].sum()), float(t2[j:].sum()), float(t[j:].sum())
-        low = float(f[:j].sum()) + math.log(x * x) * q_lo  # sum t^2 log (t x)^2 over the prefix
+        if not t_lo <= _E3 / x < t_hi:  # the split moved: search and re-sum
+            j = int(t.searchsorted(_E3 / x, "right"))
+            t_lo = float(t[j - 1]) if j else -math.inf
+            t_hi = float(t[j]) if j < t.size else math.inf
+            q_lo, q_hi, l_hi = float(t2[:j].sum()), float(t2[j:].sum()), float(t[j:].sum())
+            f_lo = float(f[:j].sum())
+        low = f_lo + math.log(x * x) * q_lo  # sum t^2 log (t x)^2 over the prefix
         rho = dx * (x * x * (3.0 * q_hi - low) + 4.0 * _E3 * x * l_hi - _E6 * (t.size - j))
         drho = dx * (2.0 * x * (3.0 * q_hi - low - q_lo) + 4.0 * _E3 * l_hi)
         step = (rho - 1.0) / drho

@@ -17,8 +17,10 @@ recorded energy is conserved up to the O(dt^2) splitting error.
 
 The substeps _cn_step and _rotate write to buffers their caller owns.
 evolve allocates its state-sized arrays once per call (two complex state
-buffers, one complex scratch array, one real array) and runs every
+buffers, one complex scratch array, two real arrays) and runs every
 substep in them; linear_step and nonlinear_step allocate theirs per call.
+The rotation builds its factor from one half-angle tangent,
+t = tan(theta/2), as ((1 - t^2) + 2it)/(1 + t^2).
 
 The logarithm may be clamped with the regularized rate g_m (config.m);
 by default it is used raw with the amplitude floored at 1e-14, which
@@ -67,7 +69,8 @@ class EvolutionConfig:
     """Time-stepping parameters.
 
     m is the clamping level of the logarithmic rate (None = raw log with
-    a 1e-14 amplitude floor).  t_end must be an integer number of steps.
+    a 1e-14 amplitude floor), finite and >= 1 when given.  t_end must be
+    an integer number of steps.
     """
 
     dt: float
@@ -84,6 +87,8 @@ class EvolutionConfig:
             raise ValueError("record_every must be a positive integer")
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ValueError("snapshot_every must be a positive integer")
+        if self.m is not None:
+            corefn._level(self.m)  # a level no step could run with
         n = round(self.t_end / self.dt)
         if n < 1 or abs(n * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ValueError(
@@ -162,17 +167,28 @@ def linear_step(u: Field, gamma: float, dt: float) -> Field:
     return u.with_values(_cn_step(solve, u.values, out, np.empty_like(out)))
 
 
-def _rotate(values: np.ndarray, tau: float, m, out: np.ndarray, rate: np.ndarray) -> np.ndarray:
+def _rotate(values: np.ndarray, tau: float, m, out: np.ndarray, rate: np.ndarray,
+            work: np.ndarray) -> np.ndarray:
     """values exp(i tau log|values|^2), the rate clamped per m, written to
     out (not values), with the amplitudes and, for m = None, the rate
-    formed in the real array rate."""
-    # cos and sin cost less than exp(1j r) and equal it; the product keeps the
-    # factor order of values * exp(1j r), on which its rounding depends
+    formed in the real array rate, and work a second real array."""
+    # the factor from t = tan(theta/2): cos theta = (1 - t^2)/(1 + t^2) and
+    # sin theta = 2t/(1 + t^2), one vectorized tan where numpy's cos and sin
+    # run at scalar speed.  A rounding of t turns the factor by at most one
+    # of theta/2, and this form keeps its modulus within an ulp or two of 1
+    # (2/(1 + t^2) - 1 biases it, and the mass drifts).  The product keeps
+    # the factor order of values * exp(1j theta), on which its rounding
+    # depends
     s = np.abs(values, out=rate)
-    r = corefn._floored_log_rate(s, out=s) if m is None else corefn.gm_phase_rate(s, m)
-    np.multiply(tau, r, out=r)
-    np.cos(r, out=out.real)
-    np.sin(r, out=out.imag)
+    t = corefn._floored_log_rate(s, out=s) if m is None else corefn.gm_phase_rate(s, m)
+    np.multiply(0.5 * tau, t, out=t)
+    np.tan(t, out=t)
+    q = np.multiply(t, t, out=work)
+    np.subtract(1.0, q, out=out.real)
+    q += 1.0
+    np.divide(out.real, q, out=out.real)
+    t += t
+    np.divide(t, q, out=out.imag)
     return np.multiply(values, out, out=out)
 
 
@@ -182,7 +198,9 @@ def nonlinear_step(u: Field, dt: float, m=None) -> Field:
     non-finite dt raises ValueError."""
     if not math.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt}")
-    return u.with_values(_rotate(u.values, dt, m, np.empty_like(u.values), np.empty(u.grid.n)))
+    n = u.grid.n
+    return u.with_values(_rotate(u.values, dt, m, np.empty_like(u.values), np.empty(n),
+                                 np.empty(n)))
 
 
 def evolve(
@@ -201,9 +219,10 @@ def evolve(
     A run allocates its state-sized arrays once: two complex state
     buffers, which the Cayley solve and the phase rotation write in
     turn, one complex scratch array for the solve's jump correction and
-    the mass projection, and one real array for the amplitudes and the
-    rate.  Snapshots are copies, the final state is the buffer the last
-    substep wrote, and u0's samples are never written.
+    the mass projection, and two real arrays for the amplitudes, the
+    rate and the rotation factor's tangent and its square.  Snapshots
+    are copies, the final state is the buffer the last substep wrote,
+    and u0's samples are never written.
     """
     if not np.all(np.isfinite(u0.values)):
         raise EvolutionAborted(0, [])
@@ -216,7 +235,7 @@ def evolve(
         phi = sample_profile(reference, u0.grid).values
         dphi = _derivative(phi, u0.grid)  # the fixed reference's: once per run, not per record
     v, spare, work = (np.empty_like(u0.values) for _ in range(3))
-    rate = np.empty(u0.values.shape)
+    rate, rot_work = np.empty(u0.values.shape), np.empty(u0.values.shape)
 
     def make_record(t: float, vals: np.ndarray) -> TrajectoryRecord:
         # the mass, and the energy (1/2) t_gamma[u] - (1/2) entropy written
@@ -246,18 +265,18 @@ def evolve(
     nsteps = config.nsteps
     try:
         records.append(make_record(0.0, u0.values))
-        v = _rotate(u0.values, half, m, v, rate)
+        v = _rotate(u0.values, half, m, v, rate, rot_work)
         for k in range(1, nsteps + 1):
             # each substep writes the spare buffer and hands the old state's
             # buffer back as the next spare
             v, spare = _cn_step(solve, v, spare, work), v
             if k < nsteps and k % config.record_every:
                 # merge the trailing and leading half rotations (|u| unchanged)
-                v, spare = _rotate(v, config.dt, m, spare, rate), v
+                v, spare = _rotate(v, config.dt, m, spare, rate, rot_work), v
                 if k % 50 == 0 and not np.all(np.isfinite(v)):
                     raise EvolutionAborted(k, records)
                 continue
-            v, spare = _rotate(v, half, m, spare, rate), v
+            v, spare = _rotate(v, half, m, spare, rate, rot_work), v
             if not np.all(np.isfinite(v)):
                 raise EvolutionAborted(k, records)
             records.append(make_record(k * config.dt, v))
@@ -265,7 +284,7 @@ def evolve(
             if config.snapshot_every and nrec % config.snapshot_every == 0:
                 snapshots.append((k * config.dt, u0.with_values(v.copy())))
             if k < nsteps:
-                v, spare = _rotate(v, half, m, spare, rate), v
+                v, spare = _rotate(v, half, m, spare, rate, rot_work), v
     except FloatingPointError as exc:  # a blow-up under np.errstate(over="raise")
         raise EvolutionAborted(k, records) from exc
     return EvolutionResult(records=records, final=u0.with_values(v), snapshots=snapshots)

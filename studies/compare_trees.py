@@ -20,11 +20,15 @@ and hashes the library probes:
 
 then each README command in COMMANDS runs in a new interpreter of its
 own, and its stdout, its stderr and the file it writes are hashed.
-Files go to a temporary directory, which is removed at the end.
+Files go to a temporary directory, which is removed at the end; the
+probe interpreter also saves the arrays it hashed there (``np.savez``).
 
 The JSON written to FILE has, per probe, both trees' hashes and whether
 they are equal, the overall verdict ``all_equal``, and the run manifest
-of ``perfbench/manifest.py`` for each tree.  BLAS runs on one thread.
+of ``perfbench/manifest.py`` for each tree.  A library probe whose hashes
+differ also gets ``max_rel_diff``: the largest, over the arrays it hashed,
+of max|a - b| / max|a| with a the base tree's array (null when the
+shapes differ).  BLAS runs on one thread.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -76,8 +81,10 @@ PRELUDE = ("import sys; sys.path.insert(0, sys.argv[1]); import lognls; "
            "lognls.__file__.startswith(sys.argv[1]) or sys.exit("
            "'lognls imported from ' + lognls.__file__); ")
 PROBES = (PRELUDE + f"sys.path.insert(0, {str(HERE)!r}); "
-          "import compare_trees; compare_trees.probe()")
+          "import compare_trees; compare_trees.probe(sys.argv[2])")
 COMMAND = PRELUDE + "import lognls.cli; sys.exit(lognls.cli.main(sys.argv[2:]))"
+# the library probes' arrays, in each tree's temporary directory
+ARRAYS = "probe_arrays.npz"
 
 
 def digest(*parts) -> str:
@@ -91,15 +98,27 @@ def digest(*parts) -> str:
     return h.hexdigest()
 
 
-def probe() -> None:
-    """Print the library probes' hashes as one JSON object (run in the
-    tree's own interpreter)."""
+def probe(arrays_file: str) -> None:
+    """Print the library probes' hashes as one JSON object, and save the
+    arrays each hashed to arrays_file, under the keys "<probe>#<k>" (run
+    in the tree's own interpreter)."""
     import numpy as np
 
     from lognls import fields
     from lognls.dynamics import (EvolutionConfig, evolve, linear_step, nonlinear_step,
                                  stability_experiment)
     from lognls.stationary import Branch, branch_params
+
+    out, arrays = {}, {}
+
+    def put(name, *parts, tag=""):
+        """Hash parts as probe name and keep them for max_rel_diff."""
+        arrays.update((f"{name}#{k}", np.asarray(a)) for k, a in enumerate(parts))
+        out[name] = tag + digest(*parts)
+
+    def put_result(name, res, tag=""):
+        put(name, np.array([res.iterations, res.newton, res.index]),
+            np.array([res.value, res.action]), res.field.values, tag=tag)
 
     def perturbed(params, grid):
         """The sampled profile plus a seeded perturbation of relative H^1
@@ -109,44 +128,38 @@ def probe() -> None:
         return phi.with_values(
             phi.values + pert.values * (1e-2 * fields.sigma_norm(phi) / fields.sigma_norm(pert)))
 
-    def result_digest(res):
-        return digest(np.array([res.iterations, res.newton, res.index]),
-                      np.array([res.value, res.action]), res.field.values)
-
-    out = {}
     for name, n, gamma, branch, dt, steps, every, m, snap in EVOLVE_CASES:
         grid = fields.Grid(20.0, n)
         params = branch_params(gamma, 0.0, Branch(branch))
         u0 = perturbed(params, grid)
         res = evolve(u0, gamma, EvolutionConfig(dt=dt, t_end=steps * dt, m=m, record_every=every,
                                                 snapshot_every=snap), reference=params)
-        out[f"evolve {name} records"] = digest(np.array(
+        # one array per record field, so that each gets its own relative difference
+        put(f"evolve {name} records", *np.array(
             [(r.time, r.mass, r.energy, r.orbital_distance_sigma, r.orbital_distance_w)
-             for r in res.records]))
-        out[f"evolve {name} final"] = digest(res.final.values)
-        out[f"evolve {name} snapshots"] = digest(
-            np.array([t for t, _ in res.snapshots]), *(f.values for _, f in res.snapshots))
+             for r in res.records]).T)
+        put(f"evolve {name} final", res.final.values)
+        put(f"evolve {name} snapshots", np.array([t for t, _ in res.snapshots]),
+            *(f.values for _, f in res.snapshots))
     kw = dict(STABILITY)
     grid = fields.Grid(20.0, kw.pop("grid_n"))
     summary = stability_experiment(**{**kw, "branch": Branch(kw["branch"])}, grid=grid)
-    out["stability_experiment"] = digest(np.array(
+    put("stability_experiment", *np.array(
         [[getattr(t, f) for f in ("initial_distance_sigma", "max_distance_sigma", "ratio_sigma",
                                   "initial_distance_w", "max_distance_w", "ratio_w")]
-         for t in summary.trials]))
+         for t in summary.trials]).T)
     for gamma, seed in MINIMIZE:
-        res = fields.minimize_dgamma(gamma, 0.0, seed=fields.Seed(seed),
-                                     grid=fields.Grid(20.0, 4096))
-        out[f"minimize gamma={gamma:g} seed={seed}"] = result_digest(res)
+        put_result(f"minimize gamma={gamma:g} seed={seed}",
+                   fields.minimize_dgamma(gamma, 0.0, seed=fields.Seed(seed),
+                                          grid=fields.Grid(20.0, 4096)))
     for gamma, n in NEWTON:
         u = fields.sample_profile(branch_params(gamma, 0.0, Branch.SYMMETRIC),
                                   fields.Grid(20.0, n))
         try:
-            out[f"newton gamma={gamma:g} n={n}"] = result_digest(
-                fields.stationary_newton(u, gamma, 0.0))
+            put_result(f"newton gamma={gamma:g} n={n}", fields.stationary_newton(u, gamma, 0.0))
         except fields.ConvergenceError as err:  # a stall hashes its last iterate
-            out[f"newton gamma={gamma:g} n={n}"] = "stalled " + result_digest(err.result)
-        out[f"morse_index gamma={gamma:g} n={n}"] = digest(
-            np.array([fields.morse_index(u, gamma, 0.0)]))
+            put_result(f"newton gamma={gamma:g} n={n}", err.result, tag="stalled ")
+        put(f"morse_index gamma={gamma:g} n={n}", np.array([fields.morse_index(u, gamma, 0.0)]))
     grid, dt = fields.Grid(20.0, STEPS["grid_n"]), STEPS["dt"]
     params = branch_params(STEPS["gamma"], 0.0, Branch.ASYMMETRIC_LEFT)
     for m in STEPS["m"]:
@@ -154,14 +167,16 @@ def probe() -> None:
         for _ in range(STEPS["steps"]):
             u = linear_step(nonlinear_step(u, dt, m), STEPS["gamma"], dt)
             states.append(u.values)
-        out[f"steps m={m}"] = digest(*states)
+        put(f"steps m={m}", *states)
+    np.savez(arrays_file, **arrays)
     print(json.dumps(out))
 
 
 def tree_hashes(src: Path, tmp: Path) -> dict:
-    """Every probe's hash for the tree whose sources are src."""
-    proc = subprocess.run([sys.executable, "-c", PROBES, str(src)], capture_output=True,
-                          text=True, timeout=1800)
+    """Every probe's hash for the tree whose sources are src; the library
+    probes' arrays go to tmp/ARRAYS."""
+    proc = subprocess.run([sys.executable, "-c", PROBES, str(src), str(tmp / ARRAYS)],
+                          capture_output=True, text=True, timeout=1800)
     if proc.returncode != 0:
         raise RuntimeError(f"probes failed for {src}: {proc.stderr}")
     hashes = json.loads(proc.stdout)
@@ -176,6 +191,30 @@ def tree_hashes(src: Path, tmp: Path) -> dict:
         hashes[f"cli {name} stderr"] = digest(proc.stderr)
         hashes[f"cli {name} file"] = digest(out_file.read_bytes())
     return hashes
+
+
+def max_rel_diffs(base_file: Path, change_file: Path, names) -> dict:
+    """Per probe in names, the largest max|a - b| / max|a| over the arrays
+    it hashed, a saved by the base tree and b by the change; None when the
+    two trees hashed different shapes."""
+    import numpy as np
+
+    out = {}
+    with np.load(base_file) as base, np.load(change_file) as change:
+        for name in names:
+            keys = sorted(k for k in base.files if k.startswith(name + "#"))
+            if keys != sorted(k for k in change.files if k.startswith(name + "#")) or any(
+                    base[k].shape != change[k].shape for k in keys):
+                out[name] = None
+                continue
+            worst = 0.0
+            for k in keys:
+                a, b = base[k], change[k]
+                diff = float(np.max(np.abs(a - b), initial=0.0))
+                scale = float(np.max(np.abs(a), initial=0.0))
+                worst = max(worst, diff / scale if scale else (math.inf if diff else 0.0))
+            out[name] = worst
+    return out
 
 
 def parse_args(argv=None):
@@ -200,9 +239,14 @@ def main(argv=None) -> int:
             (Path(tmp) / k).mkdir()
             hashes[k] = tree_hashes(tree.resolve() / "src", Path(tmp) / k)
             print(f"{k}: {len(hashes[k])} probes hashed", flush=True)
-    probes = {name: {"base": hashes["base"].get(name), "change": hashes["change"].get(name),
-                     "equal": hashes["base"].get(name) == hashes["change"].get(name)}
-              for name in sorted(hashes["base"].keys() | hashes["change"].keys())}
+        probes = {name: {"base": hashes["base"].get(name), "change": hashes["change"].get(name),
+                         "equal": hashes["base"].get(name) == hashes["change"].get(name)}
+                  for name in sorted(hashes["base"].keys() | hashes["change"].keys())}
+        differ = [name for name, p in probes.items()
+                  if not p["equal"] and not name.startswith("cli ")]
+        for name, rel in max_rel_diffs(Path(tmp) / "base" / ARRAYS,
+                                       Path(tmp) / "change" / ARRAYS, differ).items():
+            probes[name]["max_rel_diff"] = rel
     inputs = {"evolve": EVOLVE_CASES, "stability_experiment": STABILITY,
               "minimize": MINIMIZE, "newton": NEWTON, "steps": STEPS, "cli": COMMANDS}
     doc = {
@@ -210,7 +254,8 @@ def main(argv=None) -> int:
         "what": "sha256 of the evolve, stability_experiment, minimizer, Newton, Morse index "
                 "and substep-chain results and of the README commands' stdout, stderr and "
                 "files, one fresh interpreter per tree for the library probes and one per "
-                "command",
+                "command; max_rel_diff = max over a probe's arrays of max|a - b| / max|a| "
+                "(a the base tree's) where a library probe differs",
         "all_equal": all(p["equal"] for p in probes.values()),
         "probes": probes,
         "manifest": {k: manifest(tree.resolve(), 0, "compare_trees", inputs)
@@ -219,7 +264,8 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for name, p in probes.items():
         if not p["equal"]:
-            print(f"differs: {name}")
+            rel = p.get("max_rel_diff")
+            print(f"differs: {name}" + ("" if rel is None else f" (max rel diff {rel:.3g})"))
     print(f"{sum(p['equal'] for p in probes.values())} of {len(probes)} probes equal")
     return 0 if doc["all_equal"] else 1
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lognls import dynamics
-from lognls.corefn import eval_Gm
+from lognls.corefn import eval_Gm, gm_phase_rate
 from lognls.dynamics import (
     EvolutionAborted,
     EvolutionConfig,
@@ -128,6 +128,19 @@ class TestNonlinearStep:
         a = nonlinear_step(nonlinear_step(u, 0.2), 0.3)
         b = nonlinear_step(u, 0.5)
         assert np.allclose(a.values, b.values, rtol=1e-13, atol=1e-14)
+
+    @pytest.mark.parametrize("m", [None, 4.0])
+    @pytest.mark.parametrize("dt", [1e-3, 2e-3, 0.37, 5.0, 40.0])
+    def test_phase_matches_exact_flow(self, grid, dt, m):
+        # the tangent-built factor against cos + i sin of the same angle, at
+        # every sample, up to |theta| ~ 2.6e3
+        rng = np.random.default_rng(5)
+        u = random_smooth_field(grid, rng)
+        s = np.abs(u.values)
+        theta = dt * gm_phase_rate(s, m)
+        exact = u.values * (np.cos(theta) + 1j * np.sin(theta))
+        v = nonlinear_step(u, dt, m)
+        assert np.all(np.abs(v.values - exact) <= 4 * np.finfo(float).eps * s)
 
     def test_clamped_rate_agrees_in_band(self, grid):
         x = grid.nodes()
@@ -337,6 +350,12 @@ class TestEvolve:
                           (1e-3, math.nan)):
             with pytest.raises(ValueError, match="finite and positive"):
                 EvolutionConfig(dt=dt, t_end=t_end)
+        # a clamping level no step can run with fails here, not at the first record
+        for m in (0.5, 0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="regularization level must be finite and >= 1"):
+                EvolutionConfig(dt=1e-3, t_end=1e-2, m=m)
+        for m in (1.0, None):
+            assert EvolutionConfig(dt=1e-3, t_end=1e-2, m=m).m == m
 
 
 class TestStabilityExperiment:
