@@ -24,6 +24,8 @@ from .fields import (
     Field,
     Grid,
     Seed,
+    form_operator,
+    mass,
     minimize_dgamma,
     report,
     sample_profile,
@@ -318,20 +320,23 @@ def cmd_minimize(opt) -> int:
 
 EVOLVE_DEFAULTS = dict(
     gamma=2.0, omega=0.0, branch="symmetric", grid_n=DEFAULT_GRID.n,
-    grid_l=DEFAULT_GRID.L, dt=1e-3, t_end=10.0, m=0.0, record_every=100,
+    grid_l=DEFAULT_GRID.L, dt=1e-3, t_end=10.0, record_every=100,
     snapshot_every=0, snapshot_prefix="", out="",
 )
 
 
 def cmd_evolve(opt) -> int:
-    gamma = opt["gamma"]
-    m = opt["m"] or None  # 0 means the raw floored logarithm
+    gamma, omega = opt["gamma"], opt["omega"]
     config = EvolutionConfig(
-        dt=opt["dt"], t_end=opt["t_end"], m=m,
+        dt=opt["dt"], t_end=opt["t_end"],
         record_every=opt["record_every"], snapshot_every=opt["snapshot_every"] or None,
     )
-    params = branch_params(gamma, opt["omega"], opt["branch"])
+    params = branch_params(gamma, omega, opt["branch"])
     u0 = sample_profile(params, _grid(opt))
+    form_operator(u0.grid, gamma)  # rejects a grid too coarse for gamma, as evolve does
+    if mass(u0) == 0.0:
+        raise ValueError(f"omega = {fmt(omega)}: the sampled profile's squares underflow, "
+                         "so its mass is 0")
     result = evolve(u0, gamma, config, reference=params)
     lines = ["t,mass,energy,dist_sigma,dist_w"]
     for r in result.records:

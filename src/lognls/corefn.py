@@ -116,9 +116,10 @@ def _rate_B(s):
 def gm_phase_rate(s, m=None):
     """Real rate r with g_m(z) = z * r(|z|), vectorized over amplitudes s >= 0.
 
-    For m = None the unregularized rate log s^2 is returned with the
-    amplitude floored at 1e-14 inside the logarithm, which is the default
-    nonlinearity of the time integrator.
+    g_m is the paper's regularization, used in its existence proof; the
+    time integrator steps with the unregularized rate, which m = None
+    returns: log s^2 with the amplitude floored at 1e-14 inside the
+    logarithm.
     """
     s = np.asarray(s, dtype=float)
     if m is None:

@@ -22,9 +22,9 @@ substep in them; linear_step and nonlinear_step allocate theirs per call.
 The rotation builds its factor from one half-angle tangent,
 t = tan(theta/2), as ((1 - t^2) + 2it)/(1 + t^2).
 
-The logarithm may be clamped with the regularized rate g_m (config.m);
-by default it is used raw with the amplitude floored at 1e-14, which
-agrees with g_m wherever |u| >= 1/m.
+The rate is the raw logarithm with the amplitude floored at 1e-14.  The
+clamped nonlinearity g_m of corefn serves the paper's existence proof
+and is not a stepping option.
 """
 
 from __future__ import annotations
@@ -66,16 +66,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Time-stepping parameters.
-
-    m is the clamping level of the logarithmic rate (None = raw log with
-    a 1e-14 amplitude floor), finite and >= 1 when given.  t_end must be
-    an integer number of steps.
-    """
+    """Time-stepping parameters; t_end must be an integer number of steps."""
 
     dt: float
     t_end: float
-    m: float | None = None
     record_every: int = 100
     snapshot_every: int | None = None
 
@@ -87,8 +81,6 @@ class EvolutionConfig:
             raise ValueError("record_every must be a positive integer")
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ValueError("snapshot_every must be a positive integer")
-        if self.m is not None:
-            corefn._level(self.m)  # a level no step could run with
         n = round(self.t_end / self.dt)
         if n < 1 or abs(n * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ValueError(
@@ -167,11 +159,11 @@ def linear_step(u: Field, gamma: float, dt: float) -> Field:
     return u.with_values(_cn_step(solve, u.values, out, np.empty_like(out)))
 
 
-def _rotate(values: np.ndarray, tau: float, m, out: np.ndarray, rate: np.ndarray,
+def _rotate(values: np.ndarray, tau: float, out: np.ndarray, rate: np.ndarray,
             work: np.ndarray) -> np.ndarray:
-    """values exp(i tau log|values|^2), the rate clamped per m, written to
-    out (not values), with the amplitudes and, for m = None, the rate
-    formed in the real array rate, and work a second real array."""
+    """values exp(i tau log|values|^2), the amplitude floored at 1e-14,
+    written to out (not values), with the amplitudes and the rate formed
+    in the real array rate, and work a second real array."""
     # the factor from t = tan(theta/2): cos theta = (1 - t^2)/(1 + t^2) and
     # sin theta = 2t/(1 + t^2), one vectorized tan where numpy's cos and sin
     # run at scalar speed.  A rounding of t turns the factor by at most one
@@ -180,7 +172,7 @@ def _rotate(values: np.ndarray, tau: float, m, out: np.ndarray, rate: np.ndarray
     # the factor order of values * exp(1j theta), on which its rounding
     # depends
     s = np.abs(values, out=rate)
-    t = corefn._floored_log_rate(s, out=s) if m is None else corefn.gm_phase_rate(s, m)
+    t = corefn._floored_log_rate(s, out=s)
     np.multiply(0.5 * tau, t, out=t)
     np.tan(t, out=t)
     q = np.multiply(t, t, out=work)
@@ -192,14 +184,14 @@ def _rotate(values: np.ndarray, tau: float, m, out: np.ndarray, rate: np.ndarray
     return np.multiply(values, out, out=out)
 
 
-def nonlinear_step(u: Field, dt: float, m=None) -> Field:
+def nonlinear_step(u: Field, dt: float) -> Field:
     """Exact flow of i u_t = -u log|u|^2 over dt: a pointwise phase
-    rotation at rate log|u|^2 (clamped per m), leaving |u| unchanged.  A
-    non-finite dt raises ValueError."""
+    rotation at rate log|u|^2 (the amplitude floored at 1e-14), leaving
+    |u| unchanged.  A non-finite dt raises ValueError."""
     if not math.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt}")
     n = u.grid.n
-    return u.with_values(_rotate(u.values, dt, m, np.empty_like(u.values), np.empty(n),
+    return u.with_values(_rotate(u.values, dt, np.empty_like(u.values), np.empty(n),
                                  np.empty(n)))
 
 
@@ -229,7 +221,6 @@ def evolve(
     solve = _propagator(u0.grid, float(gamma), float(config.dt))
     op = form_operator(u0.grid, gamma)
     dx = u0.grid.dx
-    m = config.m
     phi = dphi = None
     if reference is not None:
         phi = sample_profile(reference, u0.grid).values
@@ -239,16 +230,11 @@ def evolve(
 
     def make_record(t: float, vals: np.ndarray) -> TrajectoryRecord:
         # the mass, and the energy (1/2) t_gamma[u] - (1/2) entropy written
-        # through the clamped primitive: the conserved functional of the
-        # clamped flow; |vals| and its squares are taken once, and vals
-        # were checked finite by the caller
-        s = np.abs(vals, out=rate)
-        if m is None:
-            s2 = np.multiply(s, s, out=s)
-            gm = corefn._P_log_of_squares(s2)  # bitwise eval_Gm(s, None)
-        else:
-            s2 = s * s
-            gm = corefn.eval_Gm(s, m)
+        # through the primitive of s log s^2; |vals| and its squares are
+        # taken once, and vals were checked finite by the caller
+        s2 = np.abs(vals, out=rate)
+        s2 *= s2
+        gm = corefn._P_log_of_squares(s2)  # bitwise eval_Gm(|vals|)
         q = float(dx * np.sum(s2))
         en = 0.5 * op.form(vals) - float(dx * np.sum(gm)) - 0.5 * q
         if phi is None:
@@ -265,18 +251,18 @@ def evolve(
     nsteps = config.nsteps
     try:
         records.append(make_record(0.0, u0.values))
-        v = _rotate(u0.values, half, m, v, rate, rot_work)
+        v = _rotate(u0.values, half, v, rate, rot_work)
         for k in range(1, nsteps + 1):
             # each substep writes the spare buffer and hands the old state's
             # buffer back as the next spare
             v, spare = _cn_step(solve, v, spare, work), v
             if k < nsteps and k % config.record_every:
                 # merge the trailing and leading half rotations (|u| unchanged)
-                v, spare = _rotate(v, config.dt, m, spare, rate, rot_work), v
+                v, spare = _rotate(v, config.dt, spare, rate, rot_work), v
                 if k % 50 == 0 and not np.all(np.isfinite(v)):
                     raise EvolutionAborted(k, records)
                 continue
-            v, spare = _rotate(v, half, m, spare, rate, rot_work), v
+            v, spare = _rotate(v, half, spare, rate, rot_work), v
             if not np.all(np.isfinite(v)):
                 raise EvolutionAborted(k, records)
             records.append(make_record(k * config.dt, v))
@@ -284,7 +270,7 @@ def evolve(
             if config.snapshot_every and nrec % config.snapshot_every == 0:
                 snapshots.append((k * config.dt, u0.with_values(v.copy())))
             if k < nsteps:
-                v, spare = _rotate(v, half, m, spare, rate, rot_work), v
+                v, spare = _rotate(v, half, spare, rate, rot_work), v
     except FloatingPointError as exc:  # a blow-up under np.errstate(over="raise")
         raise EvolutionAborted(k, records) from exc
     return EvolutionResult(records=records, final=u0.with_values(v), snapshots=snapshots)
@@ -360,6 +346,9 @@ def stability_experiment(
     form_operator(grid, gamma)  # rejects a grid too coarse for gamma, as evolve does
     phi = sample_profile(params, grid)
     phi_norm = sigma_norm(phi)
+    if phi_norm == 0.0:
+        raise ValueError(f"omega = {omega}: the sampled profile's squares underflow, "
+                         "so its H^1 norm is 0")
     config = EvolutionConfig(dt=dt, t_end=t_end, record_every=record_every)
 
     def run_trial(k: int) -> TrialResult:

@@ -15,8 +15,12 @@ and hashes the library probes:
 * ``stationary_newton`` and ``morse_index`` from the sampled symmetric
   branch on the cases in NEWTON (the same counts and fields, and the
   index of the start);
-* a chain of public ``nonlinear_step`` and ``linear_step`` calls per
-  clamping level in STEPS (every state of the chain);
+* a chain of public ``nonlinear_step`` and ``linear_step`` calls as in
+  STEPS (every state of the chain);
+* the Luxemburg gauge ``corefn._gauge`` (norm and modular evaluations)
+  on the amplitude sets of GAUGE, drawn by numpy alone
+  (``luxemburg_gauge.random_sets``), so that both trees see the same
+  inputs whatever their time stepper does;
 
 then each README command in COMMANDS runs in a new interpreter of its
 own, and its stdout, its stderr and the file it writes are hashed.
@@ -49,16 +53,16 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from cli_startup import COMMANDS as README_COMMANDS  # noqa: E402
 from manifest import manifest, pin_blas_threads  # noqa: E402
 
-# (name, grid n, gamma, branch, dt, steps, record_every, m, snapshot_every):
+# (name, grid n, gamma, branch, dt, steps, record_every, snapshot_every):
 # each starts from the branch's profile plus a seeded perturbation of
 # relative H^1 size 1e-2 and records orbital distances to the profile
 EVOLVE_CASES = [
-    ("n2048-g1-sym-rec125", 2048, 1.0, "symmetric", 2e-3, 1250, 125, None, 2),
-    ("n4096-g2-sym-rec5", 4096, 2.0, "symmetric", 1e-3, 300, 5, None, 10),
-    ("n2048-g3-left-m4-rec7", 2048, 3.0, "asymmetric-left", 2e-3, 350, 7, 4.0, 5),
-    ("n512-g3-left-rec1", 512, 3.0, "asymmetric-left", 2e-3, 200, 1, None, 20),
-    ("n4096-g2-sym-rec100", 4096, 2.0, "symmetric", 1e-3, 300, 100, None, None),
-    ("n2048-g3-left-rec125", 2048, 3.0, "asymmetric-left", 2e-3, 1250, 125, None, None),
+    ("n2048-g1-sym-rec125", 2048, 1.0, "symmetric", 2e-3, 1250, 125, 2),
+    ("n4096-g2-sym-rec5", 4096, 2.0, "symmetric", 1e-3, 300, 5, 10),
+    ("n2048-g3-left-rec7", 2048, 3.0, "asymmetric-left", 2e-3, 350, 7, 5),
+    ("n512-g3-left-rec1", 512, 3.0, "asymmetric-left", 2e-3, 200, 1, 20),
+    ("n4096-g2-sym-rec100", 4096, 2.0, "symmetric", 1e-3, 300, 100, None),
+    ("n2048-g3-left-rec125", 2048, 3.0, "asymmetric-left", 2e-3, 1250, 125, None),
 ]
 STABILITY = dict(gamma=3.0, omega=0.0, branch="asymmetric-left", perturbation_size=1e-2,
                  t_end=0.5, trials=2, rng_seed=0, grid_n=1024, dt=2e-3, record_every=25)
@@ -68,8 +72,10 @@ MINIMIZE = [(1.0, "symmetric"), (3.0, "left"), (3.0, "right"), (2.01, "left"), (
 # above the pitchfork, and either side of the discrete pitchfork at n = 2048
 NEWTON = [(2.01, 1024), (3.0, 1024), (1.9999, 2048), (2.0, 2048)]
 # the substep chain: each step is nonlinear_step then linear_step over dt,
-# from the perturbed asymmetric-left profile, once per clamping level m
-STEPS = dict(gamma=3.0, grid_n=2048, dt=2e-3, steps=20, m=(None, 4.0))
+# from the perturbed asymmetric-left profile
+STEPS = dict(gamma=3.0, grid_n=2048, dt=2e-3, steps=20)
+# luxemburg_gauge.random_sets(seed, count): the gauge study's random family
+GAUGE = dict(seed=0, count=2000)
 
 # the README commands that write a result, each with its --out file; the
 # stability command takes minutes and is left out
@@ -104,7 +110,9 @@ def probe(arrays_file: str) -> None:
     in the tree's own interpreter)."""
     import numpy as np
 
-    from lognls import fields
+    from luxemburg_gauge import random_sets
+
+    from lognls import corefn, fields
     from lognls.dynamics import (EvolutionConfig, evolve, linear_step, nonlinear_step,
                                  stability_experiment)
     from lognls.stationary import Branch, branch_params
@@ -128,11 +136,11 @@ def probe(arrays_file: str) -> None:
         return phi.with_values(
             phi.values + pert.values * (1e-2 * fields.sigma_norm(phi) / fields.sigma_norm(pert)))
 
-    for name, n, gamma, branch, dt, steps, every, m, snap in EVOLVE_CASES:
+    for name, n, gamma, branch, dt, steps, every, snap in EVOLVE_CASES:
         grid = fields.Grid(20.0, n)
         params = branch_params(gamma, 0.0, Branch(branch))
         u0 = perturbed(params, grid)
-        res = evolve(u0, gamma, EvolutionConfig(dt=dt, t_end=steps * dt, m=m, record_every=every,
+        res = evolve(u0, gamma, EvolutionConfig(dt=dt, t_end=steps * dt, record_every=every,
                                                 snapshot_every=snap), reference=params)
         # one array per record field, so that each gets its own relative difference
         put(f"evolve {name} records", *np.array(
@@ -162,12 +170,13 @@ def probe(arrays_file: str) -> None:
         put(f"morse_index gamma={gamma:g} n={n}", np.array([fields.morse_index(u, gamma, 0.0)]))
     grid, dt = fields.Grid(20.0, STEPS["grid_n"]), STEPS["dt"]
     params = branch_params(STEPS["gamma"], 0.0, Branch.ASYMMETRIC_LEFT)
-    for m in STEPS["m"]:
-        u, states = perturbed(params, grid), []
-        for _ in range(STEPS["steps"]):
-            u = linear_step(nonlinear_step(u, dt, m), STEPS["gamma"], dt)
-            states.append(u.values)
-        put(f"steps m={m}", *states)
+    u, states = perturbed(params, grid), []
+    for _ in range(STEPS["steps"]):
+        u = linear_step(nonlinear_step(u, dt), STEPS["gamma"], dt)
+        states.append(u.values)
+    put("steps", *states)
+    gauges = [corefn._gauge(amp, dx) for amp, dx in random_sets(GAUGE["seed"], GAUGE["count"])]
+    put("gauge random", np.array([k for k, _ in gauges]), np.array([e for _, e in gauges]))
     np.savez(arrays_file, **arrays)
     print(json.dumps(out))
 
@@ -248,11 +257,12 @@ def main(argv=None) -> int:
                                        Path(tmp) / "change" / ARRAYS, differ).items():
             probes[name]["max_rel_diff"] = rel
     inputs = {"evolve": EVOLVE_CASES, "stability_experiment": STABILITY,
-              "minimize": MINIMIZE, "newton": NEWTON, "steps": STEPS, "cli": COMMANDS}
+              "minimize": MINIMIZE, "newton": NEWTON, "steps": STEPS, "gauge": GAUGE,
+              "cli": COMMANDS}
     doc = {
         "study": "compare_trees",
-        "what": "sha256 of the evolve, stability_experiment, minimizer, Newton, Morse index "
-                "and substep-chain results and of the README commands' stdout, stderr and "
+        "what": "sha256 of the evolve, stability_experiment, minimizer, Newton, Morse index, "
+                "substep-chain and Luxemburg gauge results and of the README commands' stdout, stderr and "
                 "files, one fresh interpreter per tree for the library probes and one per "
                 "command; max_rel_diff = max over a probe's arrays of max|a - b| / max|a| "
                 "(a the base tree's) where a library probe differs",

@@ -129,25 +129,17 @@ class TestNonlinearStep:
         b = nonlinear_step(u, 0.5)
         assert np.allclose(a.values, b.values, rtol=1e-13, atol=1e-14)
 
-    @pytest.mark.parametrize("m", [None, 4.0])
     @pytest.mark.parametrize("dt", [1e-3, 2e-3, 0.37, 5.0, 40.0])
-    def test_phase_matches_exact_flow(self, grid, dt, m):
+    def test_phase_matches_exact_flow(self, grid, dt):
         # the tangent-built factor against cos + i sin of the same angle, at
         # every sample, up to |theta| ~ 2.6e3
         rng = np.random.default_rng(5)
         u = random_smooth_field(grid, rng)
         s = np.abs(u.values)
-        theta = dt * gm_phase_rate(s, m)
+        theta = dt * gm_phase_rate(s)
         exact = u.values * (np.cos(theta) + 1j * np.sin(theta))
-        v = nonlinear_step(u, dt, m)
+        v = nonlinear_step(u, dt)
         assert np.all(np.abs(v.values - exact) <= 4 * np.finfo(float).eps * s)
-
-    def test_clamped_rate_agrees_in_band(self, grid):
-        x = grid.nodes()
-        u = Field(grid, 0.5 * np.exp(-0.5 * x * x) + 0.2 + 0j)  # amplitudes in [0.2, 0.7]
-        raw = nonlinear_step(u, 0.1)
-        clamped = nonlinear_step(u, 0.1, m=10.0)
-        assert np.allclose(raw.values, clamped.values, rtol=1e-12)
 
 
 class TestEvolve:
@@ -261,81 +253,62 @@ class TestEvolve:
         assert info.value.records == []
         assert isinstance(info.value.__cause__, FloatingPointError)
 
-    def test_clamped_rate_with_zero_sample(self, grid):
-        # s * s underflows to 0 at a zero sample; the clamped rate is frozen
-        # there, also at m = 1e200, where the squares of 1/m and m under- and
-        # overflow
-        x = grid.nodes()
-        vals = np.exp(-x * x) + 0j
-        vals[grid.n // 4] = 0.0
-        u0 = Field(grid, vals)
-        for m in (10.0, 1e200):
-            res = evolve(u0, 2.0, EvolutionConfig(dt=1e-3, t_end=0.05, m=m, record_every=10))
-            assert len(res.records) == 6
-            assert all(math.isfinite(r.mass) and math.isfinite(r.energy) for r in res.records)
-            assert np.all(np.isfinite(res.final.values))
-
-    @pytest.mark.parametrize("m", [None, 4.0])
-    def test_strang_step_from_substeps(self, m):
+    def test_strang_step_from_substeps(self):
         # with a record at every step, evolve is half rotation, CN step,
         # half rotation, bit for bit
         gamma, dt = 3.0, 2e-3
         g = Grid(20.0, 512)
         u = sample_profile(branch_params(gamma, 0.0, Branch.ASYMMETRIC_LEFT), g)
-        res = evolve(u, gamma, EvolutionConfig(dt=dt, t_end=20 * dt, m=m, record_every=1))
+        res = evolve(u, gamma, EvolutionConfig(dt=dt, t_end=20 * dt, record_every=1))
         for _ in range(20):
-            u = nonlinear_step(linear_step(nonlinear_step(u, dt / 2, m), gamma, dt), dt / 2, m)
+            u = nonlinear_step(linear_step(nonlinear_step(u, dt / 2), gamma, dt), dt / 2)
         assert res.final.values.tobytes() == u.values.tobytes()
 
-    @pytest.mark.parametrize("m", [None, 4.0])
     @pytest.mark.parametrize("nsteps", [5, 12])
-    def test_merged_rotations_from_substeps(self, m, nsteps):
+    def test_merged_rotations_from_substeps(self, nsteps):
         # between records evolve merges the trailing and leading half
         # rotations into one over dt; at a record it rotates twice by dt/2
         gamma, dt, every = 3.0, 2e-3, 5
         g = Grid(20.0, 512)
         u0 = sample_profile(branch_params(gamma, 0.0, Branch.ASYMMETRIC_LEFT), g)
-        cfg = EvolutionConfig(dt=dt, t_end=nsteps * dt, m=m, record_every=every,
-                              snapshot_every=1)
+        cfg = EvolutionConfig(dt=dt, t_end=nsteps * dt, record_every=every, snapshot_every=1)
         res = evolve(u0, gamma, cfg)
-        u = nonlinear_step(u0, dt / 2, m)
+        u = nonlinear_step(u0, dt / 2)
         for k in range(1, nsteps):
             u = linear_step(u, gamma, dt)
             if k % every:
-                u = nonlinear_step(u, dt, m)
+                u = nonlinear_step(u, dt)
             else:
-                u = nonlinear_step(nonlinear_step(u, dt / 2, m), dt / 2, m)
-        u = nonlinear_step(linear_step(u, gamma, dt), dt / 2, m)
+                u = nonlinear_step(nonlinear_step(u, dt / 2), dt / 2)
+        u = nonlinear_step(linear_step(u, gamma, dt), dt / 2)
         assert res.final.values.tobytes() == u.values.tobytes()
         # each snapshot is its own array: the final state of a run to its time
         assert len(res.snapshots) == len(res.records) - 1 == -(-nsteps // every)
         for t, snap in res.snapshots:
-            short = evolve(u0, gamma, EvolutionConfig(dt=dt, t_end=t, m=m, record_every=every))
+            short = evolve(u0, gamma, EvolutionConfig(dt=dt, t_end=t, record_every=every))
             assert snap.values.tobytes() == short.final.values.tobytes()
 
-    @pytest.mark.parametrize("m", [None, 4.0])
-    def test_record_mass_and_energy_formula(self, grid, m):
+    def test_record_mass_and_energy_formula(self, grid):
         # records take |u|^2 once; the values are those of the mass and of
         # the energy through eval_Gm, bit for bit
         u0 = sample_profile(branch_params(3.0, 0.0, Branch.ASYMMETRIC_LEFT), grid)
-        cfg = EvolutionConfig(dt=2e-3, t_end=0.04, m=m, record_every=4, snapshot_every=1)
+        cfg = EvolutionConfig(dt=2e-3, t_end=0.04, record_every=4, snapshot_every=1)
         res = evolve(u0, 3.0, cfg)
         op, dx = form_operator(grid, 3.0), grid.dx
         for rec, vals in zip(res.records, [u0.values] + [f.values for _, f in res.snapshots]):
             s = np.abs(vals)
             q = float(dx * np.sum(s * s))
-            en = 0.5 * op.form(vals) - float(dx * np.sum(eval_Gm(s, m))) - 0.5 * q
+            en = 0.5 * op.form(vals) - float(dx * np.sum(eval_Gm(s))) - 0.5 * q
             assert (rec.mass, rec.energy) == (q, en)
 
-    @pytest.mark.parametrize("m", [None, 4.0])
-    def test_caller_arrays_not_written(self, grid, m):
+    def test_caller_arrays_not_written(self, grid):
         # Field keeps a complex input array without copying it
         vals = sample_profile(branch_params(3.0, 0.0, Branch.ASYMMETRIC_LEFT), grid).values
         u = Field(grid, vals * (1.0 + 0.1j))
         before = u.values.tobytes()
-        res = evolve(u, 3.0, EvolutionConfig(dt=2e-3, t_end=0.02, m=m, record_every=3))
+        res = evolve(u, 3.0, EvolutionConfig(dt=2e-3, t_end=0.02, record_every=3))
         linear_step(u, 3.0, 2e-3)
-        nonlinear_step(u, 2e-3, m)
+        nonlinear_step(u, 2e-3)
         assert u.values.tobytes() == before
         assert not np.shares_memory(res.final.values, u.values)
 
@@ -350,12 +323,6 @@ class TestEvolve:
                           (1e-3, math.nan)):
             with pytest.raises(ValueError, match="finite and positive"):
                 EvolutionConfig(dt=dt, t_end=t_end)
-        # a clamping level no step can run with fails here, not at the first record
-        for m in (0.5, 0.0, math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="regularization level must be finite and >= 1"):
-                EvolutionConfig(dt=1e-3, t_end=1e-2, m=m)
-        for m in (1.0, None):
-            assert EvolutionConfig(dt=1e-3, t_end=1e-2, m=m).m == m
 
 
 class TestStabilityExperiment:
@@ -430,3 +397,7 @@ class TestStabilityExperiment:
             with pytest.raises(ValueError, match="perturbation_size"):
                 stability_experiment(2.0, 0.0, Branch.SYMMETRIC, bad, 0.5, 1, 0,
                                      grid=Grid(10.0, 512), dt=2.5e-3)
+        # the profile's squares underflow: no perturbation can be scaled to it
+        with pytest.raises(ValueError, match="underflow"):
+            stability_experiment(2.0, -760.0, Branch.SYMMETRIC, 1e-2, 0.5, 1, 0,
+                                 grid=Grid(10.0, 512), dt=2.5e-3)
