@@ -58,6 +58,8 @@ _E3 = A_SPLIT
 _E6 = A_SPLIT * A_SPLIT
 # smallest positive (subnormal) double
 _SUBNORMAL = math.ulp(0.0)
+# smallest normal double, the floor of |v|^2 inside the logarithm
+_TINY = np.finfo(float).tiny
 # modular evaluations after which Newton on the Luxemburg gauge gives up
 _GAUGE_MAX_EVALS = 100
 
@@ -118,23 +120,33 @@ def gm_phase_rate(s, m=None):
 
     g_m is the paper's regularization, used in its existence proof; the
     time integrator steps with the unregularized rate, which m = None
-    returns: log s^2 with the amplitude floored at 1e-14 inside the
-    logarithm.
+    returns: log s^2 with s^2 floored at the smallest normal double
+    inside the logarithm, as in _log_abs2.
     """
     s = np.asarray(s, dtype=float)
     if m is None:
-        return _floored_log_rate(s)
+        return _log_abs2(s, np.empty_like(s))[()]  # a numpy float for a scalar s
     m = _level(m)
     # b_m's rate B(s)/s^2 is frozen above m, a_m's rate A(s)/s^2 below 1/m
     return _rate_B(np.minimum(s, m)) - _rate_A(np.maximum(s, 1.0 / m))
 
 
-def _floored_log_rate(s, out=None):
-    """The unregularized rate log s^2 with s floored at 1e-14, written to
-    out (which may be s) when it is given."""
-    a = np.maximum(s, 1e-14, out=out)
-    a **= 2  # in place on an array; a numpy float stays a scalar power
-    return np.log(a, out=out)
+def _abs2(values: np.ndarray, out=None) -> np.ndarray:
+    """|v|^2 of the samples, bitwise np.abs(values) ** 2: v * v when they
+    are real.  Written to out when it is given."""
+    if values.dtype.kind == "c":
+        values = out = np.abs(values, out=out)
+    return np.multiply(values, values, out=out)
+
+
+def _log_abs2(values: np.ndarray, out=None) -> np.ndarray:
+    """log|v|^2 of the samples with |v|^2 floored at the smallest normal
+    double: the one floored logarithm, so that a zero sample gives a finite
+    rate (v log|v|^2 is then 0 there).  Written to the real array out, which
+    may be real values, when it is given; a 0-d values needs one."""
+    a = _abs2(values, out)
+    np.maximum(a, _TINY, out=a)
+    return np.log(a, out=a)
 
 
 def _P_log(x):

@@ -22,9 +22,10 @@ substep in them; linear_step and nonlinear_step allocate theirs per call.
 The rotation builds its factor from one half-angle tangent,
 t = tan(theta/2), as ((1 - t^2) + 2it)/(1 + t^2).
 
-The rate is the raw logarithm with the amplitude floored at 1e-14.  The
-clamped nonlinearity g_m of corefn serves the paper's existence proof
-and is not a stepping option.
+The rate is log|u|^2 with |u|^2 floored at the smallest normal double
+(corefn._log_abs2, as in the minimizer), so the flow is scale-covariant.
+The clamped nonlinearity g_m of corefn serves the paper's existence
+proof and is not a stepping option.
 """
 
 from __future__ import annotations
@@ -119,6 +120,11 @@ class EvolutionAborted(RuntimeError):
         self.records = records
 
 
+# a reference profile's largest square must reach this times the smallest
+# normal double, so that squares within a factor eps of it are normal
+_SQUARE_MARGIN = 2.0 ** 52
+
+
 @lru_cache(maxsize=16)
 def _propagator(grid: Grid, gamma: float, dt: float) -> ShiftedSolver:
     """(I + iA)^-1 with A = (dt/2) H and H = M/dx, factored once."""
@@ -161,9 +167,9 @@ def linear_step(u: Field, gamma: float, dt: float) -> Field:
 
 def _rotate(values: np.ndarray, tau: float, out: np.ndarray, rate: np.ndarray,
             work: np.ndarray) -> np.ndarray:
-    """values exp(i tau log|values|^2), the amplitude floored at 1e-14,
-    written to out (not values), with the amplitudes and the rate formed
-    in the real array rate, and work a second real array."""
+    """values exp(i tau log|values|^2), |values|^2 floored as in
+    corefn._log_abs2, written to out (not values), with the squares and the
+    rate formed in the real array rate, and work a second real array."""
     # the factor from t = tan(theta/2): cos theta = (1 - t^2)/(1 + t^2) and
     # sin theta = 2t/(1 + t^2), one vectorized tan where numpy's cos and sin
     # run at scalar speed.  A rounding of t turns the factor by at most one
@@ -171,8 +177,7 @@ def _rotate(values: np.ndarray, tau: float, out: np.ndarray, rate: np.ndarray,
     # (2/(1 + t^2) - 1 biases it, and the mass drifts).  The product keeps
     # the factor order of values * exp(1j theta), on which its rounding
     # depends
-    s = np.abs(values, out=rate)
-    t = corefn._floored_log_rate(s, out=s)
+    t = corefn._log_abs2(values, out=rate)
     np.multiply(0.5 * tau, t, out=t)
     np.tan(t, out=t)
     q = np.multiply(t, t, out=work)
@@ -186,8 +191,8 @@ def _rotate(values: np.ndarray, tau: float, out: np.ndarray, rate: np.ndarray,
 
 def nonlinear_step(u: Field, dt: float) -> Field:
     """Exact flow of i u_t = -u log|u|^2 over dt: a pointwise phase
-    rotation at rate log|u|^2 (the amplitude floored at 1e-14), leaving
-    |u| unchanged.  A non-finite dt raises ValueError."""
+    rotation at rate log|u|^2 (|u|^2 floored at the smallest normal
+    double), leaving |u| unchanged.  A non-finite dt raises ValueError."""
     if not math.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt}")
     n = u.grid.n
@@ -205,8 +210,11 @@ def evolve(
 
     When a reference profile is given, records carry orbital distances
     to its phase orbit in both metrics (the W distance is evaluated at
-    the closed-form optimal phase of the H^1 part).  Raises
-    EvolutionAborted as soon as any sample stops being finite.
+    the closed-form optimal phase of the H^1 part), and a reference whose
+    squares near the subnormal range (omega below about -670, where the
+    ratios of those distances stop being scale-covariant) raises
+    ValueError.  Raises EvolutionAborted as soon as any sample stops
+    being finite.
 
     A run allocates its state-sized arrays once: two complex state
     buffers, which the Cayley solve and the phase rotation write in
@@ -224,6 +232,10 @@ def evolve(
     phi = dphi = None
     if reference is not None:
         phi = sample_profile(reference, u0.grid).values
+        amax = float(np.max(np.abs(phi)))  # squared as a Python float: no overflow trap
+        if amax * amax < _SQUARE_MARGIN * corefn._TINY:
+            raise ValueError(f"omega = {reference.omega}: the sampled profile's squares "
+                             "underflow (the largest is below 2^52 x the smallest normal double)")
         dphi = _derivative(phi, u0.grid)  # the fixed reference's: once per run, not per record
     v, spare, work = (np.empty_like(u0.values) for _ in range(3))
     rate, rot_work = np.empty(u0.values.shape), np.empty(u0.values.shape)
@@ -232,8 +244,7 @@ def evolve(
         # the mass, and the energy (1/2) t_gamma[u] - (1/2) entropy written
         # through the primitive of s log s^2; |vals| and its squares are
         # taken once, and vals were checked finite by the caller
-        s2 = np.abs(vals, out=rate)
-        s2 *= s2
+        s2 = corefn._abs2(vals, out=rate)
         gm = corefn._P_log_of_squares(s2)  # bitwise eval_Gm(|vals|)
         q = float(dx * np.sum(s2))
         en = 0.5 * op.form(vals) - float(dx * np.sum(gm)) - 0.5 * q
@@ -346,9 +357,6 @@ def stability_experiment(
     form_operator(grid, gamma)  # rejects a grid too coarse for gamma, as evolve does
     phi = sample_profile(params, grid)
     phi_norm = sigma_norm(phi)
-    if phi_norm == 0.0:
-        raise ValueError(f"omega = {omega}: the sampled profile's squares underflow, "
-                         "so its H^1 norm is 0")
     config = EvolutionConfig(dt=dt, t_end=t_end, record_every=record_every)
 
     def run_trial(k: int) -> TrialResult:

@@ -54,6 +54,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import corefn, stationary
+from .corefn import _abs2, _log_abs2
 from .stationary import Branch, GroundStateParams, _check_gamma, _check_omega, branch_params
 
 __all__ = [
@@ -356,33 +357,12 @@ def quadratic_form(u: Field, gamma: float) -> float:
 
 def mass(u: Field) -> float:
     """Squared L2 norm by the midpoint rule."""
-    return float(u.grid.dx * np.sum(np.abs(u.values) ** 2))
+    return float(u.grid.dx * np.sum(_abs2(u.values)))
 
 
 def entropy(u: Field) -> float:
     """int |u|^2 log|u|^2 dx with the integrand extended by 0 at u = 0."""
-    return float(u.grid.dx * np.sum(corefn.entropy_density(np.abs(u.values))))
-
-
-# smallest normal double, the floor of |v|^2 inside the logarithm
-_TINY = np.finfo(float).tiny
-
-
-def _abs2(values: np.ndarray, out=None) -> np.ndarray:
-    """|v|^2 of the samples, bitwise np.abs(values) ** 2: v * v when they
-    are real.  Written to out when it is given."""
-    if values.dtype.kind == "c":
-        values = out = np.abs(values, out=out)
-    return np.multiply(values, values, out=out)
-
-
-def _log_abs2(values: np.ndarray, out=None) -> np.ndarray:
-    """log|v|^2 with |v|^2 floored at the smallest normal double, so that a
-    zero sample gives a finite logarithm (v log|v|^2 is then 0 there).
-    Written to out when it is given."""
-    a = _abs2(values, out)
-    np.maximum(a, _TINY, out=a)
-    return np.log(a, out=a)
+    return float(u.grid.dx * np.sum(corefn.entropy_of_squares(_abs2(u.values))))
 
 
 def derivative(u: Field) -> np.ndarray:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -239,8 +240,10 @@ class TestEvolve:
         assert "error: unknown config key 'm'" in capsys.readouterr().err
 
 
-# below omega ~ -745 the sampled profile's squares underflow, so its mass
-# and its H^1 norm are 0 although its samples are not
+# below omega ~ -745 the sampled profile's squares underflow to 0 although
+# its samples do not; from about -670 down they near the subnormal range,
+# where the ratios leave their scale-covariant values (at -700 stability
+# printed 2.14 against 2.53), so evolve rejects the profile there
 _TINY_RUN = ["--t-end", "0.01", "--grid-n", "64", "--grid-l", "10", "--dt", "1e-3",
              "--record-every", "5"]
 
@@ -248,15 +251,16 @@ _TINY_RUN = ["--t-end", "0.01", "--grid-n", "64", "--grid-l", "10", "--dt", "1e-
 @pytest.mark.parametrize("command, extra", [("evolve", []), ("stability", ["--trials", "1"])])
 def test_underflowing_profile_rejected(command, extra, tmp_path, capsys):
     out = tmp_path / "result"
-    assert run([command, "--omega", "-760", *_TINY_RUN, *extra, "--out", str(out)]) == 1
-    assert run([command, "--omega", "-760", *_TINY_RUN, *extra]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("error: omega = -760") == 2
-    assert captured.err.count("underflow") == 2
-    assert "Traceback" not in captured.err
-    assert not out.exists()
-    assert run([command, "--omega", "-700", *_TINY_RUN, *extra, "--out", str(out)]) == 0
+    for omega in ("-760", "-700"):
+        assert run([command, "--omega", omega, *_TINY_RUN, *extra, "--out", str(out)]) == 1
+        assert run([command, "--omega", omega, *_TINY_RUN, *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count(f"error: omega = {omega}") == 2
+        assert captured.err.count("underflow") == 2
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+    assert run([command, "--omega", "-660", *_TINY_RUN, *extra, "--out", str(out)]) == 0
     assert out.exists()
 
 
@@ -438,6 +442,17 @@ def test_float_format_is_17_significant_digits(tmp_path):
         assert tok == format(float(tok), ".17g")
     # round-trip exactness: 17 significant digits preserve the double
     assert float(row[2]) == float(format(float(row[2]), ".17g"))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(math.inf)])
+def test_json_text_refuses_non_finite(bad):
+    # JSON has no inf or NaN: the writer raises a numerical failure (exit 2)
+    # instead of emitting text that json.loads rejects
+    doc = {"ok": [1.5, 2], "ratio": bad}
+    with pytest.raises(FloatingPointError, match="non-finite value"):
+        cli._json_text(doc)
+    doc["ratio"] = 1e300
+    assert json.loads(cli._json_text(doc)) == {"ok": [1.5, 2], "ratio": 1e300}
 
 
 def test_field_csv_matches_per_value_format():

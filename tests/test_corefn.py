@@ -149,7 +149,7 @@ class TestAB_pointwise:
 
 
 class TestGm:
-    @pytest.mark.parametrize("m", [1.0, 2.0, 10.0, 100.0])
+    @pytest.mark.parametrize("m", [None, 1.0, 2.0, 10.0, 100.0])
     def test_unit_modulus_fixed(self, m):
         for theta in (0.0, 1.0, 2.5):
             z = complex(math.cos(theta), math.sin(theta))

@@ -325,6 +325,52 @@ class TestEvolve:
                 EvolutionConfig(dt=dt, t_end=t_end)
 
 
+class TestExactSymmetries:
+    # the equation keeps time reversal, the mirror x -> -x (which maps the
+    # left branch to minus the mirrored right one) and the phase e^(i alpha)
+    # u exactly, and the Strang step keeps each up to rounding: <= 7e-13 of
+    # max|u| after 1000 steps here, bounded at 5e-12
+    BOUND = 5e-12
+    CONFIG = EvolutionConfig(dt=2e-3, t_end=2.0, record_every=1000)
+
+    @pytest.fixture(scope="class", params=[(1.0, Branch.SYMMETRIC, Branch.SYMMETRIC),
+                                           (3.0, Branch.ASYMMETRIC_LEFT, Branch.ASYMMETRIC_RIGHT)],
+                    ids=["g1-symmetric", "g3-left"])
+    def case(self, request):
+        # (gamma, the mirror branch's seed, u0, u0 stepped 1000 times)
+        gamma, branch, mirror = request.param
+        g = Grid(20.0, 2048)
+        pert = 0.05 * random_smooth_field(g, np.random.default_rng(1)).values
+        phi = sample_profile(branch_params(gamma, 0.0, branch), g).values
+        mirrored = sample_profile(branch_params(gamma, 0.0, mirror), g).values
+        u0 = Field(g, phi + pert)
+        assert self.within_bound(mirrored, -phi[::-1], u0)
+        return gamma, mirrored - pert[::-1], u0, evolve(u0, gamma, self.CONFIG).final.values
+
+    @classmethod
+    def within_bound(cls, a, b, u0):
+        return np.max(np.abs(a - b)) <= cls.BOUND * np.max(np.abs(u0.values))
+
+    def test_time_reversal(self, case):
+        # conj(u_N) stepped N times returns conj(u_0)
+        gamma, _, u0, u_n = case
+        back = evolve(u0.with_values(np.conj(u_n)), gamma, self.CONFIG).final.values
+        assert self.within_bound(back, np.conj(u0.values), u0)
+
+    def test_mirror(self, case):
+        # the mirror branch's profile with the perturbation mirrored, against
+        # minus the mirror image of the stepped state
+        gamma, v0, u0, u_n = case
+        v_n = evolve(u0.with_values(v0), gamma, self.CONFIG).final.values
+        assert self.within_bound(v_n, -u_n[::-1], u0)
+
+    def test_phase(self, case):
+        gamma, _, u0, u_n = case
+        rot = np.exp(0.7j)
+        v_n = evolve(u0.with_values(rot * u0.values), gamma, self.CONFIG).final.values
+        assert self.within_bound(v_n, rot * u_n, u0)
+
+
 class TestStabilityExperiment:
     def test_deterministic_given_seed(self):
         g = Grid(10.0, 512)
@@ -383,6 +429,20 @@ class TestStabilityExperiment:
         s3 = stability_experiment(2.0, 0.0, Branch.SYMMETRIC, 1e-2, 0.1, 1, 0,
                                   grid=g, dt=2.5e-3, record_every=10)
         assert not s3.exploratory
+
+    def test_ratios_do_not_depend_on_omega(self):
+        # the profile at omega is e^(omega/2) times the one at 0, and the
+        # flow is scale-covariant, so the ratios agree to rounding (7e-13
+        # measured) and the distances scale by e^(omega/2)
+        kw = dict(gamma=1.0, branch=Branch.SYMMETRIC, perturbation_size=1e-2, t_end=1.0,
+                  trials=2, rng_seed=0, grid=Grid(10.0, 512), dt=1e-3)
+        a = stability_experiment(omega=0.0, **kw)
+        b = stability_experiment(omega=-100.0, **kw)
+        assert b.max_ratio_sigma == pytest.approx(a.max_ratio_sigma, rel=1e-9)
+        assert b.max_ratio_w == pytest.approx(a.max_ratio_w, rel=1e-9)
+        for ta, tb in zip(a.trials, b.trials):
+            assert tb.initial_distance_sigma == pytest.approx(
+                math.exp(-50.0) * ta.initial_distance_sigma, rel=1e-9)
 
     def test_default_grid(self):
         grid = inspect.signature(stability_experiment).parameters["grid"]

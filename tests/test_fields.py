@@ -543,6 +543,32 @@ def symmetric_profile(gamma, n):
     return sample_profile(branch_params(gamma, 0.0, Branch.SYMMETRIC), Grid(20.0, n))
 
 
+class TestScaleCovariance:
+    # the profile at omega is e^(omega/2) times the one at 0, so values and
+    # actions scale by e^omega and fields by e^(omega/2), with the same
+    # steps: 1.4e-13 relative measured down to omega = -600, bounded at 1e-12
+    OMEGA = -600.0
+
+    def check(self, a, b):
+        assert (b.iterations, b.newton, b.index) == (a.iterations, a.newton, a.index)
+        assert b.value == pytest.approx(math.exp(self.OMEGA) * a.value, rel=1e-12)
+        assert b.action == pytest.approx(math.exp(self.OMEGA) * a.action, rel=1e-12)
+        scaled = math.exp(-0.5 * self.OMEGA) * b.field.values
+        assert np.max(np.abs(scaled - a.field.values)) <= 1e-12 * np.max(np.abs(a.field.values))
+
+    def test_minimizer(self):
+        g = Grid(20.0, 1024)
+        self.check(*(minimize_dgamma(3.0, omega, seed=Seed.LEFT, grid=g)
+                     for omega in (0.0, self.OMEGA)))
+
+    @pytest.mark.parametrize("gamma", [1.0, 3.0])
+    def test_newton(self, gamma):
+        g = Grid(20.0, 1024)
+        self.check(*(stationary_newton(
+            sample_profile(branch_params(gamma, omega, Branch.SYMMETRIC), g), gamma, omega)
+            for omega in (0.0, self.OMEGA)))
+
+
 class TestNewton:
     @pytest.mark.parametrize("gamma", [2.01, 3.0])
     def test_symmetric_saddle(self, gamma):
