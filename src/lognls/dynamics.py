@@ -8,8 +8,10 @@ the nonlinear subflow preserves |u| at every node, so
 
 solves it exactly, and the linear half-step is the Cayley transform of
 the Hamiltonian H = M/dx of fields.FormOperator (tridiagonal plus a
-rank-one jump term).  With A = (dt/2) H, I + iA is factored once per
-run, and each step is one solve through the Cayley identity
+rank-one jump term).  With A = (dt/2) H, the tridiagonal part of I + iA
+is factored once per run as L D L^T (fields.ShiftedSolver), and each step
+is one solve, two unit-bidiagonal sweeps and a product by 1/D plus the
+jump correction, through the Cayley identity
 (I + iA)^-1 (I - iA) v = 2 (I + iA)^-1 v - v, projected back onto the
 mass of v.  The rotation keeps |u| at every node and the projection the
 discrete mass sum, up to a rounding leak of ~5e-18 per step; the
@@ -31,6 +33,7 @@ proof and is not a stepping option.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -78,10 +81,10 @@ class EvolutionConfig:
         if not (0 < self.dt < math.inf and 0 < self.t_end < math.inf):
             raise ValueError(f"dt and t_end must be finite and positive, "
                              f"got dt = {self.dt}, t_end = {self.t_end}")
-        if self.record_every < 1:
-            raise ValueError("record_every must be a positive integer")
-        if self.snapshot_every is not None and self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be a positive integer")
+        for name in ("record_every", "snapshot_every"):
+            every = getattr(self, name)
+            if every is not None and not (isinstance(every, numbers.Integral) and every >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {every!r}")
         n = round(self.t_end / self.dt)
         if n < 1 or abs(n * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ValueError(

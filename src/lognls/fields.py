@@ -23,8 +23,9 @@ with M are solved by tridiagonal elimination plus a Sherman-Morrison
 correction, in two forms: the minimizer solves each real step's system
 once, in one LAPACK gtsv sweep over the iterate and the jump stencil
 (FormOperator.solve); the propagator factors its complex Cayley system
-once with zgttrf and solves it many times with zgttrs (ShiftedSolver).
-The LAPACK
+once with zgttrf as L D L^T and solves it many times with two
+unit-bidiagonal BLAS ztbsv sweeps and one product by 1/D
+(ShiftedSolver).  The LAPACK and BLAS
 routines come from scipy.linalg, which is imported at the first
 tridiagonal solve (minimizer, Newton step, Morse index, propagator), not
 with this module: ``import lognls`` loads numpy but not scipy, and the
@@ -207,12 +208,13 @@ class StationaryResidual:
 
 
 @lru_cache(maxsize=None)
-def _lapack():
-    """scipy.linalg.lapack, imported at the first tridiagonal solve: it
-    costs about 0.3 s, which commands that solve nothing never pay."""
-    from scipy.linalg import lapack
+def _linalg():
+    """scipy.linalg (its lapack and blas), imported at the first tridiagonal
+    solve: it costs about 0.3 s, which commands that solve nothing never
+    pay."""
+    import scipy.linalg
 
-    return lapack
+    return scipy.linalg
 
 
 class FormOperator:
@@ -271,9 +273,8 @@ class FormOperator:
         back-substitutes each; the Sherman-Morrison correction follows.
         The routine runs in the common dtype of shift, scale and r (real
         for the minimizer).  Bitwise equal to gttrf and gttrs with the same
-        correction, pivoting included: solve(1.0, scale, r) with a complex
-        scale is ShiftedSolver(self, scale)'s.  The result is a view of an
-        array made by this call.
+        correction, pivoting included.  The result is a view of an array
+        made by this call.
         """
         return self._sweep(shift + scale * self.diag, scale, r)
 
@@ -281,7 +282,7 @@ class FormOperator:
         """solve, given the diagonal shift + scale * self.diag of its
         tridiagonal part, which the sweep overwrites."""
         off = scale * self.off
-        (gtsv,) = _lapack().get_lapack_funcs(("gtsv",), (diag, off, r))
+        (gtsv,) = _linalg().get_lapack_funcs(("gtsv",), (diag, off, r))
         b = np.empty((self.grid.n, 2), dtype=gtsv.dtype, order="F")
         b[:, 0] = r
         b[:, 1] = self.jump_stencil
@@ -311,31 +312,50 @@ class ShiftedSolver:
     """y = (1 + scale * M)^-1 r for one FormOperator M = T + coupling c c^T
     and a complex scale: the Crank-Nicolson propagator's Cayley solver.
 
-    The tridiagonal part 1 + scale * T is factored once by LAPACK zgttrf,
-    and each call is one zgttrs solve on the factors plus the
-    Sherman-Morrison correction for the rank-one jump term: one
-    factorization, then thousands of solves.  A system solved only once
-    (a minimizer step) takes FormOperator.solve, one gtsv sweep, instead.
+    For an imaginary scale (a real dt) 1 + scale * T is complex symmetric
+    and strictly diagonally dominant, so LAPACK zgttrf factors it once with
+    no row interchange, as L D L^T with L unit lower bidiagonal.  Each call
+    is a unit lower and a unit upper BLAS ztbsv sweep, which do not divide,
+    with a product by 1/D between them, plus the Sherman-Morrison
+    correction for the rank-one jump term.  Rounding keeps the dominance
+    while |scale| max(diag T), 1.5 |dt| / dx^2 for the propagator, stays
+    below 2^52; a factorization that interchanges rows raises LinAlgError.
+    A system solved only once (a minimizer step) takes FormOperator.solve,
+    one gtsv sweep, instead.
     """
 
     def __init__(self, op: FormOperator, scale: complex):
-        lapack = _lapack()
+        linalg = _linalg()
         off = scale * op.off
-        *self.factors, self.ipiv, info = lapack.zgttrf(off, 1.0 + scale * op.diag, off)
+        dl, d, _, _, ipiv, info = linalg.lapack.zgttrf(off, 1.0 + scale * op.diag, off)
         if info != 0:
             raise np.linalg.LinAlgError(f"tridiagonal factorization failed (info={info})")
-        self.gttrs = lapack.zgttrs
+        if np.any(ipiv != np.arange(1, op.grid.n + 1)):
+            raise np.linalg.LinAlgError(f"tridiagonal factorization interchanged rows: "
+                                        f"|scale| = {abs(scale):.3g} is too large for the grid")
+        # one band for both sweeps: row 1 is L's subdiagonal (lower=1) and
+        # row 0 L^T's superdiagonal (lower=0); the unit diagonal is not read
+        self.band = np.zeros((2, op.grid.n), dtype=complex, order="F")
+        self.band[1, :-1] = self.band[0, 1:] = dl
+        self.d_inv = 1.0 / d
+        self.tbsv = linalg.blas.ztbsv
         self.jump = op.jump
         self.c = op.jump_stencil[op.jump]
-        self.z = self.gttrs(*self.factors, self.ipiv, op.jump_stencil)[0]
+        self.z = self._solve(op.jump_stencil.astype(complex))
         self.gain = _jump_gain(scale * op.coupling, self.c, self.z[self.jump])
+
+    def _solve(self, y: np.ndarray) -> np.ndarray:
+        """(1 + scale * T)^-1 y, in y itself."""
+        y = self.tbsv(1, self.band, y, lower=1, diag=1, overwrite_x=1)
+        np.multiply(y, self.d_inv, out=y)
+        return self.tbsv(1, self.band, y, lower=0, diag=1, overwrite_x=1)
 
     def __call__(self, r: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
         """The solution, in out: r is copied there and solved in place (r
         itself is never written), with work a complex scratch array of r's
         shape for the jump correction."""
         np.copyto(out, r)
-        y = self.gttrs(*self.factors, self.ipiv, out, overwrite_b=1)[0]
+        y = self._solve(out)
         _remove_jump(y, self.z, self.gain, self.c, self.jump, work)
         return y
 
@@ -670,10 +690,10 @@ def morse_index(u: Field, gamma: float, omega: float) -> int:
     diag = op.diag + u.grid.dx * (omega - 2.0 - _log_abs2(v))
     # Gershgorin: every eigenvalue of T' lies above lo
     lo = float(np.min(diag)) - 2.0 * float(np.max(np.abs(op.off))) - 1.0
-    count, *_, info = _lapack().dstebz(diag, op.off, 1, lo, 0.0, 1, 1, -lo, b"E")
+    count, *_, info = _linalg().lapack.dstebz(diag, op.off, 1, lo, 0.0, 1, 1, -lo, b"E")
     if info != 0:
         raise np.linalg.LinAlgError(f"Sturm count failed (info={info})")
-    *_, z, info = _lapack().dgtsv(op.off, diag, op.off, op.jump_stencil.copy(), overwrite_d=1)
+    *_, z, info = _linalg().lapack.dgtsv(op.off, diag, op.off, op.jump_stencil.copy(), overwrite_d=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"tridiagonal solve failed (info={info})")
     c = op.jump_stencil[op.jump]

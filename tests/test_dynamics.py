@@ -319,6 +319,14 @@ class TestEvolve:
             EvolutionConfig(dt=3e-3, t_end=1.0)  # not an integer step count
         with pytest.raises(ValueError):
             EvolutionConfig(dt=1e-3, t_end=1.0, record_every=0)
+        # evolve would record every 5 steps for 2.5 and keep every 3rd record
+        # for 1.5; a float is refused even when it is integral
+        for key, every in (("record_every", 2.5), ("snapshot_every", 1.5),
+                           ("record_every", 2.0), ("snapshot_every", 0)):
+            with pytest.raises(ValueError, match=f"{key} must be a positive integer"):
+                EvolutionConfig(dt=1e-3, t_end=1e-2, **{key: every})
+        assert EvolutionConfig(dt=1e-3, t_end=1e-2, record_every=np.int64(2),
+                               snapshot_every=3).snapshot_every == 3
         for dt, t_end in ((math.nan, 1.0), (math.inf, 1.0), (1e-3, math.inf),
                           (1e-3, math.nan)):
             with pytest.raises(ValueError, match="finite and positive"):

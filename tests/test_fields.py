@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from lognls import fields
 from lognls.corefn import SQRT_PI
@@ -704,25 +704,96 @@ def factored_solve(op, shift, scale, r):
 @pytest.mark.parametrize("n", [1024, 4096])
 def test_one_sweep_solve_is_factored_solve(n):
     # solve (one gtsv sweep over r and the jump stencil) returns the bits of
-    # factor-then-solve: for the minimizer's real systems with row
-    # interchanges (tau = 2) and without (tau = 0.2), and for the
-    # propagator's complex Cayley system, as ShiftedSolver solves it
+    # factor-then-solve for the minimizer's real systems, with row
+    # interchanges (tau = 2) and without (tau = 0.2)
     g = Grid(20.0, n)
     op = form_operator(g, 2.01)
-    rng = np.random.default_rng(n)
     for tau, pivots in ((0.2, False), (2.0, True)):
         v, shift, scale = minimizer_shift(g, tau)
         assert (row_interchanges(op, shift, scale) > 0) == pivots
         got = op.solve(shift, scale, v)
         assert got.dtype == np.float64
         assert np.array_equal(got, factored_solve(op, shift, scale, v))
+
+
+def bidiagonal_solve(op, scale, r):
+    """(1 + scale * M)^-1 r from zgttrf's L D L^T: a unit lower and a unit
+    upper ztbsv sweep, each on its own band, the product by 1/D between
+    them, and the Sherman-Morrison correction for the jump term."""
+    off = scale * op.off
+    dl, d, *_, info = lapack.zgttrf(off, 1.0 + scale * op.diag, off)
+    assert info == 0
+    lower = np.zeros((2, op.grid.n), dtype=complex, order="F")
+    upper = np.zeros((2, op.grid.n), dtype=complex, order="F")
+    lower[0], lower[1, :-1] = 1.0, dl
+    upper[1], upper[0, 1:] = 1.0, dl
+
+    def sweeps(b):
+        y = blas.ztbsv(1, lower, b.astype(complex), lower=1, diag=1) * (1.0 / d)
+        return blas.ztbsv(1, upper, y, lower=0, diag=1)
+
+    y, z = sweeps(r), sweeps(op.jump_stencil)
+    c = op.jump_stencil[op.jump]
+    fields._remove_jump(y, z, fields._jump_gain(scale * op.coupling, c, z[op.jump]), c, op.jump)
+    return y
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_cayley_solve_is_bidiagonal_sweeps(n):
+    # the propagator's complex Cayley system, solved into the caller's out
+    g = Grid(20.0, n)
+    op = form_operator(g, 2.01)
+    rng = np.random.default_rng(n)
     for dt in (1e-3, -1e-3, 2e-3):
         scale = 0.5j * dt / g.dx
         r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        got = op.solve(1.0, scale, r)
+        kept, out = r.copy(), np.empty_like(r)
+        got = ShiftedSolver(op, scale)(r, out, np.empty_like(r))
+        assert got is out
+        assert np.array_equal(r, kept)
+        assert np.array_equal(got, bidiagonal_solve(op, scale, r))
+
+
+@pytest.mark.parametrize("dt", [1e-3, -1e-3, 2e-3])
+def test_cayley_solve_matches_dense(dt):
+    # the two solvers on the propagator's complex system (measured <= 3e-16)
+    g = Grid(5.0, 64)
+    op = form_operator(g, 2.0)
+    scale = 0.5j * dt / g.dx
+    dense = np.eye(g.n) + scale * np.column_stack([op.apply(e) for e in np.eye(g.n)])
+    rng = np.random.default_rng(2)
+    r = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+    want = np.linalg.solve(dense, r)
+    for got in (ShiftedSolver(op, scale)(r, np.empty_like(r), np.empty_like(r)),
+                op.solve(1.0, scale, r)):
         assert got.dtype == np.complex128
-        want = ShiftedSolver(op, scale)(r, np.empty_like(r), np.empty_like(r))
-        assert np.array_equal(got, want)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [10, 256, 4096])
+@pytest.mark.parametrize("gamma", [0.5, 2.0, 10.0])
+def test_cayley_factorization_never_pivots(n, gamma):
+    # 1 + scale * T is strictly diagonally dominant for every real dt != 0,
+    # and its rounding keeps it so while |scale| max(diag T) < 2^52: the
+    # propagator's factorization interchanges no rows (ShiftedSolver would
+    # raise), and the step keeps the mass.  The last dt takes
+    # |scale| max(diag T) to 2^51
+    g = Grid(1.0, n)
+    op = form_operator(g, gamma)
+    edge = 2.0**51 / op.diag.max() * 2.0 * g.dx
+    rng = np.random.default_rng(n)
+    u = Field(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    m = mass(u)
+    for dt in (1e-3, -1e-3, 40.0, -40.0, 5e-324, -5e-324, edge, -edge):
+        assert abs(mass(linear_step(u, gamma, dt)) - m) <= 1e-15 * m, dt
+
+
+def test_cayley_factorization_refuses_interchanges():
+    # a scale that zeroes the first pivot makes zgttrf interchange rows 1
+    # and 2, and the sweeps have no place for the permutation
+    op = form_operator(Grid(20.0, 256), 2.0)
+    with pytest.raises(np.linalg.LinAlgError, match="interchanged rows"):
+        ShiftedSolver(op, -1.0 / op.diag[0])
 
 
 def test_one_sweep_solve_singular():
