@@ -128,10 +128,22 @@ class EvolutionAborted(RuntimeError):
 _SQUARE_MARGIN = 2.0 ** 52
 
 
+# 1.5 |dt| / dx^2 = |dt/2| max(diag H) must stay below this for rounding to
+# keep the Cayley system diagonally dominant (fields.ShiftedSolver)
+_MAX_STIFFNESS = 2.0 ** 52
+
+
 @lru_cache(maxsize=16)
 def _propagator(grid: Grid, gamma: float, dt: float) -> ShiftedSolver:
-    """(I + iA)^-1 with A = (dt/2) H and H = M/dx, factored once."""
-    return ShiftedSolver(form_operator(grid, gamma), 0.5j * dt / grid.dx)
+    """(I + iA)^-1 with A = (dt/2) H and H = M/dx, factored once; a dt with
+    1.5 |dt| / dx^2 >= _MAX_STIFFNESS raises ValueError before the
+    factorization."""
+    op, dx = form_operator(grid, gamma), grid.dx
+    if 1.5 * abs(dt) >= _MAX_STIFFNESS * dx * dx:
+        raise ValueError(
+            f"dt = {dt:.6g} is too large for the grid: 1.5 |dt| / dx^2 must stay below "
+            f"2^52, so |dt| < {_MAX_STIFFNESS * dx * dx / 1.5:.6g} at dx = {dx:.6g}")
+    return ShiftedSolver(op, 0.5j * dt / dx)
 
 
 def _cn_step(solve: ShiftedSolver, values: np.ndarray, out: np.ndarray,

@@ -19,24 +19,28 @@ trace stencil c, for gamma in (0, inf) (stationary._check_gamma).  The
 same M supplies the exact gradient of the action (divided by dx, also
 the stationary residual), the minimizer's implicit step and the
 Hamiltonian M/dx of the Crank-Nicolson propagator.  Shifted systems
-with M are solved by tridiagonal elimination plus a Sherman-Morrison
-correction, in two forms: the minimizer solves each real step's system
-once, in one LAPACK gtsv sweep over the iterate and the jump stencil
-(FormOperator.solve); the propagator factors its complex Cayley system
-once with zgttrf as L D L^T and solves it many times with two
-unit-bidiagonal BLAS ztbsv sweeps and one product by 1/D
-(ShiftedSolver).  The LAPACK and BLAS
-routines come from scipy.linalg, which is imported at the first
-tridiagonal solve (minimizer, Newton step, Morse index, propagator), not
-with this module: ``import lognls`` loads numpy but not scipy, and the
-``ground`` and ``bifurcate`` commands never import it.
+with M are solved in two forms.  The minimizer and Newton solve each
+real step's system once, in trace coordinates: the two nodes next to
+the origin are replaced by the two-node traces u(0-) and u(0+), a change
+of variables v = P w under which P^T (shift + scale M) P is tridiagonal
+and the jump term is the edge between the traces, so each solve is one
+single-column LAPACK gtsv sweep (FormOperator.solve).  The propagator
+factors the tridiagonal part of its complex Cayley system once with
+zgttrf as L D L^T, which needs the diagonal dominance that the trace
+form lacks, and solves it many times with two unit-bidiagonal BLAS
+ztbsv sweeps, one product by 1/D and a Sherman-Morrison correction for
+the jump term (ShiftedSolver).  The LAPACK and BLAS routines come from
+scipy.linalg, which is imported at the first tridiagonal solve
+(minimizer, Newton step, Morse index, propagator), not with this
+module: ``import lognls`` loads numpy but not scipy, and the ``ground``
+and ``bifurcate`` commands never import it.
 
 The minimizer ends with Newton's method on action_gradient = 0, whose
 Jacobian M + dx (omega - 2 - log u^2) is the same structure with another
 diagonal, so each Newton step is one FormOperator.solve sweep.  The
 projected descent selects the state; the Newton state is kept only if it
 passes three checks: Morse index 1 (morse_index, by Sylvester's law of
-inertia on the tridiagonal part and the Sherman-Morrison denominator),
+inertia on the Jacobian's tridiagonal form in trace coordinates),
 an action no higher than the descent's, and an interior residual below
 RESIDUAL_TOL.  At gamma = 2 the symmetric seed returns a weak saddle of
 index 2, as the discrete pitchfork lies below 2.
@@ -250,6 +254,9 @@ class FormOperator:
         self.jump = slice(m - 2, m + 2)
         self.jump_stencil = np.zeros(n)
         self.jump_stencil[self.jump] = (0.5, -1.5, 1.5, -0.5)
+        # each side of the origin in trace coordinates (_trace_form): the
+        # trace's row, the row of the node beyond it and the edge between them
+        self._sides = ((m - 1, m - 2, m - 2), (m, m + 1, m))
         self.grid = grid
         self.coupling = -1.0 / gamma
 
@@ -268,13 +275,11 @@ class FormOperator:
     def solve(self, shift, scale: complex, r: np.ndarray) -> np.ndarray:
         """(shift + scale * M)^-1 r for a system that is solved only once.
 
-        One LAPACK gtsv call eliminates the tridiagonal part and
-        forward-substitutes r and the jump stencil c together, then
-        back-substitutes each; the Sherman-Morrison correction follows.
-        The routine runs in the common dtype of shift, scale and r (real
-        for the minimizer).  Bitwise equal to gttrf and gttrs with the same
-        correction, pivoting included.  The result is a view of an array
-        made by this call.
+        The system is solved in trace coordinates w = P^-1 v (see
+        _trace_form), where P^T (shift + scale * M) P is tridiagonal: one
+        single-column LAPACK gtsv call on it and P^T r, then v = P w.  The
+        routine runs in the common dtype of shift, scale and r (real for
+        the minimizer).  The result is an array made by this call.
         """
         return self._sweep(shift + scale * self.diag, scale, r)
 
@@ -282,17 +287,37 @@ class FormOperator:
         """solve, given the diagonal shift + scale * self.diag of its
         tridiagonal part, which the sweep overwrites."""
         off = scale * self.off
+        self._trace_form(diag, off, scale * self.coupling)
         (gtsv,) = _linalg().get_lapack_funcs(("gtsv",), (diag, off, r))
-        b = np.empty((self.grid.n, 2), dtype=gtsv.dtype, order="F")
-        b[:, 0] = r
-        b[:, 1] = self.jump_stencil
-        *_, x, info = gtsv(off, diag, off, b, overwrite_d=1, overwrite_b=1)
+        b = r.astype(gtsv.dtype)
+        for k, j, _ in self._sides:  # b = P^T r
+            b[j] += b[k] / 3.0
+            b[k] = 2.0 * b[k] / 3.0
+        *_, w, info = gtsv(off, diag, off, b, overwrite_d=1, overwrite_b=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"tridiagonal solve failed (info={info})")
-        y, z = x[:, 0], x[:, 1]
-        c = self.jump_stencil[self.jump]
-        _remove_jump(y, z, _jump_gain(scale * self.coupling, c, z[self.jump]), c, self.jump)
-        return y
+        for k, j, _ in self._sides:  # v = P w
+            w[k] = (2.0 * w[k] + w[j]) / 3.0
+        return w
+
+    def _trace_form(self, diag: np.ndarray, off: np.ndarray, coupling) -> None:
+        """In place, turn the tridiagonal D (diag, off), which has no edge
+        across the origin, into P^T (D + coupling c c^T) P.
+
+        P maps the trace coordinates w to the samples v = P w: w = v except
+        that w_{m-1} and w_m are the two-node traces u(0-) = 1.5 v_{m-1} -
+        0.5 v_{m-2} and u(0+) = 1.5 v_m - 0.5 v_{m+1}.  So c^T P = e_m -
+        e_{m-1}, and the result is tridiagonal: four diagonal and three
+        off-diagonal entries change, and the jump term becomes the edge
+        between the two traces.  It has the inertia of D + coupling c c^T
+        (Sylvester's law).
+        """
+        for k, j, e in self._sides:
+            third = diag[k] / 3.0
+            diag[j] += (2.0 * off[e] + third) / 3.0
+            off[e] = 2.0 * (off[e] + third) / 3.0
+            diag[k] = 4.0 * third / 3.0 + coupling
+        off[self.grid.mid - 1] = -coupling
 
 
 def _jump_gain(alpha, c, zj):
@@ -677,27 +702,24 @@ def morse_index(u: Field, gamma: float, omega: float) -> int:
     dx L+ = M + dx (omega - 2 - log u^2) with M = T - (1/gamma) c c^T.
 
     By Sylvester's law of inertia it is the negative count of the
-    tridiagonal part T' = T + dx (omega - 2 - log u^2), plus 1 when the
-    Sherman-Morrison denominator 1 - (1/gamma) c^T T'^-1 c is negative.
-    The count is one LAPACK dstebz Sturm count over an interval that holds
-    the negative spectrum; it is exact, so the eigenvalues it brackets are
-    located only to a coarse tolerance.  The index is 1 at a ground state
-    and 2 at the symmetric state above the discrete pitchfork.
+    tridiagonal matrix P^T J P of the trace coordinates (see
+    FormOperator._trace_form), where J is the Jacobian.  The count is one
+    LAPACK dstebz Sturm count over an interval that holds the negative
+    spectrum; it is exact, so the eigenvalues it brackets are located only
+    to a coarse tolerance.  The index is 1 at a ground state and 2 at the
+    symmetric state above the discrete pitchfork.
     """
     op = form_operator(u.grid, gamma)
     _check_omega(omega)
     v = _real_values(u, "the profile")
-    diag = op.diag + u.grid.dx * (omega - 2.0 - _log_abs2(v))
-    # Gershgorin: every eigenvalue of T' lies above lo
-    lo = float(np.min(diag)) - 2.0 * float(np.max(np.abs(op.off))) - 1.0
-    count, *_, info = _linalg().lapack.dstebz(diag, op.off, 1, lo, 0.0, 1, 1, -lo, b"E")
+    diag, off = op.diag + u.grid.dx * (omega - 2.0 - _log_abs2(v)), op.off.copy()
+    op._trace_form(diag, off, op.coupling)
+    # Gershgorin: every eigenvalue lies above lo
+    lo = float(np.min(diag)) - 2.0 * float(np.max(np.abs(off))) - 1.0
+    count, *_, info = _linalg().lapack.dstebz(diag, off, 1, lo, 0.0, 1, 1, -lo, b"E")
     if info != 0:
         raise np.linalg.LinAlgError(f"Sturm count failed (info={info})")
-    *_, z, info = _linalg().lapack.dgtsv(op.off, diag, op.off, op.jump_stencil.copy(), overwrite_d=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"tridiagonal solve failed (info={info})")
-    c = op.jump_stencil[op.jump]
-    return int(count) + int(1.0 + op.coupling * (c @ z[op.jump]) < 0.0)
+    return int(count)
 
 
 def _newton(op: FormOperator, v: np.ndarray, omega: float):
@@ -789,8 +811,9 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
     step size adapts: it grows on accepted steps and backtracks whenever
     the projected action increases, up to MAX_REJECTS times in a row,
     after which the uphill step is taken; the result counts both kinds
-    of step.  Each step's shifted system is solved once, in one gtsv
-    sweep (FormOperator.solve).  Per step, |v|^2 of the iterate is taken
+    of step.  Each step's shifted system is solved once, by one
+    single-column gtsv sweep in trace coordinates (FormOperator.solve).
+    Per step, |v|^2 of the iterate is taken
     once, and the shift 1 + tau (omega - log|v|^2) and the shifted
     diagonal are built in place in two buffers that belong to this call;
     the projection squares the step's samples once for its mass and

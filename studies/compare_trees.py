@@ -32,7 +32,9 @@ they are equal, the overall verdict ``all_equal``, and the run manifest
 of ``perfbench/manifest.py`` for each tree.  A library probe whose hashes
 differ also gets ``max_rel_diff``: the largest, over the arrays it hashed,
 of max|a - b| / max|a| with a the base tree's array (null when the
-shapes differ).  BLAS runs on one thread.
+shapes differ); a minimizer or Newton probe that differs also gets
+``counts``, both trees' (iterations, newton, index).  BLAS runs on one
+thread.
 """
 
 from __future__ import annotations
@@ -91,6 +93,9 @@ PROBES = (PRELUDE + f"sys.path.insert(0, {str(HERE)!r}); "
 COMMAND = PRELUDE + "import lognls.cli; sys.exit(lognls.cli.main(sys.argv[2:]))"
 # the library probes' arrays, in each tree's temporary directory
 ARRAYS = "probe_arrays.npz"
+# the probes that hash a MinimizeResult, whose first array is
+# (iterations, newton, index)
+RESULT_PROBES = ("minimize ", "newton ")
 
 
 def digest(*parts) -> str:
@@ -226,6 +231,16 @@ def max_rel_diffs(base_file: Path, change_file: Path, names) -> dict:
     return out
 
 
+def result_counts(base_file: Path, change_file: Path, names) -> dict:
+    """Per probe in names (each in RESULT_PROBES), both trees'
+    (iterations, newton, index)."""
+    import numpy as np
+
+    with np.load(base_file) as base, np.load(change_file) as change:
+        return {name: {"base": base[f"{name}#0"].tolist(), "change": change[f"{name}#0"].tolist()}
+                for name in names}
+
+
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("base", type=Path, help="source tree measured as the base")
@@ -253,9 +268,12 @@ def main(argv=None) -> int:
                   for name in sorted(hashes["base"].keys() | hashes["change"].keys())}
         differ = [name for name, p in probes.items()
                   if not p["equal"] and not name.startswith("cli ")]
-        for name, rel in max_rel_diffs(Path(tmp) / "base" / ARRAYS,
-                                       Path(tmp) / "change" / ARRAYS, differ).items():
+        files = Path(tmp) / "base" / ARRAYS, Path(tmp) / "change" / ARRAYS
+        for name, rel in max_rel_diffs(*files, differ).items():
             probes[name]["max_rel_diff"] = rel
+        for name, counts in result_counts(
+                *files, [name for name in differ if name.startswith(RESULT_PROBES)]).items():
+            probes[name]["counts"] = counts
     inputs = {"evolve": EVOLVE_CASES, "stability_experiment": STABILITY,
               "minimize": MINIMIZE, "newton": NEWTON, "steps": STEPS, "gauge": GAUGE,
               "cli": COMMANDS}
@@ -265,7 +283,8 @@ def main(argv=None) -> int:
                 "substep-chain and Luxemburg gauge results and of the README commands' stdout, stderr and "
                 "files, one fresh interpreter per tree for the library probes and one per "
                 "command; max_rel_diff = max over a probe's arrays of max|a - b| / max|a| "
-                "(a the base tree's) where a library probe differs",
+                "(a the base tree's) where a library probe differs; counts = both trees' "
+                "(iterations, newton, index) where a minimizer or Newton probe differs",
         "all_equal": all(p["equal"] for p in probes.values()),
         "probes": probes,
         "manifest": {k: manifest(tree.resolve(), 0, "compare_trees", inputs)
@@ -274,8 +293,10 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for name, p in probes.items():
         if not p["equal"]:
-            rel = p.get("max_rel_diff")
-            print(f"differs: {name}" + ("" if rel is None else f" (max rel diff {rel:.3g})"))
+            rel, counts = p.get("max_rel_diff"), p.get("counts")
+            print(f"differs: {name}" + ("" if rel is None else f" (max rel diff {rel:.3g})")
+                  + ("" if counts is None else
+                     f" (iterations, newton, index) {counts['base']} -> {counts['change']}"))
     print(f"{sum(p['equal'] for p in probes.values())} of {len(probes)} probes equal")
     return 0 if doc["all_equal"] else 1
 

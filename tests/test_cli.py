@@ -275,6 +275,16 @@ def test_nonfinite_time_step_usage_error(argv, capsys):
     assert "Traceback" not in err
 
 
+def test_step_too_large_for_grid_usage_error(capsys):
+    # beyond 1.5 dt / dx^2 = 2^52 the Cayley system cannot be factored
+    # without row interchanges: a usage error naming the bound
+    assert run(["evolve", "--dt", "1e305", "--t-end", "1e305"]) == 1
+    cap = capsys.readouterr()
+    assert cap.err.startswith("error: dt = 1e+305 is too large for the grid: "
+                              "1.5 |dt| / dx^2 must stay below 2^52, so |dt| < 2.86331e+11")
+    assert cap.out == ""
+
+
 @pytest.mark.parametrize("argv, code", [(["bifurcate", "--omega", "nan"], 1),
                                         (["ground", "--omega=-inf"], 1),
                                         (["ground", "--omega", "nan"], 1),

@@ -53,6 +53,26 @@ class TestLinearStep:
                     step()
         assert dynamics._propagator.cache_info().currsize == size
 
+    @pytest.mark.parametrize("L, n", [(1.0, 10), (1.0, 256), (20.0, 4096)])
+    def test_step_beyond_stiffness_bound_rejected(self, L, n):
+        # 1.5 |dt| / dx^2 must stay below 2^52, where rounding keeps the
+        # Cayley system diagonally dominant: beyond it the step raises
+        # ValueError naming dt and the bound, before any factorization
+        # (zgttrf would fail or interchange rows); the largest accepted dt
+        # still steps and keeps the mass
+        g = Grid(L, n)
+        u = Field(g, np.random.default_rng(n).standard_normal(n) + 0j)
+        bound = 2.0**52 * g.dx * g.dx / 1.5
+        size = dynamics._propagator.cache_info().currsize
+        for dt in (1e305, -1e305, bound, -bound):
+            with pytest.raises(ValueError, match=r"dt = .* is too large for the grid: "
+                                                 r"1\.5 \|dt\| / dx\^2 must stay below 2\^52"):
+                linear_step(u, 2.0, dt)
+        assert dynamics._propagator.cache_info().currsize == size
+        below = math.nextafter(bound, 0.0)
+        for dt in (below, -below):
+            assert abs(mass(linear_step(u, 2.0, dt)) - mass(u)) <= 1e-15 * mass(u)
+
     def test_mass_preserved_per_step(self, grid):
         rng = np.random.default_rng(1)
         u = random_smooth_field(grid, rng)

@@ -487,14 +487,14 @@ class TestMinimize:
         r = minimize_dgamma(2.1, 0.0, seed=Seed.LEFT, grid=Grid(20.0, 1024))
         assert (r.iterations - r.newton, r.rejected, r.forced, r.index) == (102, 0, 0, 2)
         assert r.newton > 0
-        assert r.value == 0.4260450048185108
-        assert hashlib.sha256(r.field.values.tobytes()).hexdigest()[:16] == "1099ca245187f12c"
+        assert r.value == 0.42604500481850965
+        assert hashlib.sha256(r.field.values.tobytes()).hexdigest()[:16] == "4343d516c0ddefce"
 
     def test_newton_finish_next_to_pitchfork(self):
         # the descent alone creeps here: it stopped at max_iter = 4000 with an
         # interior residual of 1.5e-6; Newton ends it on the ground state
         r = minimize_dgamma(2.0005, 0.0, seed=Seed.LEFT, grid=Grid(20.0, 4096))
-        assert (r.iterations, r.newton, r.index) == (480, 9, 1)
+        assert (r.iterations, r.newton, r.index) == (481, 10, 1)
         assert r.residual.interior <= 1e-10
 
     def test_newton_finish_on_fine_grid(self):
@@ -587,6 +587,24 @@ class TestNewton:
         # at n = 2048 the symmetric state turns into a saddle between
         # gamma = 2 - 1e-4 and 2 (at 2 - 2.2e-5)
         assert stationary_newton(symmetric_profile(gamma, 2048), gamma, 0.0).index == index
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.99, 2.0, 2.01, 2.5, 3.0, 5.0, 10.0])
+    def test_classification(self, gamma):
+        # the paper's classification on the grid: Newton from every
+        # closed-form branch.  The symmetric (odd) state has index 1 below
+        # gamma = 2 and 2 from 2 on, as the discrete pitchfork lies below 2;
+        # above it the mirror pair has index 1 and equal, lower actions
+        g = Grid(20.0, 1024)
+        states = {p.branch: stationary_newton(sample_profile(p, g), gamma, 0.0)
+                  for p in ground_states(gamma, 0.0)}
+        odd = states.pop(Branch.SYMMETRIC)
+        assert odd.index == (1 if gamma < 2.0 else 2)
+        assert len(states) == (2 if gamma > 2.0 else 0)
+        if states:
+            left, right = states[Branch.ASYMMETRIC_LEFT], states[Branch.ASYMMETRIC_RIGHT]
+            assert left.index == right.index == 1
+            assert left.action == pytest.approx(right.action, rel=1e-12, abs=0.0)
+            assert left.action < odd.action
 
     def test_stall_carries_last_iterate(self, monkeypatch):
         monkeypatch.setattr(fields, "NEWTON_MAX_ITER", 1)
@@ -684,36 +702,133 @@ def minimizer_shift(grid, tau):
     return v, 1.0 + tau * (0.0 - np.log(v**2)), tau / grid.dx
 
 
-def row_interchanges(op, shift, scale):
-    ipiv = lapack.dgttrf(scale * op.off, shift + scale * op.diag, scale * op.off)[4]
+def trace_tridiagonal(op, diag, off, coupling):
+    """P^T (D + coupling c c^T) P for the tridiagonal D (diag, off), one
+    entry at a time: P maps the trace coordinates to the samples, with
+    v[m-1] = (w[m-2] + 2 w[m-1]) / 3 and v[m] = (2 w[m] + w[m+1]) / 3."""
+    m = op.grid.mid
+    d, e = diag.copy(), off.copy()
+    # (trace row, the node beyond it, the edge between them)
+    for k, j, s in ((m - 1, m - 2, m - 2), (m, m + 1, m)):
+        third = diag[k] / 3.0
+        d[j] = diag[j] + (2.0 * off[s] + third) / 3.0
+        e[s] = 2.0 * (off[s] + third) / 3.0
+        d[k] = 4.0 * third / 3.0 + coupling
+    e[m - 1] = -coupling
+    return d, e
+
+
+def trace_solve(op, shift, scale, r):
+    """(shift + scale * M)^-1 r as P (P^T (shift + scale * M) P)^-1 P^T r,
+    with one dgtsv call on the trace tridiagonal."""
+    m = op.grid.mid
+    d, e = trace_tridiagonal(op, shift + scale * op.diag, scale * op.off, scale * op.coupling)
+    b = r.copy()
+    b[m - 2] = r[m - 2] + r[m - 1] / 3.0
+    b[m - 1] = 2.0 * r[m - 1] / 3.0
+    b[m] = 2.0 * r[m] / 3.0
+    b[m + 1] = r[m + 1] + r[m] / 3.0
+    *_, w, info = lapack.dgtsv(e, d, e, b)
+    assert info == 0
+    v = w.copy()
+    v[m - 1] = (2.0 * w[m - 1] + w[m - 2]) / 3.0
+    v[m] = (2.0 * w[m] + w[m + 1]) / 3.0
+    return v, (d, e)
+
+
+def row_interchanges(d, e):
+    ipiv = lapack.dgttrf(e, d, e)[4]
     return np.count_nonzero(ipiv != np.arange(1, len(ipiv) + 1))
 
 
-def factored_solve(op, shift, scale, r):
-    """(shift + scale * M)^-1 r by dgttrf and dgttrs on the tridiagonal part
-    and the Sherman-Morrison correction for the jump term."""
-    *factors, ipiv, info = lapack.dgttrf(scale * op.off, shift + scale * op.diag, scale * op.off)
-    assert info == 0
-    y = lapack.dgttrs(*factors, ipiv, r)[0]
-    z = lapack.dgttrs(*factors, ipiv, op.jump_stencil)[0]
-    c = op.jump_stencil[op.jump]
-    fields._remove_jump(y, z, fields._jump_gain(scale * op.coupling, c, z[op.jump]), c, op.jump)
-    return y
-
-
 @pytest.mark.parametrize("n", [1024, 4096])
-def test_one_sweep_solve_is_factored_solve(n):
-    # solve (one gtsv sweep over r and the jump stencil) returns the bits of
-    # factor-then-solve for the minimizer's real systems, with row
-    # interchanges (tau = 2) and without (tau = 0.2)
+def test_one_sweep_solve_is_trace_solve(n):
+    # solve (one single-column gtsv sweep in trace coordinates) returns the
+    # bits of the trace-form oracle for the minimizer's real systems; r is
+    # not written.  The rows next to the traces are not diagonally dominant,
+    # so the elimination interchanges rows there at tau = 0.2, and in the
+    # bulk too at tau = 2
     g = Grid(20.0, n)
     op = form_operator(g, 2.01)
-    for tau, pivots in ((0.2, False), (2.0, True)):
+    for tau in (0.2, 2.0):
         v, shift, scale = minimizer_shift(g, tau)
-        assert (row_interchanges(op, shift, scale) > 0) == pivots
+        kept = v.copy()
+        want, trace_form = trace_solve(op, shift, scale, v)
+        assert row_interchanges(*trace_form) > 0
         got = op.solve(shift, scale, v)
         assert got.dtype == np.float64
-        assert np.array_equal(got, factored_solve(op, shift, scale, v))
+        assert np.array_equal(v, kept)
+        assert np.array_equal(got, want)
+
+
+def dense_operator(op):
+    return np.column_stack([op.apply(e) for e in np.eye(op.grid.n)])
+
+
+def test_trace_form_is_congruence():
+    # _trace_form's tridiagonal is P^T (D + coupling c c^T) P, with D the
+    # tridiagonal part of a shifted operator and P written densely
+    g = Grid(5.0, 64)
+    op, m = form_operator(g, 1.5), g.mid
+    shift = np.random.default_rng(4).uniform(-1.0, 1.0, g.n)
+    dense = np.diag(shift) + dense_operator(op)
+    P = np.eye(g.n)
+    P[m - 1, m - 2], P[m - 1, m - 1] = 1.0 / 3.0, 2.0 / 3.0
+    P[m, m], P[m, m + 1] = 2.0 / 3.0, 1.0 / 3.0
+    d, e = shift + op.diag, op.off.copy()
+    op._trace_form(d, e, op.coupling)
+    want = P.T @ dense @ P
+    assert np.max(np.abs(np.diag(d) + np.diag(e, 1) + np.diag(e, -1) - want)) \
+        <= 1e-15 * np.max(np.abs(want))
+    # c^T P = e_m - e_{m-1}: the jump term is the edge between the traces
+    assert np.max(np.abs(op.jump_stencil @ P - (np.eye(g.n)[m] - np.eye(g.n)[m - 1]))) <= 1e-15
+
+
+@pytest.mark.parametrize("tau, scale", [(0.2, None), (2.0, None), (None, 0.5j * 2e-3),
+                                        (None, 0.3 + 0.7j)])
+def test_one_sweep_solve_matches_dense(tau, scale):
+    # the minimizer's real systems and complex ones, against a dense solve
+    g = Grid(20.0, 256)
+    op = form_operator(g, 2.01)
+    if tau is not None:
+        r, shift, scale = minimizer_shift(g, tau)
+    else:
+        rng = np.random.default_rng(5)
+        shift, scale = 1.0, scale / g.dx
+        r = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+    want = np.linalg.solve(np.diag(np.broadcast_to(shift, g.n)) + scale * dense_operator(op), r)
+    got = op.solve(shift, scale, r)
+    assert got.dtype == want.dtype
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def two_part_index(u, gamma, omega):
+    """The Morse index as the negative count of the tridiagonal part T' of
+    the Jacobian (dstebz) plus 1 when the Sherman-Morrison denominator
+    1 + coupling c^T T'^-1 c is negative."""
+    op = form_operator(u.grid, gamma)
+    diag = op.diag + u.grid.dx * (omega - 2.0 - np.log(u.values.real ** 2))
+    lo = float(np.min(diag)) - 2.0 * float(np.max(np.abs(op.off))) - 1.0
+    count, *_, info = lapack.dstebz(diag, op.off, 1, lo, 0.0, 1, 1, -lo, b"E")
+    assert info == 0
+    *_, z, info = lapack.dgtsv(op.off, diag, op.off, op.jump_stencil.copy())
+    assert info == 0
+    return int(count), int(1.0 + op.coupling * (op.jump_stencil @ z) < 0.0)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 3.0])
+def test_morse_index_is_two_part_count(gamma):
+    # one Sturm count in trace coordinates against the count of T' plus the
+    # jump term's sign, on seeded real fields whose index spreads over 0..6
+    g = Grid(20.0, 1024)
+    jump_terms, indices = 0, set()
+    for seed in range(50):
+        u = Field(g, smooth_random(g, seed).values.real)
+        count, jump = two_part_index(u, gamma, 0.0)
+        assert morse_index(u, gamma, 0.0) == count + jump
+        jump_terms += jump
+        indices.add(count + jump)
+    assert jump_terms > 0 and len(indices) > 3
 
 
 def bidiagonal_solve(op, scale, r):
