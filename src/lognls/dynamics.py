@@ -10,19 +10,24 @@ solves it exactly, and the linear half-step is the Cayley transform of
 the Hamiltonian H = M/dx of fields.FormOperator (tridiagonal plus a
 rank-one jump term).  With A = (dt/2) H, the tridiagonal part of I + iA
 is factored once per run as L D L^T (fields.ShiftedSolver), and each step
-is one solve, two unit-bidiagonal sweeps and a product by 1/D plus the
-jump correction, through the Cayley identity
-(I + iA)^-1 (I - iA) v = 2 (I + iA)^-1 v - v, projected back onto the
-mass of v.  The rotation keeps |u| at every node and the projection the
-discrete mass sum, up to a rounding leak of ~5e-18 per step; the
-recorded energy is conserved up to the O(dt^2) splitting error.
+is one solve, two unit-bidiagonal sweeps and a product by 2/D plus the
+jump correction near the origin, through the Cayley identity
+(I + iA)^-1 (I - iA) v = 2 (I + iA)^-1 v - v, projected onto a target
+mass.  evolve takes one target per run, the vdot mass of its first
+Crank-Nicolson input, so rounding does not accumulate in the mass;
+linear_step projects onto the mass of its own input.  The rotation keeps
+|u| at every node and the projection the discrete mass sum; the recorded
+energy is conserved up to the O(dt^2) splitting error.
 
-The substeps _cn_step and _rotate write to buffers their caller owns.
-evolve allocates its state-sized arrays once per call (two complex state
-buffers, one complex scratch array, two real arrays) and runs every
-substep in them; linear_step and nonlinear_step allocate theirs per call.
-The rotation builds its factor from one half-angle tangent,
-t = tan(theta/2), as ((1 - t^2) + 2it)/(1 + t^2).
+The substeps _cn_step, _phase and _rotate write to buffers their caller
+owns.  evolve allocates its state-sized arrays once per call (two complex
+state buffers, one complex scratch array, one complex half-step factor,
+two real arrays) and runs every substep in them; linear_step and
+nonlinear_step allocate theirs per call.  The rotation builds its factor
+from one half-angle tangent, t = tan(theta/2), as
+((1 - t^2) + 2it)/(1 + t^2).  Between records the trailing and leading
+half rotations merge into one over dt; at a record both use the factor
+built before it.
 
 The rate is log|u|^2 with |u|^2 floored at the smallest normal double
 (corefn._log_abs2, as in the minimizer), so the flow is scale-covariant.
@@ -146,22 +151,22 @@ def _propagator(grid: Grid, gamma: float, dt: float) -> ShiftedSolver:
     return ShiftedSolver(op, 0.5j * dt / dx)
 
 
-def _cn_step(solve: ShiftedSolver, values: np.ndarray, out: np.ndarray,
+def _cn_step(solve: ShiftedSolver, values: np.ndarray, mass: float, out: np.ndarray,
              work: np.ndarray) -> np.ndarray:
-    """One Crank-Nicolson step of values, written to out (not values), with
-    work a complex scratch array of the same shape."""
-    # Cayley identity (I + iA)^-1 (I - iA) v = 2 (I + iA)^-1 v - v, projected
-    # onto the mass of v, which the factors' rounding drains by ~2e-16 a step;
-    # the projection adds (sqrt(1 + c) - 1) w = c w / (1 + sqrt(1 + c)), where
-    # c = m_v / m_w - 1, because a factor sqrt(1 + c) would round to exactly 1.
-    # The solve's result is the step's own array, so it is updated in place.
-    w = solve(values, out, work)
-    np.multiply(2.0, w, out=w)
-    np.subtract(w, values, out=w)
+    """One Crank-Nicolson step of values, projected onto the vdot mass
+    `mass` and written to out (not values), with work a complex scratch
+    array of the same shape."""
+    # Cayley identity (I + iA)^-1 (I - iA) v = 2 (I + iA)^-1 v - v, with the
+    # factor 2 in the solver, projected onto the target mass, which the
+    # factors' rounding drains by ~2e-16 a step; the projection adds
+    # (sqrt(1 + c) - 1) w = c w / (1 + sqrt(1 + c)), where c = mass / m_w - 1,
+    # because a factor sqrt(1 + c) would round to exactly 1.  The solve's
+    # result is the step's own array, so it is updated in place.
+    w = np.subtract(solve(values, out, work), values, out=out)
     m_w = np.vdot(w, w).real
     if m_w == 0.0:  # the zero state stays zero
         return w
-    c = (np.vdot(values, values).real - m_w) / m_w
+    c = (mass - m_w) / m_w
     return np.add(w, np.multiply(c / (1.0 + math.sqrt(1.0 + c)), w, out=work), out=w)
 
 
@@ -177,21 +182,21 @@ def linear_step(u: Field, gamma: float, dt: float) -> Field:
     if dt == 0.0:
         return u
     solve, out = _propagator(u.grid, float(gamma), float(dt)), np.empty_like(u.values)
-    return u.with_values(_cn_step(solve, u.values, out, np.empty_like(out)))
+    mass = np.vdot(u.values, u.values).real
+    return u.with_values(_cn_step(solve, u.values, mass, out, np.empty_like(out)))
 
 
-def _rotate(values: np.ndarray, tau: float, out: np.ndarray, rate: np.ndarray,
-            work: np.ndarray) -> np.ndarray:
-    """values exp(i tau log|values|^2), |values|^2 floored as in
-    corefn._log_abs2, written to out (not values), with the squares and the
-    rate formed in the real array rate, and work a second real array."""
+def _phase(values: np.ndarray, tau: float, out: np.ndarray, rate: np.ndarray,
+           work: np.ndarray) -> np.ndarray:
+    """The factor exp(i tau log|values|^2), |values|^2 floored as in
+    corefn._log_abs2, written to the complex array out, with the squares
+    and the rate formed in the real array rate, and work a second real
+    array."""
     # the factor from t = tan(theta/2): cos theta = (1 - t^2)/(1 + t^2) and
     # sin theta = 2t/(1 + t^2), one vectorized tan where numpy's cos and sin
     # run at scalar speed.  A rounding of t turns the factor by at most one
     # of theta/2, and this form keeps its modulus within an ulp or two of 1
-    # (2/(1 + t^2) - 1 biases it, and the mass drifts).  The product keeps
-    # the factor order of values * exp(1j theta), on which its rounding
-    # depends
+    # (2/(1 + t^2) - 1 biases it, and the mass drifts)
     t = corefn._log_abs2(values, out=rate)
     np.multiply(0.5 * tau, t, out=t)
     np.tan(t, out=t)
@@ -201,7 +206,16 @@ def _rotate(values: np.ndarray, tau: float, out: np.ndarray, rate: np.ndarray,
     np.divide(out.real, q, out=out.real)
     t += t
     np.divide(t, q, out=out.imag)
-    return np.multiply(values, out, out=out)
+    return out
+
+
+def _rotate(values: np.ndarray, tau: float, out: np.ndarray, rate: np.ndarray,
+            work: np.ndarray) -> np.ndarray:
+    """values exp(i tau log|values|^2), written to out (not values), with
+    rate and work the real arrays of _phase."""
+    # the product keeps the factor order of values * exp(1j theta), on which
+    # its rounding depends
+    return np.multiply(values, _phase(values, tau, out, rate, work), out=out)
 
 
 def nonlinear_step(u: Field, dt: float) -> Field:
@@ -231,13 +245,24 @@ def evolve(
     ValueError.  Raises EvolutionAborted as soon as any sample stops
     being finite.
 
+    Every Crank-Nicolson step is projected onto one mass, the vdot mass
+    of the first step's input, taken once.  Between records the trailing
+    and the leading half rotation merge into one rotation over dt; at a
+    record step the half-step factor exp(i (dt/2) log|u|^2) is built
+    once and applied before the record and again after it, as the first
+    application leaves |u| unchanged.  So a run continued from another's
+    final state agrees with one longer run at rounding, not bit for bit:
+    it takes its own mass target and builds its first half rotation from
+    the rotated state.
+
     A run allocates its state-sized arrays once: two complex state
     buffers, which the Cayley solve and the phase rotation write in
     turn, one complex scratch array for the solve's jump correction and
-    the mass projection, and two real arrays for the amplitudes, the
-    rate and the rotation factor's tangent and its square.  Snapshots
-    are copies, the final state is the buffer the last substep wrote,
-    and u0's samples are never written.
+    the mass projection, one complex array for the record's half-step
+    factor, and two real arrays for the amplitudes, the rate and the
+    rotation factor's tangent and its square.  Snapshots are copies, the
+    final state is the buffer the last substep wrote, and u0's samples
+    are never written.
     """
     if not np.all(np.isfinite(u0.values)):
         raise EvolutionAborted(0, [])
@@ -252,7 +277,7 @@ def evolve(
             raise ValueError(f"omega = {reference.omega}: the sampled profile's squares "
                              "underflow (the largest is below 2^52 x the smallest normal double)")
         dphi = _derivative(phi, u0.grid)  # the fixed reference's: once per run, not per record
-    v, spare, work = (np.empty_like(u0.values) for _ in range(3))
+    v, spare, work, phase = (np.empty_like(u0.values) for _ in range(4))
     rate, rot_work = np.empty(u0.values.shape), np.empty(u0.values.shape)
 
     def make_record(t: float, vals: np.ndarray) -> TrajectoryRecord:
@@ -278,17 +303,21 @@ def evolve(
     try:
         records.append(make_record(0.0, u0.values))
         v = _rotate(u0.values, half, v, rate, rot_work)
+        mass = np.vdot(v, v).real  # every CN step's target: the first input's mass
         for k in range(1, nsteps + 1):
             # each substep writes the spare buffer and hands the old state's
             # buffer back as the next spare
-            v, spare = _cn_step(solve, v, spare, work), v
+            v, spare = _cn_step(solve, v, mass, spare, work), v
             if k < nsteps and k % config.record_every:
                 # merge the trailing and leading half rotations (|u| unchanged)
                 v, spare = _rotate(v, config.dt, spare, rate, rot_work), v
                 if k % 50 == 0 and not np.all(np.isfinite(v)):
                     raise EvolutionAborted(k, records)
                 continue
-            v, spare = _rotate(v, half, spare, rate, rot_work), v
+            # the trailing and the leading half rotation share one factor,
+            # as the first leaves |u| unchanged
+            _phase(v, half, phase, rate, rot_work)
+            v, spare = np.multiply(v, phase, out=spare), v
             if not np.all(np.isfinite(v)):
                 raise EvolutionAborted(k, records)
             records.append(make_record(k * config.dt, v))
@@ -296,7 +325,7 @@ def evolve(
             if config.snapshot_every and nrec % config.snapshot_every == 0:
                 snapshots.append((k * config.dt, u0.with_values(v.copy())))
             if k < nsteps:
-                v, spare = _rotate(v, half, spare, rate, rot_work), v
+                v, spare = np.multiply(v, phase, out=spare), v
     except FloatingPointError as exc:  # a blow-up under np.errstate(over="raise")
         raise EvolutionAborted(k, records) from exc
     return EvolutionResult(records=records, final=u0.with_values(v), snapshots=snapshots)
@@ -310,7 +339,10 @@ def evolve(
 @dataclass(frozen=True)
 class TrialResult:
     """A trial's first and largest orbital distance and their ratio, in the
-    H^1 (sigma) and then the energy-space (W) distance of its records."""
+    H^1 (sigma) and then the energy-space (W) distance of its records, and
+    the conservation over its records: the largest mass drift relative to
+    the first record's mass, and the largest absolute energy drift
+    max|E - E_0| (not relative, as E can vanish)."""
 
     trial: int
     initial_distance_sigma: float
@@ -319,6 +351,8 @@ class TrialResult:
     initial_distance_w: float
     max_distance_w: float
     ratio_w: float
+    max_mass_drift: float
+    max_energy_drift: float
 
 
 @dataclass(frozen=True)
@@ -356,7 +390,8 @@ def stability_experiment(
     Each trial adds an independent random smooth field scaled to
     perturbation_size times the profile's H^1 norm, evolves it to t_end
     and reports, in both distances evolve records, the max-over-time
-    orbital distance and its ratio to the initial distance.  Trial k
+    orbital distance and its ratio to the initial distance, and the
+    largest mass and energy drift of the records.  Trial k
     depends only on (rng_seed, k): its perturbation draws from a
     generator seeded with that pair, so the summary is reproducible and
     its first k trials do not depend on the trial count.  A symmetric
@@ -366,8 +401,8 @@ def stability_experiment(
     if not (math.isfinite(perturbation_size) and perturbation_size > 0):
         raise ValueError(
             f"perturbation_size must be a finite positive number, got {perturbation_size}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not (isinstance(trials, numbers.Integral) and trials >= 1):
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
     params = branch_params(gamma, omega, branch)
     form_operator(grid, gamma)  # rejects a grid too coarse for gamma, as evolve does
     phi = sample_profile(params, grid)
@@ -380,8 +415,11 @@ def stability_experiment(
         pert_vals = pert.values * (perturbation_size * phi_norm / sigma_norm(pert))
         u0 = phi.with_values(phi.values + pert_vals)
         records = evolve(u0, gamma, config, reference=params).records
+        m0, e0 = records[0].mass, records[0].energy
         return TrialResult(k, *_excursion([r.orbital_distance_sigma for r in records]),
-                           *_excursion([r.orbital_distance_w for r in records]))
+                           *_excursion([r.orbital_distance_w for r in records]),
+                           max_mass_drift=max(abs(r.mass - m0) for r in records) / m0,
+                           max_energy_drift=max(abs(r.energy - e0) for r in records))
 
     results = [run_trial(k) for k in range(trials)]
     return StabilitySummary(

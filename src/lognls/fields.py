@@ -28,12 +28,13 @@ single-column LAPACK gtsv sweep (FormOperator.solve).  The propagator
 factors the tridiagonal part of its complex Cayley system once with
 zgttrf as L D L^T, which needs the diagonal dominance that the trace
 form lacks, and solves it many times with two unit-bidiagonal BLAS
-ztbsv sweeps, one product by 1/D and a Sherman-Morrison correction for
-the jump term (ShiftedSolver).  The LAPACK and BLAS routines come from
-scipy.linalg, which is imported at the first tridiagonal solve
-(minimizer, Newton step, Morse index, propagator), not with this
-module: ``import lognls`` loads numpy but not scipy, and the ``ground``
-and ``bifurcate`` commands never import it.
+ztbsv sweeps, one product by 2/D (the Cayley identity's factor 2) and
+a Sherman-Morrison correction for the jump term on the nodes near the
+origin where it is not negligible (ShiftedSolver).  The LAPACK and BLAS
+routines come from scipy.linalg, which is imported at the first
+tridiagonal solve (minimizer, Newton step, Morse index, propagator), not
+with this module: ``import lognls`` loads numpy but not scipy, and the
+``ground`` and ``bifurcate`` commands never import it.
 
 The minimizer ends with Newton's method on action_gradient = 0, whose
 Jacobian M + dx (omega - 2 - log u^2) is the same structure with another
@@ -320,29 +321,22 @@ class FormOperator:
         off[self.grid.mid - 1] = -coupling
 
 
-def _jump_gain(alpha, c, zj):
-    """Sherman-Morrison gain for T + alpha c c^T, given zj = (T^-1 c) on the
-    span of c."""
-    return alpha / (1.0 + alpha * (c @ zj))
-
-
-def _remove_jump(y, z, gain, c, span, work=None):
-    """Turn y = T^-1 r into (T + alpha c c^T)^-1 r in place, with z = T^-1 c
-    and gain = _jump_gain(alpha, c, z[span]); the correction term is formed
-    in work when it is given."""
-    y -= np.multiply(gain * (c @ y[span]), z, out=work)
-
-
 class ShiftedSolver:
-    """y = (1 + scale * M)^-1 r for one FormOperator M = T + coupling c c^T
-    and a complex scale: the Crank-Nicolson propagator's Cayley solver.
+    """y = 2 (1 + scale * M)^-1 r for one FormOperator M = T + coupling c c^T
+    and a complex scale: the Crank-Nicolson propagator's Cayley solver,
+    with the Cayley identity's factor 2 folded into the factorization.
 
     For an imaginary scale (a real dt) 1 + scale * T is complex symmetric
     and strictly diagonally dominant, so LAPACK zgttrf factors it once with
     no row interchange, as L D L^T with L unit lower bidiagonal.  Each call
     is a unit lower and a unit upper BLAS ztbsv sweep, which do not divide,
-    with a product by 1/D between them, plus the Sherman-Morrison
-    correction for the rank-one jump term.  Rounding keeps the dominance
+    with a product by 2/D between them, plus the Sherman-Morrison
+    correction for the rank-one jump term.  A power of two commutes with
+    every rounding, so the sweeps give bitwise twice the solve with 1/D.
+    The correction is a multiple of z = (1 + scale * T)^-1 c, which decays
+    geometrically away from the origin; it is applied only on the window
+    where |z| > eps max|z|, found at factorization, since the terms outside
+    it are below eps times its largest term.  Rounding keeps the dominance
     while |scale| max(diag T), 1.5 |dt| / dx^2 for the propagator, stays
     below 2^52; a factorization that interchanges rows raises LinAlgError.
     A system solved only once (a minimizer step) takes FormOperator.solve,
@@ -362,26 +356,33 @@ class ShiftedSolver:
         # row 0 L^T's superdiagonal (lower=0); the unit diagonal is not read
         self.band = np.zeros((2, op.grid.n), dtype=complex, order="F")
         self.band[1, :-1] = self.band[0, 1:] = dl
-        self.d_inv = 1.0 / d
+        self.two_over_d = 2.0 / d
         self.tbsv = linalg.blas.ztbsv
         self.jump = op.jump
         self.c = op.jump_stencil[op.jump]
-        self.z = self._solve(op.jump_stencil.astype(complex))
-        self.gain = _jump_gain(scale * op.coupling, self.c, self.z[self.jump])
+        # z = (1 + scale * T)^-1 c and the Sherman-Morrison gain for the
+        # jump term alpha c c^T, alpha = scale * coupling
+        z = 0.5 * self._solve(op.jump_stencil.astype(complex))
+        alpha = scale * op.coupling
+        self.gain = alpha / (1.0 + alpha * (self.c @ z[self.jump]))
+        kept = np.flatnonzero(np.abs(z) > np.finfo(float).eps * np.max(np.abs(z)))
+        self.window = slice(int(kept[0]), int(kept[-1]) + 1)
+        self.z = z[self.window].copy()
 
     def _solve(self, y: np.ndarray) -> np.ndarray:
-        """(1 + scale * T)^-1 y, in y itself."""
+        """2 (1 + scale * T)^-1 y, in y itself."""
         y = self.tbsv(1, self.band, y, lower=1, diag=1, overwrite_x=1)
-        np.multiply(y, self.d_inv, out=y)
+        np.multiply(y, self.two_over_d, out=y)
         return self.tbsv(1, self.band, y, lower=0, diag=1, overwrite_x=1)
 
     def __call__(self, r: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-        """The solution, in out: r is copied there and solved in place (r
-        itself is never written), with work a complex scratch array of r's
-        shape for the jump correction."""
+        """2 (1 + scale * M)^-1 r, in out: r is copied there and solved in
+        place (r itself is never written), with work a complex scratch
+        array of r's shape for the jump correction."""
         np.copyto(out, r)
         y = self._solve(out)
-        _remove_jump(y, self.z, self.gain, self.c, self.jump, work)
+        w = self.window
+        y[w] -= np.multiply(self.gain * (self.c @ y[self.jump]), self.z, out=work[w])
         return y
 
 

@@ -33,7 +33,9 @@ of ``perfbench/manifest.py`` for each tree.  A library probe whose hashes
 differ also gets ``max_rel_diff``: the largest, over the arrays it hashed,
 of max|a - b| / max|a| with a the base tree's array (null when the
 shapes differ); a minimizer or Newton probe that differs also gets
-``counts``, both trees' (iterations, newton, index).  BLAS runs on one
+``counts``, both trees' (iterations, newton, index).  Every ``evolve``
+records probe gets ``mass_drift``: each tree's largest relative record
+mass drift, max|m - m_0| / m_0, equal hashes or not.  BLAS runs on one
 thread.
 """
 
@@ -241,6 +243,19 @@ def result_counts(base_file: Path, change_file: Path, names) -> dict:
                 for name in names}
 
 
+def mass_drifts(base_file: Path, change_file: Path, names) -> dict:
+    """Per evolve records probe in names, both trees' max|m - m_0| / m_0
+    over the recorded masses (the records' second array)."""
+    import numpy as np
+
+    def drift(m):
+        return float(np.max(np.abs(m - m[0])) / m[0])
+
+    with np.load(base_file) as base, np.load(change_file) as change:
+        return {name: {"base": drift(base[f"{name}#1"]), "change": drift(change[f"{name}#1"])}
+                for name in names}
+
+
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("base", type=Path, help="source tree measured as the base")
@@ -274,6 +289,9 @@ def main(argv=None) -> int:
         for name, counts in result_counts(
                 *files, [name for name in differ if name.startswith(RESULT_PROBES)]).items():
             probes[name]["counts"] = counts
+        for name, drift in mass_drifts(*files, [name for name in probes if name.startswith(
+                "evolve ") and name.endswith(" records")]).items():
+            probes[name]["mass_drift"] = drift
     inputs = {"evolve": EVOLVE_CASES, "stability_experiment": STABILITY,
               "minimize": MINIMIZE, "newton": NEWTON, "steps": STEPS, "gauge": GAUGE,
               "cli": COMMANDS}
@@ -284,7 +302,8 @@ def main(argv=None) -> int:
                 "files, one fresh interpreter per tree for the library probes and one per "
                 "command; max_rel_diff = max over a probe's arrays of max|a - b| / max|a| "
                 "(a the base tree's) where a library probe differs; counts = both trees' "
-                "(iterations, newton, index) where a minimizer or Newton probe differs",
+                "(iterations, newton, index) where a minimizer or Newton probe differs; "
+                "mass_drift = both trees' max|m - m_0| / m_0 over each evolve probe's records",
         "all_equal": all(p["equal"] for p in probes.values()),
         "probes": probes,
         "manifest": {k: manifest(tree.resolve(), 0, "compare_trees", inputs)
@@ -292,6 +311,9 @@ def main(argv=None) -> int:
     }
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for name, p in probes.items():
+        if "mass_drift" in p:
+            print(f"mass drift: {name} {p['mass_drift']['base']:.3g} -> "
+                  f"{p['mass_drift']['change']:.3g}")
         if not p["equal"]:
             rel, counts = p.get("max_rel_diff"), p.get("counts")
             print(f"differs: {name}" + ("" if rel is None else f" (max rel diff {rel:.3g})")

@@ -367,6 +367,10 @@ class TestStability:
             assert doc["max_ratio_" + name] == max(t["ratio_" + name] for t in doc["trials"])
             for t in doc["trials"]:
                 assert t["ratio_" + name] == t["max_distance_" + name] / t["initial_distance_" + name]
+        # each trial's conservation over its records
+        for t in doc["trials"]:
+            assert 0.0 <= t["max_mass_drift"] <= 1e-14
+            assert 0.0 <= t["max_energy_drift"] <= 1e-6
 
     def test_excited_run_labeled_exploratory(self, tmp_path):
         out = tmp_path / "e.json"
