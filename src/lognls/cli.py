@@ -329,6 +329,10 @@ EVOLVE_DEFAULTS = dict(
 
 
 def cmd_evolve(opt) -> int:
+    if (opt["snapshot_every"] > 0) != bool(opt["snapshot_prefix"]):
+        # one without the other would copy snapshots and write none
+        raise UsageError("--snapshot-every (a positive number of records) and "
+                         "--snapshot-prefix must be given together")
     gamma, omega = opt["gamma"], opt["omega"]
     config = EvolutionConfig(
         dt=opt["dt"], t_end=opt["t_end"],
@@ -347,10 +351,8 @@ def cmd_evolve(opt) -> int:
         write_atomic(opt["out"], "\n".join(lines) + "\n")
     else:
         print("\n".join(lines))
-    prefix = opt["snapshot_prefix"]
-    if prefix:
-        for t, field in result.snapshots:
-            write_atomic(f"{prefix}_t{fmt(t)}.csv", field_csv(field))
+    for t, field in result.snapshots:
+        write_atomic(f"{opt['snapshot_prefix']}_t{fmt(t)}.csv", field_csv(field))
     m0 = result.records[0].mass
     drift = max(abs(r.mass - m0) for r in result.records) / m0
     print(f"# mass drift (relative): {fmt(drift)}")

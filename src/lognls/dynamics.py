@@ -12,22 +12,27 @@ rank-one jump term).  With A = (dt/2) H, the tridiagonal part of I + iA
 is factored once per run as L D L^T (fields.ShiftedSolver), and each step
 is one solve, two unit-bidiagonal sweeps and a product by 2/D plus the
 jump correction near the origin, through the Cayley identity
-(I + iA)^-1 (I - iA) v = 2 (I + iA)^-1 v - v, projected onto a target
-mass.  evolve takes one target per run, the vdot mass of its first
-Crank-Nicolson input, so rounding does not accumulate in the mass;
-linear_step projects onto the mass of its own input.  The rotation keeps
-|u| at every node and the projection the discrete mass sum; the recorded
-energy is conserved up to the O(dt^2) splitting error.
+(I + iA)^-1 (I - iA) v = 2 (I + iA)^-1 v - v.  A projection onto a
+target mass undoes the factors' rounding, which drains ~2e-16 of the
+mass a step.  evolve takes one target per run, the vdot mass of its
+first Crank-Nicolson input, and projects the state where it is
+observed: the recorded state at every record step, and the state after
+the rotation every _CHECK_EVERY (50) steps, where it also checks that
+the state is finite.  So rounding does not accumulate in the mass, and
+every record, snapshot and the final state keep it; linear_step
+projects each step onto the mass of its own input.  The rotation keeps
+|u| at every node and the projection the discrete mass sum; the
+recorded energy is conserved up to the O(dt^2) splitting error.
 
 The substeps _cn_step, _phase and _rotate write to buffers their caller
-owns.  evolve allocates its state-sized arrays once per call (two complex
-state buffers, one complex scratch array, one complex half-step factor,
-two real arrays) and runs every substep in them; linear_step and
-nonlinear_step allocate theirs per call.  The rotation builds its factor
-from one half-angle tangent, t = tan(theta/2), as
-((1 - t^2) + 2it)/(1 + t^2).  Between records the trailing and leading
-half rotations merge into one over dt; at a record both use the factor
-built before it.
+owns, and _project scales its input in place.  evolve allocates its
+state-sized arrays once per call (two complex state buffers, one complex
+scratch array, one complex half-step factor, two real arrays) and runs
+every substep in them; linear_step and nonlinear_step allocate theirs
+per call.  The rotation builds its factor from one half-angle tangent,
+t = tan(theta/2), as ((1 - t^2) + 2it)/(1 + t^2).  Between records the
+trailing and leading half rotations merge into one over dt; at a record
+both use the factor built before it.
 
 The rate is log|u|^2 with |u|^2 floored at the smallest normal double
 (corefn._log_abs2, as in the minimizer), so the flow is scale-covariant.
@@ -52,6 +57,7 @@ from .fields import (
     ShiftedSolver,
     _derivative,
     _orbital_distances,
+    _report,
     form_operator,
     random_smooth_field,
     sample_profile,
@@ -88,7 +94,8 @@ class EvolutionConfig:
                              f"got dt = {self.dt}, t_end = {self.t_end}")
         for name in ("record_every", "snapshot_every"):
             every = getattr(self, name)
-            if every is not None and not (isinstance(every, numbers.Integral) and every >= 1):
+            if every is not None and (isinstance(every, bool) or not (
+                    isinstance(every, numbers.Integral) and every >= 1)):
                 raise ValueError(f"{name} must be a positive integer, got {every!r}")
         n = round(self.t_end / self.dt)
         if n < 1 or abs(n * self.dt - self.t_end) > 1e-9 * self.t_end:
@@ -138,6 +145,11 @@ _SQUARE_MARGIN = 2.0 ** 52
 _MAX_STIFFNESS = 2.0 ** 52
 
 
+# evolve checks the state for finiteness, and projects it onto the run's
+# mass target, every this many steps as well as at every record
+_CHECK_EVERY = 50
+
+
 @lru_cache(maxsize=16)
 def _propagator(grid: Grid, gamma: float, dt: float) -> ShiftedSolver:
     """(I + iA)^-1 with A = (dt/2) H and H = M/dx, factored once; a dt with
@@ -151,20 +163,23 @@ def _propagator(grid: Grid, gamma: float, dt: float) -> ShiftedSolver:
     return ShiftedSolver(op, 0.5j * dt / dx)
 
 
-def _cn_step(solve: ShiftedSolver, values: np.ndarray, mass: float, out: np.ndarray,
-             work: np.ndarray) -> np.ndarray:
-    """One Crank-Nicolson step of values, projected onto the vdot mass
-    `mass` and written to out (not values), with work a complex scratch
-    array of the same shape."""
+def _cn_step(solve: ShiftedSolver, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One Crank-Nicolson step of values, not projected, written to out
+    (not values)."""
     # Cayley identity (I + iA)^-1 (I - iA) v = 2 (I + iA)^-1 v - v, with the
-    # factor 2 in the solver, projected onto the target mass, which the
-    # factors' rounding drains by ~2e-16 a step; the projection adds
-    # (sqrt(1 + c) - 1) w = c w / (1 + sqrt(1 + c)), where c = mass / m_w - 1,
-    # because a factor sqrt(1 + c) would round to exactly 1.  The solve's
-    # result is the step's own array, so it is updated in place.
-    w = np.subtract(solve(values, out, work), values, out=out)
+    # factor 2 in the solver; the solve's result is the step's own array,
+    # so it is updated in place
+    return np.subtract(solve(values, out), values, out=out)
+
+
+def _project(w: np.ndarray, mass: float, work: np.ndarray) -> np.ndarray:
+    """w scaled in place onto the vdot mass `mass`, with work a complex
+    scratch array of w's shape; the zero state stays zero."""
+    # the factors' rounding drains the mass by ~2e-16 a step; the
+    # projection adds (sqrt(1 + c) - 1) w = c w / (1 + sqrt(1 + c)), where
+    # c = mass / m_w - 1, because a factor sqrt(1 + c) would round to 1
     m_w = np.vdot(w, w).real
-    if m_w == 0.0:  # the zero state stays zero
+    if m_w == 0.0:
         return w
     c = (mass - m_w) / m_w
     return np.add(w, np.multiply(c / (1.0 + math.sqrt(1.0 + c)), w, out=work), out=w)
@@ -183,7 +198,7 @@ def linear_step(u: Field, gamma: float, dt: float) -> Field:
         return u
     solve, out = _propagator(u.grid, float(gamma), float(dt)), np.empty_like(u.values)
     mass = np.vdot(u.values, u.values).real
-    return u.with_values(_cn_step(solve, u.values, mass, out, np.empty_like(out)))
+    return u.with_values(_project(_cn_step(solve, u.values, out), mass, np.empty_like(out)))
 
 
 def _phase(values: np.ndarray, tau: float, out: np.ndarray, rate: np.ndarray,
@@ -242,33 +257,37 @@ def evolve(
     the closed-form optimal phase of the H^1 part), and a reference whose
     squares near the subnormal range (omega below about -670, where the
     ratios of those distances stop being scale-covariant) raises
-    ValueError.  Raises EvolutionAborted as soon as any sample stops
-    being finite.
+    ValueError.  Raises EvolutionAborted when a sample is found not
+    finite, at a record or at a check every _CHECK_EVERY (50) steps.
 
-    Every Crank-Nicolson step is projected onto one mass, the vdot mass
-    of the first step's input, taken once.  Between records the trailing
-    and the leading half rotation merge into one rotation over dt; at a
-    record step the half-step factor exp(i (dt/2) log|u|^2) is built
-    once and applied before the record and again after it, as the first
-    application leaves |u| unchanged.  So a run continued from another's
+    The state is projected onto one mass, the vdot mass of the first
+    Crank-Nicolson step's input, taken once, where it is observed: the
+    recorded state at every record step, and the state after the
+    rotation at every _CHECK_EVERY-th step.  So every record, snapshot
+    and the final state has that mass to rounding, however long the
+    run; between projections the mass moves by rounding only (~2e-16 a
+    step).  Between records the trailing and the leading half rotation
+    merge into one rotation over dt; at a record step the half-step
+    factor exp(i (dt/2) log|u|^2) is built once and applied before the
+    record and again after it, as the first application leaves |u|
+    unchanged.  So a run continued from another's
     final state agrees with one longer run at rounding, not bit for bit:
-    it takes its own mass target and builds its first half rotation from
-    the rotated state.
+    it takes its own mass target, counts its own steps to the next
+    projection and builds its first half rotation from the rotated
+    state.
 
     A run allocates its state-sized arrays once: two complex state
     buffers, which the Cayley solve and the phase rotation write in
-    turn, one complex scratch array for the solve's jump correction and
-    the mass projection, one complex array for the record's half-step
-    factor, and two real arrays for the amplitudes, the rate and the
-    rotation factor's tangent and its square.  Snapshots are copies, the
-    final state is the buffer the last substep wrote, and u0's samples
-    are never written.
+    turn, one complex scratch array for the mass projection, one complex
+    array for the record's half-step factor, and two real arrays for the
+    amplitudes, the rate and the rotation factor's tangent and its
+    square.  Snapshots are copies, the final state is the buffer the
+    last substep wrote, and u0's samples are never written.
     """
     if not np.all(np.isfinite(u0.values)):
         raise EvolutionAborted(0, [])
     solve = _propagator(u0.grid, float(gamma), float(config.dt))
     op = form_operator(u0.grid, gamma)
-    dx = u0.grid.dx
     phi = dphi = None
     if reference is not None:
         phi = sample_profile(reference, u0.grid).values
@@ -281,18 +300,14 @@ def evolve(
     rate, rot_work = np.empty(u0.values.shape), np.empty(u0.values.shape)
 
     def make_record(t: float, vals: np.ndarray) -> TrajectoryRecord:
-        # the mass, and the energy (1/2) t_gamma[u] - (1/2) entropy written
-        # through the primitive of s log s^2; |vals| and its squares are
-        # taken once, and vals were checked finite by the caller
-        s2 = corefn._abs2(vals, out=rate)
-        gm = corefn._P_log_of_squares(s2)  # bitwise eval_Gm(|vals|)
-        q = float(dx * np.sum(s2))
-        en = 0.5 * op.form(vals) - float(dx * np.sum(gm)) - 0.5 * q
+        # the mass and the energy of fields.report; vals were checked
+        # finite by the caller
+        r = _report(op, vals, 0.0)
         if phi is None:
             ds = dw = 0.0
         else:
             ds, dw = _orbital_distances(vals, phi, dphi, u0.grid)
-        return TrajectoryRecord(time=t, mass=q, energy=en,
+        return TrajectoryRecord(time=t, mass=r.mass, energy=r.energy,
                                 orbital_distance_sigma=ds, orbital_distance_w=dw)
 
     records: list[TrajectoryRecord] = []
@@ -303,21 +318,24 @@ def evolve(
     try:
         records.append(make_record(0.0, u0.values))
         v = _rotate(u0.values, half, v, rate, rot_work)
-        mass = np.vdot(v, v).real  # every CN step's target: the first input's mass
+        mass = np.vdot(v, v).real  # the projections' target: the first CN input's mass
         for k in range(1, nsteps + 1):
             # each substep writes the spare buffer and hands the old state's
             # buffer back as the next spare
-            v, spare = _cn_step(solve, v, mass, spare, work), v
+            v, spare = _cn_step(solve, v, spare), v
             if k < nsteps and k % config.record_every:
                 # merge the trailing and leading half rotations (|u| unchanged)
                 v, spare = _rotate(v, config.dt, spare, rate, rot_work), v
-                if k % 50 == 0 and not np.all(np.isfinite(v)):
-                    raise EvolutionAborted(k, records)
+                if k % _CHECK_EVERY == 0:
+                    _project(v, mass, work)
+                    if not np.all(np.isfinite(v)):
+                        raise EvolutionAborted(k, records)
                 continue
             # the trailing and the leading half rotation share one factor,
             # as the first leaves |u| unchanged
             _phase(v, half, phase, rate, rot_work)
             v, spare = np.multiply(v, phase, out=spare), v
+            _project(v, mass, work)
             if not np.all(np.isfinite(v)):
                 raise EvolutionAborted(k, records)
             records.append(make_record(k * config.dt, v))
@@ -401,7 +419,7 @@ def stability_experiment(
     if not (math.isfinite(perturbation_size) and perturbation_size > 0):
         raise ValueError(
             f"perturbation_size must be a finite positive number, got {perturbation_size}")
-    if not (isinstance(trials, numbers.Integral) and trials >= 1):
+    if isinstance(trials, bool) or not (isinstance(trials, numbers.Integral) and trials >= 1):
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
     params = branch_params(gamma, omega, branch)
     form_operator(grid, gamma)  # rejects a grid too coarse for gamma, as evolve does

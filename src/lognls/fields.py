@@ -336,9 +336,11 @@ class ShiftedSolver:
     The correction is a multiple of z = (1 + scale * T)^-1 c, which decays
     geometrically away from the origin; it is applied only on the window
     where |z| > eps max|z|, found at factorization, since the terms outside
-    it are below eps times its largest term.  Rounding keeps the dominance
-    while |scale| max(diag T), 1.5 |dt| / dx^2 for the propagator, stays
-    below 2^52; a factorization that interchanges rows raises LinAlgError.
+    it are below eps times its largest term: one BLAS zdotu of c with the
+    four jump nodes and one in-place zaxpy of z on the window.  Rounding
+    keeps the dominance while |scale| max(diag T), 1.5 |dt| / dx^2 for the
+    propagator, stays below 2^52; a factorization that interchanges rows
+    raises LinAlgError.
     A system solved only once (a minimizer step) takes FormOperator.solve,
     one gtsv sweep, instead.
     """
@@ -357,17 +359,18 @@ class ShiftedSolver:
         self.band = np.zeros((2, op.grid.n), dtype=complex, order="F")
         self.band[1, :-1] = self.band[0, 1:] = dl
         self.two_over_d = 2.0 / d
-        self.tbsv = linalg.blas.ztbsv
-        self.jump = op.jump
-        self.c = op.jump_stencil[op.jump]
+        blas = linalg.blas
+        self.tbsv, self.dotu, self.axpy = blas.ztbsv, blas.zdotu, blas.zaxpy
+        self.jump_start = op.jump.start
+        self.c = op.jump_stencil[op.jump].astype(complex)
         # z = (1 + scale * T)^-1 c and the Sherman-Morrison gain for the
         # jump term alpha c c^T, alpha = scale * coupling
         z = 0.5 * self._solve(op.jump_stencil.astype(complex))
         alpha = scale * op.coupling
-        self.gain = alpha / (1.0 + alpha * (self.c @ z[self.jump]))
+        self.gain = alpha / (1.0 + alpha * self.dotu(self.c, z, offy=self.jump_start))
         kept = np.flatnonzero(np.abs(z) > np.finfo(float).eps * np.max(np.abs(z)))
-        self.window = slice(int(kept[0]), int(kept[-1]) + 1)
-        self.z = z[self.window].copy()
+        self.window_start = int(kept[0])
+        self.z = z[kept[0]:kept[-1] + 1].copy()
 
     def _solve(self, y: np.ndarray) -> np.ndarray:
         """2 (1 + scale * T)^-1 y, in y itself."""
@@ -375,15 +378,13 @@ class ShiftedSolver:
         np.multiply(y, self.two_over_d, out=y)
         return self.tbsv(1, self.band, y, lower=0, diag=1, overwrite_x=1)
 
-    def __call__(self, r: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    def __call__(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
         """2 (1 + scale * M)^-1 r, in out: r is copied there and solved in
-        place (r itself is never written), with work a complex scratch
-        array of r's shape for the jump correction."""
+        place (r itself is never written)."""
         np.copyto(out, r)
         y = self._solve(out)
-        w = self.window
-        y[w] -= np.multiply(self.gain * (self.c @ y[self.jump]), self.z, out=work[w])
-        return y
+        a = -self.gain * self.dotu(self.c, y, offy=self.jump_start)
+        return self.axpy(self.z, y, a=a, offy=self.window_start)
 
 
 @lru_cache(maxsize=64)
@@ -548,11 +549,13 @@ def _phase_fit(u: np.ndarray, phi: np.ndarray, dphi: np.ndarray, grid: Grid):
 
 def _sigma_dist_at(u: np.ndarray, phi: np.ndarray, du, dphi, theta: float, dx: float):
     """H^1 distance from the samples u to e^{i theta} phi, and the
-    amplitudes |u - e^{i theta} phi| of the sample difference."""
+    amplitudes |u - e^{i theta} phi| of the sample difference; the value
+    and the derivative difference take turns in one buffer."""
     e = np.exp(1j * theta)
-    amp = np.abs(u - e * phi)
-    d2 = dx * (np.sum(amp ** 2) + np.sum(np.abs(du - e * dphi) ** 2))
-    return math.sqrt(max(float(d2.real), 0.0)), amp
+    diff = np.multiply(e, phi)
+    amp = np.abs(np.subtract(u, diff, out=diff))
+    np.subtract(du, np.multiply(e, dphi, out=diff), out=diff)
+    return math.sqrt(dx * (np.dot(amp, amp) + np.vdot(diff, diff).real)), amp
 
 
 def _golden_min(f, lo: float, hi: float):

@@ -218,6 +218,24 @@ class TestEvolve:
         header = snaps[0].read_text().splitlines()[0]
         assert header == "x,re_u,im_u"
 
+    @pytest.mark.parametrize("lone", [["--snapshot-every", "2"],
+                                      ["--snapshot-prefix", "PREFIX"],
+                                      ["--snapshot-every", "0", "--snapshot-prefix", "PREFIX"]],
+                             ids=["every", "prefix", "prefix-every-0"])
+    def test_lone_snapshot_option_usage_error(self, lone, tmp_path, capsys):
+        # either option alone would copy snapshots and write none, or write
+        # none silently: a usage error naming both, before any output
+        out = tmp_path / "traj.csv"
+        argv = [tok.replace("PREFIX", str(tmp_path / "snap")) for tok in lone]
+        code = run(["evolve", "--grid-n", "256", "--dt", "1e-2", "--t-end", "0.1",
+                    "--record-every", "2", "--out", str(out), *argv])
+        assert code == 1
+        cap = capsys.readouterr()
+        assert cap.err == ("error: --snapshot-every (a positive number of records) and "
+                           "--snapshot-prefix must be given together\n")
+        assert cap.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_branch_usage_error(self, tmp_path, capsys):
         out = tmp_path / "traj.csv"
         code = run(["evolve", "--gamma", "1", "--branch", "asymmetric-left",

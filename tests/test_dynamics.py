@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lognls import dynamics
-from lognls.corefn import eval_Gm, gm_phase_rate
+from lognls.corefn import gm_phase_rate
 from lognls.dynamics import (
     EvolutionAborted,
     EvolutionConfig,
@@ -25,6 +25,7 @@ from lognls.fields import (
     mass,
     orbital_distance,
     random_smooth_field,
+    report,
     sample_profile,
     sigma_norm,
 )
@@ -195,16 +196,32 @@ class TestEvolve:
             assert r.orbital_distance_w <= 5e-3
 
     def test_mass_exact_over_long_run(self):
-        # every CN step projects onto one target, the first CN input's mass,
-        # so rounding does not accumulate in the mass: over 20 000 steps
-        # the records stay within 3.2e-16 relative (measured); projecting
-        # onto each step's own input leaked ~1.5e-17 a step, 3.0e-13 by the end
+        # the recorded states and every 50th step's state are projected
+        # onto one target, the first CN input's mass, so rounding does not
+        # accumulate in the mass: over 20 000 steps the records stay within
+        # 6.4e-16 relative (measured); projecting every step onto its own
+        # input leaked ~1.5e-17 a step, 3.0e-13 by the end
         gamma, dt, steps = 3.0, 2e-3, 20_000
         g = Grid(20.0, 512)
         u0 = sample_profile(branch_params(gamma, 0.0, Branch.ASYMMETRIC_LEFT), g)
         res = evolve(u0, gamma, EvolutionConfig(dt=dt, t_end=steps * dt, record_every=1000))
         m = np.array([r.mass for r in res.records])
         assert len(m) == 21
+        assert np.max(np.abs(m - m[0])) <= 4e-15 * m[0]
+
+    @pytest.mark.parametrize("every", [7, 20_000])
+    def test_mass_exact_at_sparse_records(self, every):
+        # between the projections at records and every 50th step the CN
+        # steps are not projected; records that fall off that cadence (7
+        # does not divide 50), and a run with no record between its first
+        # and its final state, keep the first record's mass as closely as
+        # records every 1000 steps do
+        gamma, dt, steps = 3.0, 2e-3, 20_000
+        g = Grid(20.0, 512)
+        u0 = sample_profile(branch_params(gamma, 0.0, Branch.ASYMMETRIC_LEFT), g)
+        res = evolve(u0, gamma, EvolutionConfig(dt=dt, t_end=steps * dt, record_every=every))
+        m = np.array([r.mass for r in res.records])
+        assert len(m) == 1 + -(-steps // every)  # and the final state
         assert np.max(np.abs(m - m[0])) <= 4e-15 * m[0]
 
     def test_gauge_covariance(self, grid):
@@ -287,12 +304,16 @@ class TestEvolve:
         assert isinstance(info.value.__cause__, FloatingPointError)
 
     @staticmethod
-    def cn_step(u, gamma, dt, mass):
-        """The Crank-Nicolson substep projected onto the run's mass."""
+    def cn_step(u, gamma, dt):
+        """The Crank-Nicolson substep, not projected."""
         solve = dynamics._propagator(u.grid, gamma, dt)
-        v = dynamics._cn_step(solve, u.values, mass, np.empty_like(u.values),
-                              np.empty_like(u.values))
-        return u.with_values(v)
+        return u.with_values(dynamics._cn_step(solve, u.values, np.empty_like(u.values)))
+
+    @staticmethod
+    def project(u, mass):
+        """u projected onto the run's mass."""
+        v = u.values.copy()
+        return u.with_values(dynamics._project(v, mass, np.empty_like(v)))
 
     @staticmethod
     def half_factor(u, dt):
@@ -303,8 +324,9 @@ class TestEvolve:
 
     def test_strang_step_from_substeps(self):
         # with a record at every step, evolve is half rotation, then per
-        # step a CN step onto the first CN input's mass and the half factor
-        # of its result applied twice, bit for bit
+        # step a CN step and the half factor of its result applied twice,
+        # the recorded state between them projected onto the first CN
+        # input's mass, bit for bit
         gamma, dt = 3.0, 2e-3
         g = Grid(20.0, 512)
         u = sample_profile(branch_params(gamma, 0.0, Branch.ASYMMETRIC_LEFT), g)
@@ -312,34 +334,42 @@ class TestEvolve:
         u = nonlinear_step(u, dt / 2)
         m = np.vdot(u.values, u.values).real
         for k in range(20):
-            u = self.cn_step(u, gamma, dt, m)
+            u = self.cn_step(u, gamma, dt)
             f = self.half_factor(u, dt)
             assert np.array_equal(u.values * f, nonlinear_step(u, dt / 2).values)
-            u = u.with_values(u.values * f)
+            u = self.project(u.with_values(u.values * f), m)
             if k < 19:
                 u = u.with_values(u.values * f)
         assert res.final.values.tobytes() == u.values.tobytes()
 
+    def substeps(self, u0, gamma, dt, nsteps, every):
+        """evolve's final state composed from the substeps: between records
+        the trailing and leading half rotations merge into one over dt, and
+        every 50th step's rotated state is projected onto the first CN
+        input's mass; at a record one half factor is applied twice, and
+        the recorded state between them is projected."""
+        u = nonlinear_step(u0, dt / 2)
+        m = np.vdot(u.values, u.values).real
+        for k in range(1, nsteps):
+            u = self.cn_step(u, gamma, dt)
+            if k % every:
+                u = nonlinear_step(u, dt)
+                if k % 50 == 0:
+                    u = self.project(u, m)
+            else:
+                f = self.half_factor(u, dt)
+                u = self.project(u.with_values(u.values * f), m)
+                u = u.with_values(u.values * f)
+        return self.project(nonlinear_step(self.cn_step(u, gamma, dt), dt / 2), m)
+
     @pytest.mark.parametrize("nsteps", [5, 12])
     def test_merged_rotations_from_substeps(self, nsteps):
-        # between records evolve merges the trailing and leading half
-        # rotations into one over dt; at a record it applies one half factor
-        # twice, and every CN step projects onto the first CN input's mass
         gamma, dt, every = 3.0, 2e-3, 5
         g = Grid(20.0, 512)
         u0 = sample_profile(branch_params(gamma, 0.0, Branch.ASYMMETRIC_LEFT), g)
         cfg = EvolutionConfig(dt=dt, t_end=nsteps * dt, record_every=every, snapshot_every=1)
         res = evolve(u0, gamma, cfg)
-        u = nonlinear_step(u0, dt / 2)
-        m = np.vdot(u.values, u.values).real
-        for k in range(1, nsteps):
-            u = self.cn_step(u, gamma, dt, m)
-            if k % every:
-                u = nonlinear_step(u, dt)
-            else:
-                f = self.half_factor(u, dt)
-                u = u.with_values(u.values * f * f)
-        u = nonlinear_step(self.cn_step(u, gamma, dt, m), dt / 2)
+        u = self.substeps(u0, gamma, dt, nsteps, every)
         assert res.final.values.tobytes() == u.values.tobytes()
         # each snapshot is its own array: the final state of a run to its time
         assert len(res.snapshots) == len(res.records) - 1 == -(-nsteps // every)
@@ -347,18 +377,25 @@ class TestEvolve:
             short = evolve(u0, gamma, EvolutionConfig(dt=dt, t_end=t, record_every=every))
             assert snap.values.tobytes() == short.final.values.tobytes()
 
+    def test_projection_cadence_from_substeps(self):
+        # records every 7 steps, off the cadence of the projection every
+        # 50th step: the states of steps 50 and 100 are projected, 51 and
+        # 99 not
+        gamma, dt, nsteps, every = 3.0, 2e-3, 120, 7
+        g = Grid(20.0, 512)
+        u0 = sample_profile(branch_params(gamma, 0.0, Branch.ASYMMETRIC_LEFT), g)
+        res = evolve(u0, gamma, EvolutionConfig(dt=dt, t_end=nsteps * dt, record_every=every))
+        u = self.substeps(u0, gamma, dt, nsteps, every)
+        assert res.final.values.tobytes() == u.values.tobytes()
+
     def test_record_mass_and_energy_formula(self, grid):
-        # records take |u|^2 once; the values are those of the mass and of
-        # the energy through eval_Gm, bit for bit
+        # a record's mass and energy are report()'s, bit for bit
         u0 = sample_profile(branch_params(3.0, 0.0, Branch.ASYMMETRIC_LEFT), grid)
         cfg = EvolutionConfig(dt=2e-3, t_end=0.04, record_every=4, snapshot_every=1)
         res = evolve(u0, 3.0, cfg)
-        op, dx = form_operator(grid, 3.0), grid.dx
-        for rec, vals in zip(res.records, [u0.values] + [f.values for _, f in res.snapshots]):
-            s = np.abs(vals)
-            q = float(dx * np.sum(s * s))
-            en = 0.5 * op.form(vals) - float(dx * np.sum(eval_Gm(s))) - 0.5 * q
-            assert (rec.mass, rec.energy) == (q, en)
+        for rec, f in zip(res.records, [u0] + [f for _, f in res.snapshots]):
+            r = report(f, 3.0, 0.0)
+            assert (rec.mass, rec.energy) == (r.mass, r.energy)
 
     def test_caller_arrays_not_written(self, grid):
         # Field keeps a complex input array without copying it
@@ -380,8 +417,10 @@ class TestEvolve:
             EvolutionConfig(dt=1e-3, t_end=1.0, record_every=0)
         # evolve would record every 5 steps for 2.5 and keep every 3rd record
         # for 1.5; a float is refused even when it is integral
+        # nor is a bool, which would run as 1
         for key, every in (("record_every", 2.5), ("snapshot_every", 1.5),
-                           ("record_every", 2.0), ("snapshot_every", 0)):
+                           ("record_every", 2.0), ("snapshot_every", 0),
+                           ("record_every", True), ("snapshot_every", True)):
             with pytest.raises(ValueError, match=f"{key} must be a positive integer"):
                 EvolutionConfig(dt=1e-3, t_end=1e-2, **{key: every})
         assert EvolutionConfig(dt=1e-3, t_end=1e-2, record_every=np.int64(2),
@@ -528,8 +567,8 @@ class TestStabilityExperiment:
         with pytest.raises(ValueError):
             stability_experiment(2.0, 0.0, Branch.SYMMETRIC, 1e-2, 0.5, 0, 0)
         # a non-integral count is refused like EvolutionConfig's record_every,
-        # not left to range()
-        for bad in (2.5, 2.0):
+        # not left to range(), and so is a bool
+        for bad in (2.5, 2.0, True):
             with pytest.raises(ValueError, match=f"trials must be a positive integer, got {bad}"):
                 stability_experiment(2.0, 0.0, Branch.SYMMETRIC, 1e-2, 0.5, bad, 0,
                                      grid=Grid(10.0, 512), dt=2.5e-3)
