@@ -16,8 +16,8 @@ s = e^-3, quadratic above) and B = F + A.  From A and B come:
   b(z) = z B(|z|)/|z|^2, with b - a = z log|z|^2,
 * the rate of the Lipschitz-clamped map g_m = b_m - a_m, gm_phase_rate,
   which freezes a's rate below |z| = 1/m and b's above |z| = m, so that
-  g_m(z) = z gm_phase_rate(|z|, m), and its primitive G_m, eval_Gm; any
-  finite level m >= 1 gives finite values,
+  g_m(z) = z gm_phase_rate(|z|, m); any finite level m >= 1 gives finite
+  values,
 * the Luxemburg (gauge) norm of the Orlicz space generated by A, found by
   monotone Newton in x = max|u|/k after one sort of the amplitudes:
   summed over the samples, each branch of A(x t) is a quadratic in x
@@ -28,7 +28,7 @@ s = e^-3, quadratic above) and B = F + A.  From A and B come:
 * the Gaussian tail integral gamma_tail(t) = int_t^inf exp(-s^2) ds used
   by the closed-form ground-state masses, from libm's erfc.
 
-All functions are pure.  The densities, rates and eval_Gm take arrays of
+All functions are pure.  The densities and rates take arrays of
 amplitudes (entropy_of_squares takes their squares) and return arrays.
 """
 
@@ -41,7 +41,6 @@ import numpy as np
 __all__ = [
     "entropy_density",
     "entropy_of_squares",
-    "eval_Gm",
     "gm_phase_rate",
     "gamma_tail",
     "luxemburg_norm",
@@ -147,57 +146,6 @@ def _log_abs2(values: np.ndarray, out=None) -> np.ndarray:
     a = _abs2(values, out)
     np.maximum(a, _TINY, out=a)
     return np.log(a, out=a)
-
-
-def _P_log(x):
-    """Antiderivative of s log s^2, zero at 0: x^2 log(x^2)/2 - x^2/2."""
-    return _P_log_of_squares(np.asarray(x, dtype=float) ** 2)
-
-
-def _P_log_of_squares(x2):
-    """_P_log from the squares x2 = x^2."""
-    return 0.5 * entropy_of_squares(x2) - 0.5 * x2
-
-
-def _P_a(x):
-    """Antiderivative of a(s) = A(s)/s on [0, x]."""
-    x = np.asarray(x, dtype=float)
-    lo = -_P_log(np.minimum(x, _E3))
-    y = np.maximum(x, _E3)
-    hi = (
-        -_P_log(_E3)
-        + 1.5 * (y**2 - _E6)
-        + 4.0 * _E3 * (y - _E3)
-        - _E6 * (np.log(y) + 3.0)
-    )
-    return np.where(x <= _E3, lo, hi)
-
-
-def _P_b(x):
-    """Antiderivative of b(s) = B(s)/s = s log s^2 + a(s) on [0, x]; zero
-    on [0, e^-3]."""
-    return _P_log(x) + _P_a(x)
-
-
-def eval_Gm(z, m=None):
-    """G_m(z) = int_0^|z| g_m(s) ds, in closed form; vectorized.
-
-    For m = None this is the unregularized primitive
-    |z|^2 log(|z|^2)/2 - |z|^2/2 of s log s^2.
-    """
-    x = np.abs(np.asarray(z))
-    if m is None:
-        return _P_log(x)
-    m = _level(m)
-    t1 = 1.0 / m
-    # int_0^x b_m: the primitive of b up to m, then b's rate frozen at m
-    xb = np.minimum(x, m)
-    b_part = _P_b(xb) + 0.5 * float(_rate_B(m)) * (x - xb) * (x + xb)
-    # int_0^x a_m: a's rate frozen at 1/m below 1/m, then the primitive of
-    # a; the difference is formed first so that values below 1/m survive
-    a_part = (0.5 * float(_rate_A(t1)) * np.minimum(x, t1) ** 2
-              + (_P_a(np.maximum(x, t1)) - float(_P_a(t1))))
-    return b_part - a_part
 
 
 # ----------------------------------------------------------------------

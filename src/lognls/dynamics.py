@@ -17,9 +17,11 @@ target mass undoes the factors' rounding, which drains ~2e-16 of the
 mass a step.  evolve takes one target per run, the vdot mass of its
 first Crank-Nicolson input, and projects the state where it is
 observed: the recorded state at every record step, and the state after
-the rotation every _CHECK_EVERY (50) steps, where it also checks that
-the state is finite.  So rounding does not accumulate in the mass, and
-every record, snapshot and the final state keep it; linear_step
+the rotation every _CHECK_EVERY (50) steps.  The projection also tells
+whether the state is finite: a non-finite sample makes its scale factor
+inf or NaN, and then every sample NaN, so evolve checks that one scalar
+rather than every sample.  So rounding does not accumulate in the mass,
+and every record, snapshot and the final state keep it; linear_step
 projects each step onto the mass of its own input.  The rotation keeps
 |u| at every node and the projection the discrete mass sum; the
 recorded energy is conserved up to the O(dt^2) splitting error.
@@ -27,9 +29,12 @@ recorded energy is conserved up to the O(dt^2) splitting error.
 The substeps _cn_step, _phase and _rotate write to buffers their caller
 owns, and _project scales its input in place.  evolve allocates its
 state-sized arrays once per call (two complex state buffers, one complex
-scratch array, one complex half-step factor, two real arrays) and runs
-every substep in them; linear_step and nonlinear_step allocate theirs
-per call.  The rotation builds its factor from one half-angle tangent,
+scratch array, one complex half-step factor, two real arrays, and with a
+reference the three arrays of the orbital distances) and runs every
+substep and record in them; linear_step and nonlinear_step allocate
+theirs per call.  The sampled reference and its phase-fit vector are
+cached per (parameters, grid), as the propagator is per (grid, gamma,
+dt).  The rotation builds its factor from one half-angle tangent,
 t = tan(theta/2), as ((1 - t^2) + 2it)/(1 + t^2).  Between records the
 trailing and leading half rotations merge into one over dt; at a record
 both use the factor built before it.
@@ -55,7 +60,8 @@ from .fields import (
     Field,
     Grid,
     ShiftedSolver,
-    _derivative,
+    _distance_buffers,
+    _h1_dual,
     _orbital_distances,
     _report,
     form_operator,
@@ -163,6 +169,23 @@ def _propagator(grid: Grid, gamma: float, dt: float) -> ShiftedSolver:
     return ShiftedSolver(op, 0.5j * dt / dx)
 
 
+@lru_cache(maxsize=16)
+def _reference(params: GroundStateParams, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The reference profile sampled on grid, phi, and its phase-fit
+    vector g = phi + D^T D phi (fields._h1_dual), both read-only.  A
+    profile whose squares near the subnormal range raises ValueError on
+    every call, as lru_cache keeps no exception."""
+    phi = sample_profile(params, grid).values
+    amax = float(np.max(np.abs(phi)))  # squared as a Python float: no overflow trap
+    if amax * amax < _SQUARE_MARGIN * corefn._TINY:
+        raise ValueError(f"omega = {params.omega}: the sampled profile's squares "
+                         "underflow (the largest is below 2^52 x the smallest normal double)")
+    g = _h1_dual(phi, grid)
+    phi.setflags(write=False)
+    g.setflags(write=False)
+    return phi, g
+
+
 def _cn_step(solve: ShiftedSolver, values: np.ndarray, out: np.ndarray) -> np.ndarray:
     """One Crank-Nicolson step of values, not projected, written to out
     (not values)."""
@@ -172,17 +195,22 @@ def _cn_step(solve: ShiftedSolver, values: np.ndarray, out: np.ndarray) -> np.nd
     return np.subtract(solve(values, out), values, out=out)
 
 
-def _project(w: np.ndarray, mass: float, work: np.ndarray) -> np.ndarray:
-    """w scaled in place onto the vdot mass `mass`, with work a complex
-    scratch array of w's shape; the zero state stays zero."""
+def _project(w: np.ndarray, mass: float, work: np.ndarray) -> bool:
+    """Scale w in place onto the vdot mass `mass`, with work a complex
+    scratch array of w's shape, and tell whether the result is finite;
+    the zero state stays zero."""
     # the factors' rounding drains the mass by ~2e-16 a step; the
     # projection adds (sqrt(1 + c) - 1) w = c w / (1 + sqrt(1 + c)), where
-    # c = mass / m_w - 1, because a factor sqrt(1 + c) would round to 1
+    # c = mass / m_w - 1, because a factor sqrt(1 + c) would round to 1.
+    # A non-finite sample makes m_w, and so c, inf or NaN, and then every
+    # sample NaN; with c finite |w| stays below sqrt(mass).  So the result
+    # is finite exactly when c is
     m_w = np.vdot(w, w).real
     if m_w == 0.0:
-        return w
+        return True
     c = (mass - m_w) / m_w
-    return np.add(w, np.multiply(c / (1.0 + math.sqrt(1.0 + c)), w, out=work), out=w)
+    np.add(w, np.multiply(c / (1.0 + math.sqrt(1.0 + c)), w, out=work), out=w)
+    return math.isfinite(c)
 
 
 def linear_step(u: Field, gamma: float, dt: float) -> Field:
@@ -198,7 +226,8 @@ def linear_step(u: Field, gamma: float, dt: float) -> Field:
         return u
     solve, out = _propagator(u.grid, float(gamma), float(dt)), np.empty_like(u.values)
     mass = np.vdot(u.values, u.values).real
-    return u.with_values(_project(_cn_step(solve, u.values, out), mass, np.empty_like(out)))
+    _project(_cn_step(solve, u.values, out), mass, np.empty_like(out))
+    return u.with_values(out)
 
 
 def _phase(values: np.ndarray, tau: float, out: np.ndarray, rate: np.ndarray,
@@ -257,8 +286,12 @@ def evolve(
     the closed-form optimal phase of the H^1 part), and a reference whose
     squares near the subnormal range (omega below about -670, where the
     ratios of those distances stop being scale-covariant) raises
-    ValueError.  Raises EvolutionAborted when a sample is found not
-    finite, at a record or at a check every _CHECK_EVERY (50) steps.
+    ValueError.  The sampled reference and its phase-fit vector g =
+    phi + D^T D phi, which makes the phase fit one vdot, are cached per
+    (reference, grid) (_reference), and the check runs on every call.
+    Raises EvolutionAborted when the state is found not finite, at a
+    record or at a check every _CHECK_EVERY (50) steps; both read it off
+    the mass projection (_project).
 
     The state is projected onto one mass, the vdot mass of the first
     Crank-Nicolson step's input, taken once, where it is observed: the
@@ -279,34 +312,31 @@ def evolve(
     A run allocates its state-sized arrays once: two complex state
     buffers, which the Cayley solve and the phase rotation write in
     turn, one complex scratch array for the mass projection, one complex
-    array for the record's half-step factor, and two real arrays for the
+    array for the record's half-step factor, two real arrays for the
     amplitudes, the rate and the rotation factor's tangent and its
-    square.  Snapshots are copies, the final state is the buffer the
-    last substep wrote, and u0's samples are never written.
+    square, and, with a reference, the orbital distances' difference
+    u - e^{i theta} phi, its node derivative and its amplitudes
+    (fields._distance_buffers).  Snapshots are copies, the final state
+    is the buffer the last substep wrote, and u0's samples are never
+    written.
     """
     if not np.all(np.isfinite(u0.values)):
         raise EvolutionAborted(0, [])
     solve = _propagator(u0.grid, float(gamma), float(config.dt))
     op = form_operator(u0.grid, gamma)
-    phi = dphi = None
     if reference is not None:
-        phi = sample_profile(reference, u0.grid).values
-        amax = float(np.max(np.abs(phi)))  # squared as a Python float: no overflow trap
-        if amax * amax < _SQUARE_MARGIN * corefn._TINY:
-            raise ValueError(f"omega = {reference.omega}: the sampled profile's squares "
-                             "underflow (the largest is below 2^52 x the smallest normal double)")
-        dphi = _derivative(phi, u0.grid)  # the fixed reference's: once per run, not per record
+        phi, g = _reference(reference, u0.grid)
+        buffers = _distance_buffers(u0.grid.n)
     v, spare, work, phase = (np.empty_like(u0.values) for _ in range(4))
     rate, rot_work = np.empty(u0.values.shape), np.empty(u0.values.shape)
 
     def make_record(t: float, vals: np.ndarray) -> TrajectoryRecord:
-        # the mass and the energy of fields.report; vals were checked
-        # finite by the caller
+        # the mass and the energy of fields.report; vals are finite
         r = _report(op, vals, 0.0)
-        if phi is None:
+        if reference is None:
             ds = dw = 0.0
         else:
-            ds, dw = _orbital_distances(vals, phi, dphi, u0.grid)
+            ds, dw = _orbital_distances(vals, phi, g, u0.grid, buffers)
         return TrajectoryRecord(time=t, mass=r.mass, energy=r.energy,
                                 orbital_distance_sigma=ds, orbital_distance_w=dw)
 
@@ -326,17 +356,14 @@ def evolve(
             if k < nsteps and k % config.record_every:
                 # merge the trailing and leading half rotations (|u| unchanged)
                 v, spare = _rotate(v, config.dt, spare, rate, rot_work), v
-                if k % _CHECK_EVERY == 0:
-                    _project(v, mass, work)
-                    if not np.all(np.isfinite(v)):
-                        raise EvolutionAborted(k, records)
+                if k % _CHECK_EVERY == 0 and not _project(v, mass, work):
+                    raise EvolutionAborted(k, records)
                 continue
             # the trailing and the leading half rotation share one factor,
             # as the first leaves |u| unchanged
             _phase(v, half, phase, rate, rot_work)
             v, spare = np.multiply(v, phase, out=spare), v
-            _project(v, mass, work)
-            if not np.all(np.isfinite(v)):
+            if not _project(v, mass, work):
                 raise EvolutionAborted(k, records)
             records.append(make_record(k * config.dt, v))
             nrec += 1

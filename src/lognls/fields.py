@@ -16,11 +16,12 @@ traces for the jump term).  That gives M = T - (1/gamma) c c^T with
 u* M u = t_gamma[u]: a real symmetric tridiagonal part T, the free
 Laplacian on the two half-lines, plus a rank-one jump term with the
 trace stencil c, for gamma in (0, inf) (stationary._check_gamma).  The
-same M supplies the exact gradient of the action (divided by dx, also
-the stationary residual), the minimizer's implicit step and the
-Hamiltonian M/dx of the Crank-Nicolson propagator.  Shifted systems
-with M are solved in two forms.  The minimizer and Newton solve each
-real step's system once, in trace coordinates: the two nodes next to
+form u* M u itself is summed over those edges (FormOperator.form),
+without M u.  The same M supplies the exact gradient of the action
+(divided by dx, also the stationary residual), the minimizer's implicit
+step and the Hamiltonian M/dx of the Crank-Nicolson propagator.
+Shifted systems with M are solved in two forms.  The minimizer and
+Newton solve each real step's system once, in trace coordinates: the two nodes next to
 the origin are replaced by the two-node traces u(0-) and u(0+), a change
 of variables v = P w under which P^T (shift + scale M) P is tridiagonal
 and the jump term is the edge between the traces, so each solve is one
@@ -271,7 +272,20 @@ class FormOperator:
         return out
 
     def form(self, values: np.ndarray) -> float:
-        return float(np.real(np.vdot(values, self.apply(values))))
+        """values* M values from its edges, without M values:
+        sum_e w_e |v_{k+1} - v_k|^2 / dx^2 over the edges (none across the
+        origin), the ghost edges' (2/dx)(|v_0|^2 + |v_{n-1}|^2) and
+        coupling |c . v|^2.  Every term but the last is nonnegative, so it
+        cancels less than vdot(v, M v)."""
+        m, dx = self.grid.mid, self.grid.dx
+        d = np.subtract(values[1:], values[:-1])
+        d[m - 1] = 0.0  # no edge across the origin
+        # w_e / dx^2 is 1/dx on every edge and 1.5/dx on the two next to
+        # the origin
+        edges = np.vdot(d, d).real + 0.5 * (abs(d[m - 2]) ** 2 + abs(d[m]) ** 2)
+        jump = self.jump_stencil[self.jump] @ values[self.jump]
+        return float((edges + 2.0 * (abs(values[0]) ** 2 + abs(values[-1]) ** 2)) / dx
+                     + self.coupling * abs(jump) ** 2)
 
     def solve(self, shift, scale: complex, r: np.ndarray) -> np.ndarray:
         """(shift + scale * M)^-1 r for a system that is solved only once.
@@ -418,15 +432,32 @@ def derivative(u: Field) -> np.ndarray:
     return _derivative(u.values, u.grid)
 
 
-def _derivative(v: np.ndarray, grid: Grid) -> np.ndarray:
-    """derivative of the samples v on grid."""
-    m, n, dx = grid.mid, grid.n, grid.dx
-    du = np.empty_like(v)
+def _derivative(v: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+    """derivative of the samples v on grid, D v, written to out (not v),
+    a contiguous array, when it is given."""
+    m, n, h = grid.mid, grid.n, 2.0 * grid.dx
+    du = np.empty_like(v) if out is None else out
     for lo, hi in ((0, m), (m, n)):
-        du[lo + 1 : hi - 1] = (v[lo + 2 : hi] - v[lo : hi - 2]) / (2.0 * dx)
-        du[lo] = (-3.0 * v[lo] + 4.0 * v[lo + 1] - v[lo + 2]) / (2.0 * dx)
-        du[hi - 1] = (3.0 * v[hi - 1] - 4.0 * v[hi - 2] + v[hi - 3]) / (2.0 * dx)
+        inner = np.subtract(v[lo + 2 : hi], v[lo : hi - 2], out=du[lo + 1 : hi - 1])
+        # numpy divides a complex array by a real h as its real and
+        # imaginary parts times 1/h, at half the cost on the real view
+        np.multiply(inner.view(float), 1.0 / h, out=inner.view(float))
+        du[lo] = (-3.0 * v[lo] + 4.0 * v[lo + 1] - v[lo + 2]) / h
+        du[hi - 1] = (3.0 * v[hi - 1] - 4.0 * v[hi - 2] + v[hi - 3]) / h
     return du
+
+
+def _derivative_t(w: np.ndarray, grid: Grid) -> np.ndarray:
+    """D^T w, with D the real matrix of _derivative on grid."""
+    m, n = grid.mid, grid.n
+    out = np.zeros_like(w)
+    for lo, hi in ((0, m), (m, n)):
+        # the centred rows lo+1 .. hi-2, then the two one-sided end rows
+        out[lo + 2 : hi] += w[lo + 1 : hi - 1]
+        out[lo : hi - 2] -= w[lo + 1 : hi - 1]
+        out[lo : lo + 3] += w[lo] * np.array([-3.0, 4.0, -1.0])
+        out[hi - 3 : hi] += w[hi - 1] * np.array([1.0, -4.0, 3.0])
+    return out / (2.0 * grid.dx)
 
 
 def derivative_norm_sq(u: Field) -> float:
@@ -536,26 +567,39 @@ def stationary_residual(u: Field, gamma: float, omega: float) -> StationaryResid
 # ----------------------------------------------------------------------
 
 
-def _phase_fit(u: np.ndarray, phi: np.ndarray, dphi: np.ndarray, grid: Grid):
-    """theta* = arg of the complex H^1 inner product <phi, u> of the samples
-    u and phi on grid (values plus derivatives, dphi the node derivatives
-    of phi), which minimizes the H^1 part of the distance; returned with
-    the node derivatives of u."""
-    du = _derivative(u, grid)
-    ip = grid.dx * (np.vdot(phi, u) + np.vdot(dphi, du))
-    theta = float(np.angle(ip)) if ip != 0 else 0.0
-    return theta, du
+def _h1_dual(phi: np.ndarray, grid: Grid) -> np.ndarray:
+    """g = phi + D^T D phi for the samples phi on grid, with D the node
+    derivative: D is real and linear, so the H^1 inner product
+    <phi, u> + <D phi, D u> of any samples u is vdot(g, u), with no
+    derivative of u."""
+    return phi + _derivative_t(_derivative(phi, grid), grid)
 
 
-def _sigma_dist_at(u: np.ndarray, phi: np.ndarray, du, dphi, theta: float, dx: float):
-    """H^1 distance from the samples u to e^{i theta} phi, and the
-    amplitudes |u - e^{i theta} phi| of the sample difference; the value
-    and the derivative difference take turns in one buffer."""
-    e = np.exp(1j * theta)
-    diff = np.multiply(e, phi)
-    amp = np.abs(np.subtract(u, diff, out=diff))
-    np.subtract(du, np.multiply(e, dphi, out=diff), out=diff)
-    return math.sqrt(dx * (np.dot(amp, amp) + np.vdot(diff, diff).real)), amp
+def _phase_fit(u: np.ndarray, g: np.ndarray) -> float:
+    """theta* = arg of the complex H^1 inner product of the reference and
+    the samples u, given the reference's g (_h1_dual): the phase that
+    minimizes the H^1 part of the distance."""
+    ip = np.vdot(g, u)
+    return float(np.angle(ip)) if ip != 0 else 0.0
+
+
+def _distance_buffers(n: int):
+    """The scratch arrays of _sigma_dist_at for n samples: the difference
+    and its node derivative (complex), and its amplitudes (real)."""
+    return np.empty(n, dtype=complex), np.empty(n, dtype=complex), np.empty(n)
+
+
+def _sigma_dist_at(u: np.ndarray, phi: np.ndarray, theta: float, grid: Grid,
+                   diff: np.ndarray, ddiff: np.ndarray, amp: np.ndarray):
+    """H^1 distance from the samples u to e^{i theta} phi on grid, and the
+    amplitudes |u - e^{i theta} phi| of the sample difference, in amp.
+    The difference and its node derivative are written to diff and
+    ddiff (_distance_buffers)."""
+    np.multiply(np.exp(1j * theta), phi, out=diff)
+    np.subtract(u, diff, out=diff)
+    np.abs(diff, out=amp)
+    _derivative(diff, grid, out=ddiff)
+    return math.sqrt(grid.dx * (np.dot(amp, amp) + np.vdot(ddiff, ddiff).real)), amp
 
 
 def _golden_min(f, lo: float, hi: float):
@@ -589,15 +633,15 @@ def orbital_distance(u: Field, phi: Field, metric: Metric = Metric.SIGMA_ONLY,
     """
     if u.grid != phi.grid:
         raise ValueError("fields live on different grids")
-    dx = u.grid.dx
-    dphi = derivative(phi)
-    theta, du = _phase_fit(u.values, phi.values, dphi, u.grid)
+    grid = u.grid
+    theta = _phase_fit(u.values, _h1_dual(phi.values, grid))
+    buffers = _distance_buffers(grid.n)
     if metric is Metric.SIGMA_ONLY:
-        return _sigma_dist_at(u.values, phi.values, du, dphi, theta, dx)[0]
+        return _sigma_dist_at(u.values, phi.values, theta, grid, *buffers)[0]
 
     def objective(th: float) -> float:
-        d, amp = _sigma_dist_at(u.values, phi.values, du, dphi, th, dx)
-        return d + corefn._gauge(amp, dx)[0]
+        d, amp = _sigma_dist_at(u.values, phi.values, th, grid, *buffers)
+        return d + corefn._gauge(amp, grid.dx)[0]
 
     if not refine:
         return objective(theta)
@@ -605,16 +649,16 @@ def orbital_distance(u: Field, phi: Field, metric: Metric = Metric.SIGMA_ONLY,
     return min(best, objective(theta))
 
 
-def _orbital_distances(u: np.ndarray, phi: np.ndarray, dphi: np.ndarray,
-                       grid: Grid) -> tuple[float, float]:
+def _orbital_distances(u: np.ndarray, phi: np.ndarray, g: np.ndarray, grid: Grid,
+                       buffers) -> tuple[float, float]:
     """The SIGMA_ONLY and the unrefined FULL_W orbital distance from one
-    phase fit, for the samples u and phi on grid, given the node
-    derivatives dphi of phi: both are evaluated at theta*, where the W
-    distance is the sigma distance plus the Luxemburg norm of
-    u - e^{i theta*} phi.  Equal to orbital_distance(u, phi, SIGMA_ONLY)
-    and orbital_distance(u, phi, FULL_W, refine=False) of the Fields."""
-    theta, du = _phase_fit(u, phi, dphi, grid)
-    d, amp = _sigma_dist_at(u, phi, du, dphi, theta, grid.dx)
+    phase fit, for the samples u and phi on grid, given phi's g
+    (_h1_dual) and the scratch arrays of _distance_buffers: both are
+    evaluated at theta*, where the W distance is the sigma distance plus
+    the Luxemburg norm of u - e^{i theta*} phi.  Equal to
+    orbital_distance(u, phi, SIGMA_ONLY) and orbital_distance(u, phi,
+    FULL_W, refine=False) of the Fields."""
+    d, amp = _sigma_dist_at(u, phi, _phase_fit(u, g), grid, *buffers)
     return d, d + corefn._gauge(amp, grid.dx)[0]
 
 

@@ -92,7 +92,8 @@ def random_sets(seed: int, count: int):
 
 def record_sets(seed: int, grid_n: int, dt: float, record_every: int, steps: int, cases):
     """The record amplitudes of one perturbed trial per case, stepped in
-    record_every segments, which reproduces one evolve call exactly."""
+    record_every segments (which agrees with one evolve call at rounding:
+    each call takes its own mass target)."""
     import numpy as np
 
     from lognls import fields
@@ -104,15 +105,17 @@ def record_sets(seed: int, grid_n: int, dt: float, record_every: int, steps: int
     for gamma, branch in cases:
         params = branch_params(gamma, 0.0, Branch(branch))
         phi = fields.sample_profile(params, grid)
-        dphi = fields.derivative(phi)
+        g = fields._h1_dual(phi.values, grid)
+        buffers = fields._distance_buffers(grid.n)
         pert = fields.random_smooth_field(grid, np.random.default_rng((seed, 0)))
         scale = DELTA * fields.sigma_norm(phi) / fields.sigma_norm(pert)
         u = phi.with_values(phi.values + pert.values * scale)
         for k in range(steps // record_every + 1):
             if k:
                 u = evolve(u, gamma, segment).final
-            theta, du = fields._phase_fit(u.values, phi.values, dphi, grid)
-            yield fields._sigma_dist_at(u.values, phi.values, du, dphi, theta, grid.dx)[1], grid.dx
+            theta = fields._phase_fit(u.values, g)
+            amp = fields._sigma_dist_at(u.values, phi.values, theta, grid, *buffers)[1]
+            yield amp.copy(), grid.dx
 
 
 def family(sets) -> dict:

@@ -18,9 +18,15 @@ the merged rotation ``dynamics._rotate`` over dt.  A pass that would
 change its own input (the two sweeps and the correction) runs after a
 copy that restores it, and the copy's time is subtracted; every other
 pass reads inputs saved from one run of the step, so it can repeat.
-The record's parts are the shared half factor, its product, the
-finiteness check, the mass and energy of ``fields._report`` and their
-pieces, and the orbital distances and their pieces.  Each part, and the
+The record's parts are the shared half factor, its product, the mass
+and energy of ``fields._report`` and their pieces (the form from edge
+differences among them), and the orbital distances and their pieces:
+the phase fit as one ``vdot`` with the cached reference's g, the
+difference from the fitted reference, its amplitudes, its node
+derivative, the sums and the Luxemburg gauge.  The finiteness of a
+recorded state is read off the projection, a step part, and the
+reference that ``evolve`` takes from ``dynamics._reference`` is timed
+uncached, as a run's first call builds it.  Each part, and the
 whole step and record as ``evolve`` runs them, is timed in ROUNDS
 rounds as the best of REPEATS batches of CALLS calls.
 
@@ -144,20 +150,26 @@ def case_parts(n: int, dt: float):
     }
 
     u = v  # the recorded state
-    phi_v = phi.values
-    dphi = fields._derivative(phi_v, grid)
-    theta, du = fields._phase_fit(u, phi_v, dphi, grid)
-    amp = fields._sigma_dist_at(u, phi_v, du, dphi, theta, dx)[1]
+    phi_v, g = dynamics._reference(params, grid)
+    buffers = fields._distance_buffers(n)
+    diff, ddiff, amp = buffers
+    theta = fields._phase_fit(u, g)
+    e = np.exp(1j * theta)
+    fields._sigma_dist_at(u, phi_v, theta, grid, *buffers)
+    edge = np.subtract(u[1:], u[:-1])
     u2 = corefn._abs2(u)
     ent = corefn.entropy_of_squares(u2)
+
+    def difference():
+        np.multiply(e, phi_v, out=out)
+        np.subtract(u, out, out=out)
 
     def whole_record():
         dynamics._project(w_proj, mass, work)
         dynamics._phase(w_proj, half, ph, rate, rot_work)
         np.multiply(w_proj, ph, out=out)
-        np.all(np.isfinite(out))
         fields._report(op, out, 0.0)
-        fields._orbital_distances(out, phi_v, dphi, grid)
+        fields._orbital_distances(out, phi_v, g, grid, buffers)
         np.multiply(out, ph, out=out2)
 
     record = {
@@ -165,21 +177,28 @@ def case_parts(n: int, dt: float):
                                            None),
         "product by the half factor (twice a record)":
             (lambda: np.multiply(u, phase, out=out), None),
-        "finiteness check": (lambda: np.all(np.isfinite(u)), None),
         "report: form": (lambda: op.form(u), None),
+        "report: form: edge differences": (lambda: np.subtract(u[1:], u[:-1], out=edge), None),
+        "report: form: edge sum (vdot)": (lambda: np.vdot(edge, edge), None),
         "report: squares": (lambda: corefn._abs2(u), None),
         "report: mass sum": (lambda: float(dx * np.sum(u2)), None),
         "report: entropy of squares": (lambda: corefn.entropy_of_squares(u2), None),
         "report: entropy sum": (lambda: float(dx * np.sum(ent)), None),
         "report (whole)": (lambda: fields._report(op, u, 0.0), None),
-        "distances: derivative": (lambda: fields._derivative(u, grid), None),
-        "distances: phase fit (with the derivative)":
-            (lambda: fields._phase_fit(u, phi_v, dphi, grid), None),
-        "distances: sigma distance": (lambda: fields._sigma_dist_at(u, phi_v, du, dphi,
-                                                                     theta, dx), None),
+        "distances: phase fit (one vdot)": (lambda: fields._phase_fit(u, g), None),
+        "distances: difference": (difference, None),
+        "distances: amplitudes": (lambda: np.abs(diff, out=rate), None),
+        "distances: derivative of the difference":
+            (lambda: fields._derivative(diff, grid, out=out), None),
+        "distances: sums": (lambda: np.dot(amp, amp) + np.vdot(ddiff, ddiff).real, None),
+        "distances: sigma distance": (lambda: fields._sigma_dist_at(u, phi_v, theta, grid,
+                                                                     *buffers), None),
         "distances: Luxemburg gauge": (lambda: corefn._gauge(amp, dx), None),
-        "distances (whole)": (lambda: fields._orbital_distances(u, phi_v, dphi, grid), None),
+        "distances (whole)": (lambda: fields._orbital_distances(u, phi_v, g, grid, buffers),
+                              None),
         "whole record (as evolve runs it)": (whole_record, None),
+        "reference, uncached (once per run and grid)":
+            (lambda: dynamics._reference.__wrapped__(params, grid), None),
     }
     return step, record
 

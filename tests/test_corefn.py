@@ -11,7 +11,6 @@ from scipy.special import erfc as scipy_erfc
 
 from lognls import corefn
 from lognls.corefn import (
-    eval_Gm,
     gamma_tail,
     gm_phase_rate,
     luxemburg_norm,
@@ -204,42 +203,14 @@ class TestGm:
         # m * m overflows and 1/m^2 underflows; no square of a level is formed
         s = np.array([0.0, 1e-250, 0.5, 2.0])
         assert np.all(np.isfinite(gm_phase_rate(s, m)))
-        assert np.all(np.isfinite(eval_Gm(s, m)))
         assert np.all(np.isfinite(s * gm_phase_rate(s, m)))
         # a_m(s) = s rate_A(max(s, 1/m))
         assert np.all(np.isfinite(s * rate_A(np.maximum(s, 1.0 / m))))
 
     def test_level_validation(self):
-        for fn in (gm_phase_rate, eval_Gm):
-            for m in (0.5, math.inf, 0.9):
-                with pytest.raises(ValueError, match="regularization level"):
-                    fn(1.0, m)
-
-
-class TestGmPrimitive:
-    @pytest.mark.parametrize("m", [1.5, 5.0, 40.0])
-    def test_derivative_matches_gm(self, m):
-        # centered differences of the primitive against the clamped map,
-        # at points bounded away from the two clamping kinks
-        x = np.array([0.01, 0.7 / m, 1.3 / m, 0.8 * m, 1.4 * m, 3.0 * m])
-        h = 1e-6 * np.maximum(x, 1e-3)
-        fd = (eval_Gm(x + h, m) - eval_Gm(x - h, m)) / (2 * h)
-        assert fd == pytest.approx(x * gm_phase_rate(x, m), rel=2e-7, abs=1e-9)
-
-    def test_zero(self):
-        assert eval_Gm(0.0, 3.0) == 0.0
-        assert eval_Gm(0.0) == 0.0
-
-    def test_unclamped_primitive(self):
-        x = np.array([0.1, 1.0, 7.3])
-        want = 0.5 * x * x * np.log(x * x) - 0.5 * x * x
-        assert eval_Gm(x) == pytest.approx(want, rel=1e-13, abs=1e-15)
-
-    def test_quadrature_oracle(self):
-        m = 4.0
-        for x in (0.1, 1.0, 6.0):
-            val, err = quad(lambda s: float(s * gm_phase_rate(s, m)), 0.0, x, limit=200)
-            assert eval_Gm(x, m) == pytest.approx(val, abs=max(1e-10, 10 * err))
+        for m in (0.5, math.inf, 0.9):
+            with pytest.raises(ValueError, match="regularization level"):
+                gm_phase_rate(1.0, m)
 
 
 class TestGammaTail:

@@ -303,6 +303,33 @@ class TestEvolve:
         assert info.value.records == []
         assert isinstance(info.value.__cause__, FloatingPointError)
 
+    @pytest.mark.parametrize("every, planted, step", [
+        (7, 30, 35), (7, 35, 35), (60, 30, 50), (60, 70, 100),
+    ], ids=["record", "at-record", "check", "check-after-record"])
+    def test_abort_mid_run(self, grid, monkeypatch, every, planted, step):
+        # a 1e200 sample planted in the Crank-Nicolson output of step
+        # `planted` turns the state NaN (its rate log|u|^2 is inf); the run
+        # aborts at the next record or _CHECK_EVERY (50) step and carries
+        # the records made before it, those of the same run left alone
+        params = ground_states(2.0, 0.0)[0]
+        u0 = sample_profile(params, grid)
+        cfg = EvolutionConfig(dt=1e-3, t_end=0.2, record_every=every)
+        clean = evolve(u0, 2.0, cfg, reference=params).records
+        cn_step, calls = dynamics._cn_step, iter(range(1, 10**6))
+
+        def planting(solve, values, out):
+            w = cn_step(solve, values, out)
+            if next(calls) == planted:
+                w[grid.n // 3] = 1e200
+            return w
+
+        monkeypatch.setattr(dynamics, "_cn_step", planting)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(EvolutionAborted) as info:
+            evolve(u0, 2.0, cfg, reference=params)
+        assert info.value.step == step
+        assert info.value.records == clean[:1 + (step - 1) // every]
+
     @staticmethod
     def cn_step(u, gamma, dt):
         """The Crank-Nicolson substep, not projected."""
@@ -313,7 +340,8 @@ class TestEvolve:
     def project(u, mass):
         """u projected onto the run's mass."""
         v = u.values.copy()
-        return u.with_values(dynamics._project(v, mass, np.empty_like(v)))
+        dynamics._project(v, mass, np.empty_like(v))
+        return u.with_values(v)
 
     @staticmethod
     def half_factor(u, dt):
