@@ -20,22 +20,22 @@ form u* M u itself is summed over those edges (FormOperator.form),
 without M u.  The same M supplies the exact gradient of the action
 (divided by dx, also the stationary residual), the minimizer's implicit
 step and the Hamiltonian M/dx of the Crank-Nicolson propagator.
-Shifted systems with M are solved in two forms.  The minimizer and
-Newton solve each real step's system once, in trace coordinates: the two nodes next to
-the origin are replaced by the two-node traces u(0-) and u(0+), a change
-of variables v = P w under which P^T (shift + scale M) P is tridiagonal
-and the jump term is the edge between the traces, so each solve is one
-single-column LAPACK gtsv sweep (FormOperator.solve).  The propagator
-factors the tridiagonal part of its complex Cayley system once with
-zgttrf as L D L^T, which needs the diagonal dominance that the trace
-form lacks, and solves it many times with two unit-bidiagonal BLAS
-ztbsv sweeps, one product by 2/D (the Cayley identity's factor 2) and
-a Sherman-Morrison correction for the jump term on the nodes near the
-origin where it is not negligible (ShiftedSolver).  The LAPACK and BLAS
-routines come from scipy.linalg, which is imported at the first
-tridiagonal solve (minimizer, Newton step, Morse index, propagator), not
-with this module: ``import lognls`` loads numpy but not scipy, and the
-``ground`` and ``bifurcate`` commands never import it.
+Every shifted system with M is solved in trace coordinates: the two
+nodes next to the origin are replaced by the two-node traces u(0-) and
+u(0+), a change of variables v = P w under which P^T (shift + scale M) P
+is tridiagonal and the jump term is the edge between the traces
+(FormOperator._trace_form).  The minimizer and Newton solve each real
+step's system once, in one single-column LAPACK gtsv sweep
+(FormOperator.solve).  The propagator factors its complex Cayley system
+once as L D L^T by the plain recurrence, which its positive definite
+real part lets run without pivoting, and solves it many times with two
+unit-bidiagonal BLAS ztbsv sweeps and one product by 2/D (the Cayley
+identity's factor 2) between the same maps P^T and P (ShiftedSolver).
+The LAPACK and BLAS routines come from scipy.linalg, which is imported
+at the first tridiagonal solve (minimizer, Newton step, Morse index,
+propagator), not with this module: ``import lognls`` loads numpy but
+not scipy, and the ``ground`` and ``bifurcate`` commands never import
+it.
 
 The minimizer ends with Newton's method on action_gradient = 0, whose
 Jacobian M + dx (omega - 2 - log u^2) is the same structure with another
@@ -304,14 +304,22 @@ class FormOperator:
         off = scale * self.off
         self._trace_form(diag, off, scale * self.coupling)
         (gtsv,) = _linalg().get_lapack_funcs(("gtsv",), (diag, off, r))
-        b = r.astype(gtsv.dtype)
-        for k, j, _ in self._sides:  # b = P^T r
-            b[j] += b[k] / 3.0
-            b[k] = 2.0 * b[k] / 3.0
+        b = self._to_trace(r.astype(gtsv.dtype))
         *_, w, info = gtsv(off, diag, off, b, overwrite_d=1, overwrite_b=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"tridiagonal solve failed (info={info})")
-        for k, j, _ in self._sides:  # v = P w
+        return self._from_trace(w)
+
+    def _to_trace(self, b: np.ndarray) -> np.ndarray:
+        """b = P^T b in place (see _trace_form): two entries per side."""
+        for k, j, _ in self._sides:
+            b[j] += b[k] / 3.0
+            b[k] = 2.0 * b[k] / 3.0
+        return b
+
+    def _from_trace(self, w: np.ndarray) -> np.ndarray:
+        """w = P w in place: the trace entries become samples again."""
+        for k, j, _ in self._sides:
             w[k] = (2.0 * w[k] + w[j]) / 3.0
         return w
 
@@ -336,69 +344,54 @@ class FormOperator:
 
 
 class ShiftedSolver:
-    """y = 2 (1 + scale * M)^-1 r for one FormOperator M = T + coupling c c^T
-    and a complex scale: the Crank-Nicolson propagator's Cayley solver,
-    with the Cayley identity's factor 2 folded into the factorization.
+    """y = 2 (1 + scale * M)^-1 r for one FormOperator M and a complex
+    scale: the Crank-Nicolson propagator's Cayley solver, with the Cayley
+    identity's factor 2 folded into the factorization.
 
-    For an imaginary scale (a real dt) 1 + scale * T is complex symmetric
-    and strictly diagonally dominant, so LAPACK zgttrf factors it once with
-    no row interchange, as L D L^T with L unit lower bidiagonal.  Each call
-    is a unit lower and a unit upper BLAS ztbsv sweep, which do not divide,
-    with a product by 2/D between them, plus the Sherman-Morrison
-    correction for the rank-one jump term.  A power of two commutes with
-    every rounding, so the sweeps give bitwise twice the solve with 1/D.
-    The correction is a multiple of z = (1 + scale * T)^-1 c, which decays
-    geometrically away from the origin; it is applied only on the window
-    where |z| > eps max|z|, found at factorization, since the terms outside
-    it are below eps times its largest term: one BLAS zdotu of c with the
-    four jump nodes and one in-place zaxpy of z on the window.  Rounding
-    keeps the dominance while |scale| max(diag T), 1.5 |dt| / dx^2 for the
-    propagator, stays below 2^52; a factorization that interchanges rows
-    raises LinAlgError.
-    A system solved only once (a minimizer step) takes FormOperator.solve,
-    one gtsv sweep, instead.
+    The tridiagonal P^T (1 + scale * M) P of trace coordinates
+    (FormOperator._trace_form) is factored once as L D L^T, L unit lower
+    bidiagonal, by the plain recurrence f_k = o_k / D_k, D_{k+1} = d_{k+1}
+    - f_k o_k.  For an imaginary scale (a real dt) it is complex symmetric
+    with the positive definite real part P^T P, so it needs no pivoting
+    (cf. Higham, Math. Comp. 67, 1998); a zero or non-finite pivot raises
+    LinAlgError.  Each call maps b = P^T r, runs a unit lower and a unit
+    upper BLAS ztbsv sweep, which do not divide, with a product by 2/D
+    between them, and maps back v = P w, as FormOperator.solve does around
+    its one gtsv sweep.  A power of two commutes with every rounding, so
+    the sweeps give bitwise twice the solve with 1/D.
     """
 
     def __init__(self, op: FormOperator, scale: complex):
-        linalg = _linalg()
-        off = scale * op.off
-        dl, d, _, _, ipiv, info = linalg.lapack.zgttrf(off, 1.0 + scale * op.diag, off)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"tridiagonal factorization failed (info={info})")
-        if np.any(ipiv != np.arange(1, op.grid.n + 1)):
-            raise np.linalg.LinAlgError(f"tridiagonal factorization interchanged rows: "
-                                        f"|scale| = {abs(scale):.3g} is too large for the grid")
+        diag, off = 1.0 + scale * op.diag, scale * op.off
+        op._trace_form(diag, off, scale * op.coupling)
+        # d becomes the pivots D and o L's subdiagonal, in place
+        d, o = diag.tolist(), off.tolist()
+        try:
+            for k, o_k in enumerate(o):
+                o[k] = f = o_k / d[k]
+                d[k + 1] -= f * o_k
+        except ZeroDivisionError:
+            raise np.linalg.LinAlgError(f"zero pivot in row {k} of the Cayley "
+                                        "factorization") from None
+        d = np.array(d, dtype=complex)
+        if not np.all(np.isfinite(d) & (d != 0.0)):
+            raise np.linalg.LinAlgError("zero or non-finite pivot in the Cayley factorization")
         # one band for both sweeps: row 1 is L's subdiagonal (lower=1) and
         # row 0 L^T's superdiagonal (lower=0); the unit diagonal is not read
         self.band = np.zeros((2, op.grid.n), dtype=complex, order="F")
-        self.band[1, :-1] = self.band[0, 1:] = dl
+        self.band[1, :-1] = self.band[0, 1:] = o
         self.two_over_d = 2.0 / d
-        blas = linalg.blas
-        self.tbsv, self.dotu, self.axpy = blas.ztbsv, blas.zdotu, blas.zaxpy
-        self.jump_start = op.jump.start
-        self.c = op.jump_stencil[op.jump].astype(complex)
-        # z = (1 + scale * T)^-1 c and the Sherman-Morrison gain for the
-        # jump term alpha c c^T, alpha = scale * coupling
-        z = 0.5 * self._solve(op.jump_stencil.astype(complex))
-        alpha = scale * op.coupling
-        self.gain = alpha / (1.0 + alpha * self.dotu(self.c, z, offy=self.jump_start))
-        kept = np.flatnonzero(np.abs(z) > np.finfo(float).eps * np.max(np.abs(z)))
-        self.window_start = int(kept[0])
-        self.z = z[kept[0]:kept[-1] + 1].copy()
-
-    def _solve(self, y: np.ndarray) -> np.ndarray:
-        """2 (1 + scale * T)^-1 y, in y itself."""
-        y = self.tbsv(1, self.band, y, lower=1, diag=1, overwrite_x=1)
-        np.multiply(y, self.two_over_d, out=y)
-        return self.tbsv(1, self.band, y, lower=0, diag=1, overwrite_x=1)
+        self.tbsv = _linalg().blas.ztbsv
+        self.op = op
 
     def __call__(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
         """2 (1 + scale * M)^-1 r, in out: r is copied there and solved in
         place (r itself is never written)."""
         np.copyto(out, r)
-        y = self._solve(out)
-        a = -self.gain * self.dotu(self.c, y, offy=self.jump_start)
-        return self.axpy(self.z, y, a=a, offy=self.window_start)
+        y = self.tbsv(1, self.band, self.op._to_trace(out), lower=1, diag=1, overwrite_x=1)
+        np.multiply(y, self.two_over_d, out=y)
+        y = self.tbsv(1, self.band, y, lower=0, diag=1, overwrite_x=1)
+        return self.op._from_trace(y)
 
 
 @lru_cache(maxsize=64)

@@ -17,6 +17,8 @@ and hashes the library probes:
   index of the start);
 * a chain of public ``nonlinear_step`` and ``linear_step`` calls as in
   STEPS (every state of the chain);
+* one ``linear_step`` at each large dt of LARGE_DT, dt = +-40 and just
+  below the stiffness bound of ``dynamics._propagator``, on its grids;
 * the Luxemburg gauge ``corefn._gauge`` (norm and modular evaluations)
   on the amplitude sets of GAUGE, drawn by numpy alone
   (``luxemburg_gauge.random_sets``), so that both trees see the same
@@ -78,6 +80,9 @@ NEWTON = [(2.01, 1024), (3.0, 1024), (1.9999, 2048), (2.0, 2048)]
 # the substep chain: each step is nonlinear_step then linear_step over dt,
 # from the perturbed asymmetric-left profile
 STEPS = dict(gamma=3.0, grid_n=2048, dt=2e-3, steps=20)
+# one linear_step of a seeded complex state on each grid (L, n) at gamma,
+# for dt = +-40 and for the largest |dt| below the stiffness bound
+LARGE_DT = dict(gamma=2.0, grids=[(1.0, 10), (1.0, 256)], dts=(40.0, -40.0))
 # luxemburg_gauge.random_sets(seed, count): the gauge study's random family
 GAUGE = dict(seed=0, count=2000)
 
@@ -182,6 +187,15 @@ def probe(arrays_file: str) -> None:
         u = linear_step(nonlinear_step(u, dt), STEPS["gamma"], dt)
         states.append(u.values)
     put("steps", *states)
+    for L, n in LARGE_DT["grids"]:
+        grid = fields.Grid(L, n)
+        rng = np.random.default_rng(n)
+        u = fields.Field(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        below = math.nextafter(2.0**52 * grid.dx * grid.dx / 1.5, 0.0)
+        for name, dt in [*((f"{dt:+g}", dt) for dt in LARGE_DT["dts"]),
+                         ("+below bound", below), ("-below bound", -below)]:
+            put(f"linear_step L={L:g} n={n} dt={name}",
+                linear_step(u, LARGE_DT["gamma"], dt).values)
     gauges = [corefn._gauge(amp, dx) for amp, dx in random_sets(GAUGE["seed"], GAUGE["count"])]
     put("gauge random", np.array([k for k, _ in gauges]), np.array([e for _, e in gauges]))
     np.savez(arrays_file, **arrays)
@@ -293,13 +307,14 @@ def main(argv=None) -> int:
                 "evolve ") and name.endswith(" records")]).items():
             probes[name]["mass_drift"] = drift
     inputs = {"evolve": EVOLVE_CASES, "stability_experiment": STABILITY,
-              "minimize": MINIMIZE, "newton": NEWTON, "steps": STEPS, "gauge": GAUGE,
-              "cli": COMMANDS}
+              "minimize": MINIMIZE, "newton": NEWTON, "steps": STEPS, "large_dt": LARGE_DT,
+              "gauge": GAUGE, "cli": COMMANDS}
     doc = {
         "study": "compare_trees",
         "what": "sha256 of the evolve, stability_experiment, minimizer, Newton, Morse index, "
-                "substep-chain and Luxemburg gauge results and of the README commands' stdout, stderr and "
-                "files, one fresh interpreter per tree for the library probes and one per "
+                "substep-chain, large-dt linear_step and Luxemburg gauge results and of the "
+                "README commands' stdout, stderr and files, one fresh interpreter per tree "
+                "for the library probes and one per "
                 "command; max_rel_diff = max over a probe's arrays of max|a - b| / max|a| "
                 "(a the base tree's) where a library probe differs; counts = both trees' "
                 "(iterations, newton, index) where a minimizer or Newton probe differs; "

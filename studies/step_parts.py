@@ -10,19 +10,19 @@ on Grid(20, n) plus perfbench's trial-0 perturbation of relative H^1
 size 1e-2 at SEED, stepped WARMUP steps by ``evolve``; the record's
 orbital distances are to that profile.
 
-The step's parts are those of ``dynamics._cn_step`` (the copy, the
-lower sweep, the product by 2/D, the upper sweep, the jump correction,
-the subtraction), the projection onto the mass target, which ``evolve``
-runs at records and every ``_CHECK_EVERY`` steps only, and each pass of
-the merged rotation ``dynamics._rotate`` over dt.  A pass that would
-change its own input (the two sweeps and the correction) runs after a
-copy that restores it, and the copy's time is subtracted; every other
-pass reads inputs saved from one run of the step, so it can repeat.
-The record's parts are the shared half factor, its product, the mass
-and energy of ``fields._report`` and their pieces (the form from edge
-differences among them), and the orbital distances and their pieces:
-the phase fit as one ``vdot`` with the cached reference's g, the
-difference from the fitted reference, its amplitudes, its node
+The step's parts are those of ``dynamics._cn_step`` (the copy, the map
+P^T to trace coordinates, the lower sweep, the product by 2/D, the upper
+sweep, the map P back, the subtraction), the projection onto the mass
+target, which ``evolve`` runs at records and every ``_CHECK_EVERY`` steps
+only, and each pass of the merged rotation ``dynamics._rotate`` over dt.
+A pass that would change its own input (the two maps and the two sweeps)
+runs after a copy that restores it, and the copy's time is subtracted;
+every other pass reads inputs saved from one run of the step, so it can
+repeat.  The record's parts are the shared half factor, its product,
+the mass and energy of ``fields._report`` and their pieces (the form
+from edge differences among them), and the orbital distances and their
+pieces: the phase fit as one ``vdot`` with the cached reference's g,
+the difference from the fitted reference, its amplitudes, its node
 derivative, the sums and the Luxemburg gauge.  The finiteness of a
 recorded state is read off the projection, a step part, and the
 reference that ``evolve`` takes from ``dynamics._reference`` is timed
@@ -90,11 +90,12 @@ def case_parts(n: int, dt: float):
     rate, rot_work = np.empty(n), np.empty(n)
 
     # the step's intermediates, saved from one run
-    y_lower = solve.tbsv(1, solve.band, v.copy(), lower=1, diag=1, overwrite_x=1)
+    b_trace = op._to_trace(v.copy())
+    y_lower = solve.tbsv(1, solve.band, b_trace.copy(), lower=1, diag=1, overwrite_x=1)
     y_2d = y_lower * solve.two_over_d
     y_upper = solve.tbsv(1, solve.band, y_2d.copy(), lower=0, diag=1, overwrite_x=1)
-    y_corr = solve(v, np.empty_like(v))
-    w = y_corr - v
+    y_solved = solve(v, np.empty_like(v))
+    w = y_solved - v
     s = np.abs(w)
     s2 = s * s
     floored = np.maximum(s2, corefn._TINY)
@@ -116,19 +117,21 @@ def case_parts(n: int, dt: float):
             solve.tbsv(1, solve.band, out, lower=lower, diag=1, overwrite_x=1)
         return call
 
-    def correction():
-        np.copyto(out, y_upper)
-        a = -solve.gain * solve.dotu(solve.c, out, offy=solve.jump_start)
-        solve.axpy(solve.z, out, a=a, offy=solve.window_start)
+    def trace_map(src, apply):
+        def call():
+            np.copyto(out, src)
+            apply(out)
+        return call
 
     w_proj = w.copy()
     step = {
         "copy": (restore(v), None),
-        "lower sweep": (sweep(v, 1), "copy"),
+        "map P^T (to trace coordinates)": (trace_map(v, op._to_trace), "copy"),
+        "lower sweep": (sweep(b_trace, 1), "copy"),
         "product by 2/D": (lambda: np.multiply(y_lower, solve.two_over_d, out=out), None),
         "upper sweep": (sweep(y_2d, 0), "copy"),
-        "jump correction (zdotu + zaxpy)": (correction, "copy"),
-        "subtraction": (lambda: np.subtract(y_corr, v, out=out), None),
+        "map P (back to the samples)": (trace_map(y_upper, op._from_trace), "copy"),
+        "subtraction": (lambda: np.subtract(y_solved, v, out=out), None),
         "projection (records and every _CHECK_EVERY steps)":
             (lambda: dynamics._project(w_proj, mass, work), None),
         "rotation: abs": (lambda: np.abs(w, out=rate), None),

@@ -1,10 +1,19 @@
 """Acceptance gate: one test per criterion, one PASS/FAIL line each.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines as the
-criteria execute.  Tolerances are pinned here and nowhere else.
+criteria execute.  Tolerances are pinned here and nowhere else.  Each
+gate also records its gated and printed values (criterion, name, value,
+bound, side, passed and the test's wall time), and at the end of the
+session the suite writes them, with a run manifest of
+``perfbench/manifest.py``, to ``acceptance.json`` at the repository root.
 """
 
+import importlib.util
+import json
 import math
+import operator
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,9 +56,52 @@ TRIPLE_GAMMAS = (2.01, 2.5, 3.0, 5.0, 10.0)
 COMPARISON_GRID = tuple((g, w) for g in (2.1, 3.0, 5.0) for w in (-1.0, 0.0, 1.0))
 
 
-def gate(num, desc, ok, detail=""):
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+# one row per gated or printed value, written to ROOT/acceptance.json
+RECORDS = []
+
+
+@pytest.fixture(autouse=True)
+def _clock():
+    """Stamp the rows a test records with its wall time."""
+    start, first = time.perf_counter(), len(RECORDS)
+    yield
+    wall = time.perf_counter() - start
+    for row in RECORDS[first:]:
+        row["wall_s"] = wall
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _write_records():
+    yield
+    if RECORDS:
+        spec = importlib.util.spec_from_file_location("manifest",
+                                                      ROOT / "perfbench" / "manifest.py")
+        manifest = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(manifest)
+        criteria = sorted({r["criterion"] for r in RECORDS})
+        doc = {"values": RECORDS,
+               "manifest": manifest.manifest(ROOT, None, "acceptance",
+                                             {"tests": "tests/test_acceptance.py",
+                                              "criteria": criteria})}
+        (ROOT / "acceptance.json").write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def gate(num, desc, ok, detail="", values=()):
+    """Print the criterion's PASS/FAIL line and record its values, each a
+    (name, value, bound, side): it passes when value side bound, with side
+    one of SIDES, and bound and side are None for a value that is printed
+    but not gated.  A criterion with no value records its verdict under
+    desc."""
     tag = "PASS" if ok else "FAIL"
     print(f"[{tag}] criterion {num}: {desc}" + (f"  ({detail})" if detail else ""))
+    rows = [(name, float(value), bound, side,
+             None if side is None else bool(SIDES[side](value, bound)))
+            for name, value, bound, side in values] or [(desc, None, None, None, ok)]
+    RECORDS.extend({"criterion": num, "name": name, "value": value, "bound": bound,
+                    "side": side, "passed": passed}
+                   for name, value, bound, side, passed in rows)
     assert ok, f"criterion {num}: {desc} {detail}"
 
 
@@ -75,7 +127,8 @@ def test_criterion_1_pair_system_structure():
             ok, detail = False, f"gamma={g} residual {worst:.2e}, {of(worst, 1e-10, '<=')}"
             break
     detail = detail or f"worst residual {worst_all:.2e}, {of(worst_all, 1e-10, '<=')}"
-    gate(1, "pair-system solution counts and residuals <= 1e-10", ok, detail)
+    gate(1, "pair-system solution counts and residuals <= 1e-10", ok, detail,
+         [("worst residual", worst_all, 1e-10, "<=")])
 
 
 def test_criterion_2_symmetric_branch_exact():
@@ -84,7 +137,8 @@ def test_criterion_2_symmetric_branch_exact():
         t1, t2 = solve_3s(g)[0]
         worst = max(worst, abs(t1 - 2.0 / g), abs(t2 - 2.0 / g))
     gate(2, "symmetric branch t1 = t2 = 2/gamma to 1e-12", worst <= 1e-12,
-         f"worst deviation {worst:.2e}, {of(worst, 1e-12, '<=')}")
+         f"worst deviation {worst:.2e}, {of(worst, 1e-12, '<=')}",
+         [("worst deviation", worst, 1e-12, "<=")])
 
 
 def test_criterion_3_straddle():
@@ -104,7 +158,8 @@ def test_criterion_4_action_ordering():
         sym = math.exp(w + 1.0) * n_gamma(2.0 / g, g)
         worst_margin = min(worst_margin, (sym - asym) / sym)
     gate(4, "asymmetric action strictly below symmetric action", worst_margin > 1e-6,
-         f"smallest relative margin {worst_margin:.3e}, {of(worst_margin, 1e-6, '>')}")
+         f"smallest relative margin {worst_margin:.3e}, {of(worst_margin, 1e-6, '>')}",
+         [("smallest relative margin", worst_margin, 1e-6, ">")])
 
 
 def test_criterion_5_bounds_chain():
@@ -134,7 +189,9 @@ def test_criterion_6_residual_second_order():
     ok = all(1.7 <= s <= 2.3 for s in slopes)
     gate(6, "stationarity residuals decay at second order",
          ok, "slopes interior/bc1/bc2 = " + ", ".join(f"{s:.2f}" for s in slopes)
-         + ", each must lie in [1.7, 2.3]")
+         + ", each must lie in [1.7, 2.3]",
+         [(f"slope {name}", s, bound, side) for name, s in zip(("interior", "bc1", "bc2"), slopes)
+          for bound, side in ((1.7, ">="), (2.3, "<="))])
 
 
 def test_criterion_7_linear_spectrum():
@@ -145,7 +202,8 @@ def test_criterion_7_linear_spectrum():
     ray = quadratic_form(psi, gamma) / mass(psi)
     err = abs(ray - (-4.0 / gamma**2))
     gate(7, "bound-state Rayleigh quotient within 1e-4 of -4/gamma^2",
-         err <= 1e-4, f"error {err:.2e}, {of(err, 1e-4, '<=')}")
+         err <= 1e-4, f"error {err:.2e}, {of(err, 1e-4, '<=')}",
+         [("error", err, 1e-4, "<=")])
 
 
 def test_criterion_8_variational_recovery():
@@ -161,7 +219,9 @@ def test_criterion_8_variational_recovery():
     ok = e1 < 0.01 and e3 < 0.01 and mirror <= 1e-8
     gate(8, "minimizer matches closed forms (1%) and mirror seeds agree (1e-8)",
          ok, f"rel errors {e1:.2e}, {e3:.2e} ({of(e1, 0.01, '<')}; {of(e3, 0.01, '<')}); "
-             f"mirror {mirror:.2e} ({of(mirror, 1e-8, '<=')})")
+             f"mirror {mirror:.2e} ({of(mirror, 1e-8, '<=')})",
+         [("relative error gamma=1", e1, 0.01, "<"), ("relative error gamma=3", e3, 0.01, "<"),
+          ("mirror", mirror, 1e-8, "<=")])
 
 
 def test_criterion_9_conservation():
@@ -188,7 +248,9 @@ def test_criterion_9_conservation():
     gate(9, "mass drift <= 1e-10, energy drift <= 1e-6, halving gains ~4x",
          ok, f"mass {dm:.2e} ({of(dm, 1e-10, '<=')}), energy {de / escale:.2e} "
              f"({of(de / escale, 1e-6, '<=')}), ratio {ratio:.2f} "
-             f"({of(ratio, 3.0, '>=')}; {of(ratio, 5.0, '<=')})")
+             f"({of(ratio, 3.0, '>=')}; {of(ratio, 5.0, '<=')})",
+         [("mass drift", dm, 1e-10, "<="), ("energy drift", de / escale, 1e-6, "<="),
+          ("halving ratio", ratio, 3.0, ">="), ("halving ratio", ratio, 5.0, "<=")])
 
 
 def test_criterion_10_orbital_stability():
@@ -201,16 +263,19 @@ def test_criterion_10_orbital_stability():
         (3.0, Branch.ASYMMETRIC_LEFT),
     ]
     ok = True
-    parts = []
+    parts, values = [], []
     for gamma, branch in gated:
         s = stability_experiment(gamma=gamma, branch=branch, **common)
         # the gate is on the sigma ratio; the W ratio is reported beside it
         parts.append(f"gamma={gamma} {branch.value}: max ratio sigma {s.max_ratio_sigma!r} "
                      f"({of(s.max_ratio_sigma, 10.0, '<=')}), W {s.max_ratio_w!r}")
+        case = f"gamma={gamma} {branch.value}"
+        values += [(f"max ratio sigma {case}", s.max_ratio_sigma, 10.0, "<="),
+                   (f"max ratio W {case}", s.max_ratio_w, None, None)]
         if s.max_ratio_sigma > 10.0:
             ok = False
     gate(10, "perturbed ground states stay within 10x of the initial distance",
-         ok, "; ".join(parts))
+         ok, "; ".join(parts), values)
 
 
 def test_criterion_11_property_suites():
@@ -312,4 +377,5 @@ def test_criterion_11_property_suites():
     margins = ", ".join(f"{suite} {ratio:.2g}" for suite, ratio in worst.items())
     gate(11, "randomized property suites (>=100 cases each)", not failures,
          f"{len(failures) or 'no'} failures; worst error/bound: {margins}, "
-         "each must be <= 1")
+         "each must be <= 1",
+         [(f"worst error/bound {suite}", ratio, 1.0, "<=") for suite, ratio in worst.items()])

@@ -294,8 +294,8 @@ def test_nonfinite_time_step_usage_error(argv, capsys):
 
 
 def test_step_too_large_for_grid_usage_error(capsys):
-    # beyond 1.5 dt / dx^2 = 2^52 the Cayley system cannot be factored
-    # without row interchanges: a usage error naming the bound
+    # beyond 1.5 dt / dx^2 = 2^52, the range the Cayley solve is tested
+    # on, a step is refused: a usage error naming the bound
     assert run(["evolve", "--dt", "1e305", "--t-end", "1e305"]) == 1
     cap = capsys.readouterr()
     assert cap.err.startswith("error: dt = 1e+305 is too large for the grid: "

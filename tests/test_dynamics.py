@@ -56,11 +56,11 @@ class TestLinearStep:
 
     @pytest.mark.parametrize("L, n", [(1.0, 10), (1.0, 256), (20.0, 4096)])
     def test_step_beyond_stiffness_bound_rejected(self, L, n):
-        # 1.5 |dt| / dx^2 must stay below 2^52, where rounding keeps the
-        # Cayley system diagonally dominant: beyond it the step raises
-        # ValueError naming dt and the bound, before any factorization
-        # (zgttrf would fail or interchange rows); the largest accepted dt
-        # still steps and keeps the mass
+        # 1.5 |dt| / dx^2 must stay below 2^52, the range on which the
+        # Cayley solve is tested backward stable: beyond it the step raises
+        # ValueError naming dt and the bound, before any factorization (at
+        # dt = 1e305 the product scale * diag overflows on the two larger
+        # grids); the largest accepted dt still steps and keeps the mass
         g = Grid(L, n)
         u = Field(g, np.random.default_rng(n).standard_normal(n) + 0j)
         bound = 2.0**52 * g.dx * g.dx / 1.5

@@ -170,7 +170,7 @@ u = fields.sample_profile(
     stationary.branch_params(3.0, 0.0, stationary.Branch.ASYMMETRIC_LEFT), grid)
 """
 
-# one expression per LAPACK entry point: gtsv, gttrf + BLAS ztbsv, dstebz and gtsv
+# one expression per LAPACK or BLAS entry point: gtsv, ztbsv, dstebz
 _FIRST_SOLVES = {
     "FormOperator.solve": "fields.form_operator(grid, 3.0).solve(0.5, 1.0, u.values.real)",
     "ShiftedSolver": "dynamics.linear_step(u, 3.0, 1e-3).values",
