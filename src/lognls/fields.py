@@ -24,13 +24,17 @@ Every shifted system with M is solved in trace coordinates: the two
 nodes next to the origin are replaced by the two-node traces u(0-) and
 u(0+), a change of variables v = P w under which P^T (shift + scale M) P
 is tridiagonal and the jump term is the edge between the traces
-(FormOperator._trace_form).  The minimizer and Newton solve each real
-step's system once, in one single-column LAPACK gtsv sweep
-(FormOperator.solve).  The propagator factors its complex Cayley system
-once as L D L^T by the plain recurrence, which its positive definite
-real part lets run without pivoting, and solves it many times with two
-unit-bidiagonal BLAS ztbsv sweeps and one product by 2/D (the Cayley
-identity's factor 2) between the same maps P^T and P (ShiftedSolver).
+(FormOperator._trace_form).  Newton solves each step's system once, in
+one single-column LAPACK gtsv sweep (FormOperator.solve), which pivots.
+The minimizer's descent step I + tau L- is positive definite near a
+ground state, where L- >= 0, so it takes one LAPACK ptsv call (L D L^T
+without pivoting), and the gtsv sweep only where ptsv finds a leading
+minor that is not positive.  The propagator factors its complex Cayley
+system once as L D L^T by the plain recurrence, which its positive
+definite real part lets run without pivoting, and solves it many times
+with two unit-bidiagonal BLAS ztbsv sweeps and one product by 2/D (the
+Cayley identity's factor 2) between the same maps P^T and P
+(ShiftedSolver).
 The LAPACK and BLAS routines come from scipy.linalg, which is imported
 at the first tridiagonal solve (minimizer, Newton step, Morse index,
 propagator), not with this module: ``import lognls`` loads numpy but
@@ -292,9 +296,11 @@ class FormOperator:
 
         The system is solved in trace coordinates w = P^-1 v (see
         _trace_form), where P^T (shift + scale * M) P is tridiagonal: one
-        single-column LAPACK gtsv call on it and P^T r, then v = P w.  The
-        routine runs in the common dtype of shift, scale and r (real for
-        the minimizer).  The result is an array made by this call.
+        single-column LAPACK gtsv call on it and P^T r, then v = P w.  gtsv
+        pivots, so it takes indefinite systems such as Newton's Jacobian;
+        the descent's definite ones go to _definite_sweep.  The routine
+        runs in the common dtype of shift, scale and r (real for the
+        minimizer).  The result is an array made by this call.
         """
         return self._sweep(shift + scale * self.diag, scale, r)
 
@@ -306,6 +312,22 @@ class FormOperator:
         (gtsv,) = _linalg().get_lapack_funcs(("gtsv",), (diag, off, r))
         b = self._to_trace(r.astype(gtsv.dtype))
         *_, w, info = gtsv(off, diag, off, b, overwrite_d=1, overwrite_b=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"tridiagonal solve failed (info={info})")
+        return self._from_trace(w)
+
+    def _definite_sweep(self, diag: np.ndarray, scale: float, r: np.ndarray):
+        """_sweep for a real system that should be positive definite: one
+        LAPACK ptsv call (L D L^T without pivoting) on the same trace form.
+        None when ptsv finds a leading minor that is not positive; diag is
+        overwritten either way."""
+        off = scale * self.off
+        self._trace_form(diag, off, scale * self.coupling)
+        b = self._to_trace(r.copy())
+        *_, w, info = _linalg().lapack.dptsv(diag, off, b, overwrite_d=1, overwrite_e=1,
+                                             overwrite_b=1)
+        if info > 0:
+            return None
         if info != 0:
             raise np.linalg.LinAlgError(f"tridiagonal solve failed (info={info})")
         return self._from_trace(w)
@@ -852,13 +874,19 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
     step size adapts: it grows on accepted steps and backtracks whenever
     the projected action increases, up to MAX_REJECTS times in a row,
     after which the uphill step is taken; the result counts both kinds
-    of step.  Each step's shifted system is solved once, by one
-    single-column gtsv sweep in trace coordinates (FormOperator.solve).
-    Per step, |v|^2 of the iterate is taken
-    once, and the shift 1 + tau (omega - log|v|^2) and the shifted
-    diagonal are built in place in two buffers that belong to this call;
-    the projection squares the step's samples once for its mass and
-    entropy.
+    of step.  Each step's shifted system I + tau L-(v), with
+    L-(v) = M/dx + omega - log v^2, is solved once in trace coordinates by
+    one LAPACK ptsv call (FormOperator._definite_sweep).  L- >= 0 at a
+    ground state, with the state in its kernel, so the system is positive
+    definite where the descent ends on one.  Next to a stationary state
+    where L- has an eigenvalue mu < 0 it is indefinite once tau > -1/mu
+    (mu = -4.92 at the even state that the free Gaussian seed meets at
+    gamma = 1: the delta' bound state).  Where ptsv finds a leading minor
+    that is not positive, the step is FormOperator.solve's pivoted gtsv
+    sweep, with that sweep's bits.  Per step, |v|^2 of the iterate is taken
+    once, and the shift 1 + tau (omega - log|v|^2) and the shifted diagonal
+    are built in place in two buffers that belong to this call; the
+    projection squares the step's samples once for its mass and entropy.
 
     The descent does the variational selection.  Once its relative action
     change has been below HANDOVER_RTOL twice in a row, Newton's method
@@ -900,7 +928,11 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
         shift += 1.0
         np.multiply(scale, op.diag, out=diag)
         diag += shift
-        v_try, S_try = _project(op, op._sweep(diag, scale, v), omega)
+        step = op._definite_sweep(diag, scale, v)
+        if step is None:
+            # away from a ground state I + tau L- may be indefinite
+            step = op.solve(shift, scale, v)
+        v_try, S_try = _project(op, step, omega)
         if S_try > S + ACTION_RISE_RTOL * abs(S):
             if rejects < MAX_REJECTS:
                 tau = max(0.4 * tau, 1e-3)

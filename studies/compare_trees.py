@@ -12,6 +12,8 @@ and hashes the library probes:
 * one ``stability_experiment``;
 * the five ``variational`` minimizations of perfbench (iterations,
   Newton steps, Morse index, value, action and field of each);
+* one minimization from the free-line Gaussian seed of FREE_GAUSSIAN,
+  whose descent meets step systems that are not positive definite;
 * ``stationary_newton`` and ``morse_index`` from the sampled symmetric
   branch on the cases in NEWTON (the same counts and fields, and the
   index of the start);
@@ -74,6 +76,11 @@ STABILITY = dict(gamma=3.0, omega=0.0, branch="asymmetric-left", perturbation_si
                  t_end=0.5, trials=2, rng_seed=0, grid_n=1024, dt=2e-3, record_every=25)
 # perfbench's variational minimizations, on its grid (L = 20, n = 4096)
 MINIMIZE = [(1.0, "symmetric"), (3.0, "left"), (3.0, "right"), (2.01, "left"), (2.1, "left")]
+# a minimization whose step systems are mostly indefinite: the free-line
+# Gaussian e^{1/2} e^{-x^2/2} as a custom seed on Grid(20, grid_n), next to
+# the even stationary state, where L- has a negative eigenvalue; ptsv fails
+# on 14 of the descent's 15 steps and the pivoted sweep solves them
+FREE_GAUSSIAN = dict(gamma=1.0, grid_n=256)
 # (gamma, grid n) of the Newton probes at omega = 0: the symmetric saddle
 # above the pitchfork, and either side of the discrete pitchfork at n = 2048
 NEWTON = [(2.01, 1024), (3.0, 1024), (1.9999, 2048), (2.0, 2048)]
@@ -172,6 +179,11 @@ def probe(arrays_file: str) -> None:
         put_result(f"minimize gamma={gamma:g} seed={seed}",
                    fields.minimize_dgamma(gamma, 0.0, seed=fields.Seed(seed),
                                           grid=fields.Grid(20.0, 4096)))
+    grid, gamma = fields.Grid(20.0, FREE_GAUSSIAN["grid_n"]), FREE_GAUSSIAN["gamma"]
+    x = grid.nodes()
+    put_result(f"minimize free gaussian gamma={gamma:g} n={grid.n}",
+               fields.minimize_dgamma(gamma, 0.0, seed=fields.Field(
+                   grid, np.exp(0.5) * np.exp(-0.5 * x * x)), grid=grid))
     for gamma, n in NEWTON:
         u = fields.sample_profile(branch_params(gamma, 0.0, Branch.SYMMETRIC),
                                   fields.Grid(20.0, n))
@@ -307,8 +319,8 @@ def main(argv=None) -> int:
                 "evolve ") and name.endswith(" records")]).items():
             probes[name]["mass_drift"] = drift
     inputs = {"evolve": EVOLVE_CASES, "stability_experiment": STABILITY,
-              "minimize": MINIMIZE, "newton": NEWTON, "steps": STEPS, "large_dt": LARGE_DT,
-              "gauge": GAUGE, "cli": COMMANDS}
+              "minimize": MINIMIZE, "free_gaussian": FREE_GAUSSIAN, "newton": NEWTON,
+              "steps": STEPS, "large_dt": LARGE_DT, "gauge": GAUGE, "cli": COMMANDS}
     doc = {
         "study": "compare_trees",
         "what": "sha256 of the evolve, stability_experiment, minimizer, Newton, Morse index, "

@@ -168,11 +168,17 @@ from lognls import dynamics, fields, stationary
 grid = fields.Grid(20.0, 256)
 u = fields.sample_profile(
     stationary.branch_params(3.0, 0.0, stationary.Branch.ASYMMETRIC_LEFT), grid)
+op, tau = fields.form_operator(grid, 3.0), fields.TAU0
 """
 
-# one expression per LAPACK or BLAS entry point: gtsv, ztbsv, dstebz
+# one expression per LAPACK or BLAS entry point: gtsv, ztbsv, dstebz and
+# ptsv, the last on the descent's system I + tau L- at tau = TAU0 from the
+# ground state u, where it is positive definite
 _FIRST_SOLVES = {
-    "FormOperator.solve": "fields.form_operator(grid, 3.0).solve(0.5, 1.0, u.values.real)",
+    "FormOperator.solve": "op.solve(0.5, 1.0, u.values.real)",
+    "FormOperator._definite_sweep":
+        "op._definite_sweep(1.0 - tau * np.log(u.values.real ** 2) + tau / grid.dx * op.diag, "
+        "tau / grid.dx, u.values.real)",
     "ShiftedSolver": "dynamics.linear_step(u, 3.0, 1e-3).values",
     "morse_index": "np.array(fields.morse_index(u, 3.0, 0.0))",
 }
