@@ -149,7 +149,9 @@ def field_csv(field: Field) -> str:
     return _csv_template(field.grid) % tuple(parts.tolist())
 
 
-def load_config_file(path: str) -> dict[str, str]:
+def load_config_file(path: str) -> dict[str, tuple[int, str]]:
+    """key -> (line number, value text) of a ``key = value`` file; '#'
+    starts a comment, and a key given twice keeps its last line."""
     out = {}
     try:
         with open(path) as fh:
@@ -160,11 +162,14 @@ def load_config_file(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected 'key = value'")
                 key, val = line.split("=", 1)
-                out[key.strip().replace("-", "_")] = val.strip()
+                out[key.strip().replace("-", "_")] = lineno, val.strip()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     return out
 
+
+# what a config value must spell for an option of each default type
+_TYPE_NAMES = {int: "an integer", float: "a number"}
 
 # options whose value names one of a fixed set; merge_options maps the
 # name to its value
@@ -176,15 +181,20 @@ _CHOICES = {
 
 def merge_options(args: argparse.Namespace, defaults: dict) -> dict:
     """defaults < config file < explicit flags (flags parse to non-None).
-    Every value takes the type of its default; a choice option's name is
-    replaced by the value it names."""
+    Every value takes the type of its default, and a config value that
+    does not parse as it is named by file, line and key; a choice option's
+    name is replaced by the value it names."""
     merged = dict(defaults)
     if getattr(args, "config", None):
-        filemap = load_config_file(args.config)
-        for key, val in filemap.items():
+        for key, (lineno, val) in load_config_file(args.config).items():
             if key not in defaults:
                 raise UsageError(f"unknown config key '{key}'")
-            merged[key] = type(defaults[key])(val)
+            kind = type(defaults[key])
+            try:
+                merged[key] = kind(val)
+            except ValueError:
+                raise UsageError(f"{args.config}:{lineno}: {key} must be "
+                                 f"{_TYPE_NAMES[kind]}, got '{val}'") from None
     for key in defaults:
         val = getattr(args, key, None)
         if val is not None:

@@ -29,7 +29,11 @@ one single-column LAPACK gtsv sweep (FormOperator.solve), which pivots.
 The minimizer's descent step I + tau L- is positive definite near a
 ground state, where L- >= 0, so it takes one LAPACK ptsv call (L D L^T
 without pivoting), and the gtsv sweep only where ptsv finds a leading
-minor that is not positive.  The propagator factors its complex Cayley
+minor that is not positive.  The descent carries its iterate as a step s
+and the scale lambda of its Nehari projection, never forming lambda s
+between steps: the projection's log s^2, shifted by the scalar
+2 log lambda, builds the next step's shift, so each step takes one
+logarithm.  The propagator factors its complex Cayley
 system once as L D L^T by the plain recurrence, which its positive
 definite real part lets run without pivoting, and solves it many times
 with two unit-bidiagonal BLAS ztbsv sweeps and one product by 2/D (the
@@ -59,6 +63,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -526,24 +531,47 @@ _LOG_MAX = math.log(np.finfo(float).max)
 _LOG_MIN = math.log(math.ulp(0.0))
 
 
-def _project(op: FormOperator, values: np.ndarray, omega: float):
-    """nehari_project on the samples `values` with the form of op, and the
-    action of the result: on the constraint set it is half the mass, so
-    it is lambda^2 times half the mass of `values`."""
-    r = _report(op, values, omega)
-    if r.mass <= 0.0:
+def _project(op: FormOperator, values: np.ndarray, omega: float, log_s2=None):
+    """nehari_project on the samples s = `values` with the form of op,
+    without forming the projection lambda s: returns lambda, the action S
+    of lambda s (on the constraint set it is half the mass, so lambda^2
+    times half the mass of s) and log_s2 or None.
+
+    The form, mass, entropy and Nehari value are _report's.  log_s2 is an
+    array the caller owns.  When it is given and no square s^2 is zero or
+    subnormal, log s^2 is written there and the entropy is summed from
+    s^2 times it: there that log is _log_abs2(s) and entropy_of_squares'
+    log, so S has the bits it has without log_s2.  log_s2 is returned when,
+    besides, min s^2 min(1, lambda^2) >= 2 tiny (tiny the smallest normal
+    double): then no square of s or of lambda s reaches _log_abs2's floor,
+    even after the rounding of lambda s and its square, so log_s2 +
+    2 log lambda is _log_abs2(lambda s) in exact arithmetic (_step_shift).
+    Otherwise None is returned and log_s2 may hold anything.
+    """
+    dx = op.grid.dx
+    f = op.form(values)
+    s2 = _abs2(values)
+    q = float(dx * np.sum(s2))
+    if q <= 0.0:
         raise ValueError("cannot project the zero field")
+    low = 0.0 if log_s2 is None else float(np.min(s2))
+    if low >= corefn._TINY:
+        e = float(dx * np.sum(np.multiply(s2, np.log(s2, out=log_s2), out=s2)))
+    else:
+        e = float(dx * np.sum(corefn.entropy_of_squares(s2)))
+    nehari = f + omega * q - e
     # log lambda and the log of the projected mass, checked before exp: a
     # field far from the constraint set would overflow them, or flush them to 0
-    log_lam = r.nehari / (2.0 * r.mass)
-    log_mass = 2.0 * log_lam + math.log(r.mass)
+    log_lam = nehari / (2.0 * q)
+    log_mass = 2.0 * log_lam + math.log(q)
     if not (_LOG_MIN < log_lam < _LOG_MAX and _LOG_MIN < log_mass < _LOG_MAX):
         raise ValueError(
             f"cannot project onto the constraint set: the factor exp(I/(2 mass)) = "
             f"exp({log_lam:.6g}) takes the mass to exp({log_mass:.6g}), outside the "
-            f"range of doubles (I = {r.nehari:.6g}, mass = {r.mass:.6g})")
+            f"range of doubles (I = {nehari:.6g}, mass = {q:.6g})")
     lam = math.exp(log_lam)
-    return lam * values, 0.5 * lam * lam * r.mass
+    logged = low * min(1.0, lam * lam) >= 2.0 * corefn._TINY
+    return lam, 0.5 * lam * lam * q, log_s2 if logged else None
 
 
 def nehari_project(u: Field, gamma: float, omega: float) -> Field:
@@ -554,7 +582,7 @@ def nehari_project(u: Field, gamma: float, omega: float) -> Field:
     the entropy picks up exactly log(lambda^2) * mass.
     """
     _check_omega(omega)
-    return u.with_values(_project(form_operator(u.grid, gamma), u.values, omega)[0])
+    return u.with_values(_project(form_operator(u.grid, gamma), u.values, omega)[0] * u.values)
 
 
 def stationary_residual(u: Field, gamma: float, omega: float) -> StationaryResidual:
@@ -725,6 +753,11 @@ RESIDUAL_TOL = 1e-6
 # NEWTON_MAX_ITER steps.  No residual tolerance: the residual's rounding
 # floor grows like 1/dx^2.
 HANDOVER_RTOL = 1e-8
+# the descent's next step solves for its carried step s while s is within
+# a factor SCALE_DRIFT of its projection lambda s, and for lambda s beyond,
+# so that s returns to the iterate's scale before its squares near the
+# ends of the double range, where they lose precision or overflow
+SCALE_DRIFT = 2.0**32
 NEWTON_STEP_RTOL = 1024 * np.finfo(float).eps
 NEWTON_STALL_RTOL = math.sqrt(np.finfo(float).eps)
 NEWTON_MAX_ITER = 30
@@ -862,6 +895,22 @@ def _seed_values(seed, gamma: float, omega: float, grid: Grid) -> np.ndarray:
     raise ValueError(f"unknown seed {seed!r}")
 
 
+def _step_shift(out: np.ndarray, s: np.ndarray, lam: float, log_s2, tau: float,
+                omega: float) -> np.ndarray:
+    """The descent step's shift 1 + tau (omega - log|v|^2) at the iterate
+    v = lam s, with |v|^2 floored as _log_abs2 floors it, written to out.
+    Given log_s2 = log s^2, which _project returns only where the floor is
+    not reached, it takes two passes, as log|v|^2 = log s^2 + 2 log lam;
+    with log_s2 None it forms v and takes its floored log."""
+    if log_s2 is None:
+        _log_abs2(lam * s, out=out)
+        np.subtract(omega, out, out=out)
+        out *= tau
+        return np.add(out, 1.0, out=out)
+    np.multiply(log_s2, tau, out=out)
+    return np.subtract(1.0 + tau * (omega - 2.0 * math.log(lam)), out, out=out)
+
+
 def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
                     grid: Grid = DEFAULT_GRID, max_iter: int = 4000) -> MinimizeResult:
     """Least action over the constraint set by projected descent, with a
@@ -883,10 +932,21 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
     (mu = -4.92 at the even state that the free Gaussian seed meets at
     gamma = 1: the delta' bound state).  Where ptsv finds a leading minor
     that is not positive, the step is FormOperator.solve's pivoted gtsv
-    sweep, with that sweep's bits.  Per step, |v|^2 of the iterate is taken
-    once, and the shift 1 + tau (omega - log|v|^2) and the shifted diagonal
-    are built in place in two buffers that belong to this call; the
-    projection squares the step's samples once for its mass and entropy.
+    sweep, with that sweep's bits.
+
+    The iterate v = lambda s is carried as the step s, the scalar lambda
+    of its projection and the projection's log s^2 (_project), in buffers
+    that belong to this call; v itself is formed only for Newton's
+    hand-over and the result.  As log|v|^2 = log s^2 + 2 log lambda, the
+    shift 1 + tau (omega - log|v|^2) is built from that log in two passes
+    (_step_shift), with no logarithm of its own, unless a square of v
+    would reach _log_abs2's floor: then, as for a seed with exact zeros,
+    it is built from v.  Each step solves (I + tau L-(v)) w = s, the step
+    of v divided by lambda, which the projection, being scale-invariant,
+    does not see: it takes the step's squares once for the mass, its log
+    and the entropy.  Where lambda is beyond a factor SCALE_DRIFT of 1 (a
+    seed far from the constraint set), the step solves for v instead, so
+    that s keeps the scale of v.
 
     The descent does the variational selection.  Once its relative action
     change has been below HANDOVER_RTOL twice in a row, Newton's method
@@ -910,29 +970,34 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
     """
     op = form_operator(grid, gamma)
     _check_omega(omega)
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be a positive integer, got {max_iter}")
-    dx = grid.dx
-    v, S = _project(op, _seed_values(seed, gamma, omega, grid), omega)
-    shift, diag = np.empty(grid.n), np.empty(grid.n)
+    if isinstance(max_iter, bool) or not (isinstance(max_iter, numbers.Integral)
+                                          and max_iter >= 1):
+        raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
+    dx, n = grid.dx, grid.n
+    # the iterate is lam * s; log_s2 is None or the buffer logs, holding
+    # log s^2 (_project); the log of the next step goes to spare
+    logs, spare, shift, diag = (np.empty(n) for _ in range(4))
+    s = _seed_values(seed, gamma, omega, grid)
+    lam, S, log_s2 = _project(op, s, omega, logs)
     tau = TAU0
     stall = near = 0
     rejects = 0  # in a row
     rejected = forced = newton = 0
     for it in range(1, max_iter + 1):
-        # the step's diagonal shift + scale * op.diag, shift = 1 + tau (omega - log|v|^2)
+        # the step's diagonal shift + scale * op.diag
         scale = tau / dx
-        _log_abs2(v, out=shift)
-        np.subtract(omega, shift, out=shift)
-        shift *= tau
-        shift += 1.0
+        _step_shift(shift, s, lam, log_s2, tau, omega)
         np.multiply(scale, op.diag, out=diag)
         diag += shift
-        step = op._definite_sweep(diag, scale, v)
+        # the step of lam * s over lam, which the scale-invariant projection
+        # does not see; the step of lam * s itself where lam is far from 1
+        # (a seed far from the constraint set), so that s returns to its scale
+        r = s if 1.0 / SCALE_DRIFT <= lam <= SCALE_DRIFT else lam * s
+        step = op._definite_sweep(diag, scale, r)
         if step is None:
             # away from a ground state I + tau L- may be indefinite
-            step = op.solve(shift, scale, v)
-        v_try, S_try = _project(op, step, omega)
+            step = op.solve(shift, scale, r)
+        lam_try, S_try, log_try = _project(op, step, omega, spare)
         if S_try > S + ACTION_RISE_RTOL * abs(S):
             if rejects < MAX_REJECTS:
                 tau = max(0.4 * tau, 1e-3)
@@ -942,28 +1007,29 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
             forced += 1
         rejects = 0
         rel = abs(S_try - S) / max(abs(S_try), 1e-300)
-        v, S = v_try, S_try
+        s, lam, S, log_s2 = step, lam_try, S_try, log_try
+        logs, spare = spare, logs
         tau = min(1.3 * tau, TAU_MAX)
         stall = stall + 1 if rel < ACTION_RTOL else 0
         near = near + 1 if rel < HANDOVER_RTOL else 0
         if near >= 2 and not newton:
             # Newton from the descent iterate, once per run; its projected
             # state is kept if it passes the three checks, action first
-            w, newton, converged = _newton(op, v, omega)
+            w, newton, converged = _newton(op, lam * s, omega)
             if converged:
-                w, S_newton = _project(op, w, omega)
+                lam_newton, S_newton, _ = _project(op, w, omega)
                 if S_newton <= S + ACTION_RISE_RTOL * abs(S):
-                    done = _certify(op, gamma, omega, w, iterations=it + newton,
+                    done = _certify(op, gamma, omega, lam_newton * w, iterations=it + newton,
                                     rejected=rejected, forced=forced, newton=newton)
                     if done.residual.interior < RESIDUAL_TOL and done.index == 1:
                         return done
         if stall >= 2:
-            done = _certify(op, gamma, omega, v, iterations=it + newton, rejected=rejected,
-                            forced=forced, newton=newton)
+            done = _certify(op, gamma, omega, lam * s, iterations=it + newton,
+                            rejected=rejected, forced=forced, newton=newton)
             if done.residual.interior < RESIDUAL_TOL:
                 return done
             stall = 0
-    last = _certify(op, gamma, omega, v, iterations=it + newton, rejected=rejected,
+    last = _certify(op, gamma, omega, lam * s, iterations=it + newton, rejected=rejected,
                     forced=forced, newton=newton)
     raise ConvergenceError(
         f"no convergence after {last.iterations} iterations at gamma={gamma}, omega={omega} "

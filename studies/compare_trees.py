@@ -14,6 +14,8 @@ and hashes the library probes:
   Newton steps, Morse index, value, action and field of each);
 * one minimization from the free-line Gaussian seed of FREE_GAUSSIAN,
   whose descent meets step systems that are not positive definite;
+* one minimization from the narrow Gaussian seed of NARROW_SEED, whose
+  exact zeros and subnormal squares reach the floor of the logarithm;
 * ``stationary_newton`` and ``morse_index`` from the sampled symmetric
   branch on the cases in NEWTON (the same counts and fields, and the
   index of the start);
@@ -81,6 +83,11 @@ MINIMIZE = [(1.0, "symmetric"), (3.0, "left"), (3.0, "right"), (2.01, "left"), (
 # the even stationary state, where L- has a negative eigenvalue; ptsv fails
 # on 14 of the descent's 15 steps and the pivoted sweep solves them
 FREE_GAUSSIAN = dict(gamma=1.0, grid_n=256)
+# the narrow seed e^{-(x/width)^2} of tests/test_fields.py's
+# test_step_counts_pinned on Grid(20, grid_n): it has exact zeros, so the
+# first steps build their shift from the floored log|v|^2 of the
+# projected iterate, not from the projection's log s^2
+NARROW_SEED = dict(gamma=1.0, grid_n=1024, width=0.1)
 # (gamma, grid n) of the Newton probes at omega = 0: the symmetric saddle
 # above the pitchfork, and either side of the discrete pitchfork at n = 2048
 NEWTON = [(2.01, 1024), (3.0, 1024), (1.9999, 2048), (2.0, 2048)]
@@ -184,6 +191,10 @@ def probe(arrays_file: str) -> None:
     put_result(f"minimize free gaussian gamma={gamma:g} n={grid.n}",
                fields.minimize_dgamma(gamma, 0.0, seed=fields.Field(
                    grid, np.exp(0.5) * np.exp(-0.5 * x * x)), grid=grid))
+    grid, gamma = fields.Grid(20.0, NARROW_SEED["grid_n"]), NARROW_SEED["gamma"]
+    put_result(f"minimize narrow seed gamma={gamma:g} n={grid.n}",
+               fields.minimize_dgamma(gamma, 0.0, seed=fields.Field(
+                   grid, np.exp(-(grid.nodes() / NARROW_SEED["width"]) ** 2)), grid=grid))
     for gamma, n in NEWTON:
         u = fields.sample_profile(branch_params(gamma, 0.0, Branch.SYMMETRIC),
                                   fields.Grid(20.0, n))
@@ -319,7 +330,8 @@ def main(argv=None) -> int:
                 "evolve ") and name.endswith(" records")]).items():
             probes[name]["mass_drift"] = drift
     inputs = {"evolve": EVOLVE_CASES, "stability_experiment": STABILITY,
-              "minimize": MINIMIZE, "free_gaussian": FREE_GAUSSIAN, "newton": NEWTON,
+              "minimize": MINIMIZE, "free_gaussian": FREE_GAUSSIAN,
+              "narrow_seed": NARROW_SEED, "newton": NEWTON,
               "steps": STEPS, "large_dt": LARGE_DT, "gauge": GAUGE, "cli": COMMANDS}
     doc = {
         "study": "compare_trees",

@@ -11,47 +11,56 @@ trees' numbers are taken side by side on the same machine state.
 The parts are those of one descent iteration of ``minimize_dgamma`` at
 the 2.01-left case on Grid(20, 4096), perfbench's slowest minimization:
 the first step, from the projected seed at tau = TAU0, where the step
-system I + tau L-(v) is positive definite.  They are the build of the
-shift and the shifted diagonal (eight passes, three of them the floored
-log|v|^2, as the minimizer runs them); the trace form (scale * off and
-``FormOperator._trace_form``); the map P^T with the copy of r it maps;
-the LAPACK ptsv and gtsv sweeps on the trace form, as
+system I + tau L-(v) is positive definite.  Each tree's parts are the
+code its minimizer runs.  A tree whose ``fields._project`` takes a log
+buffer carries the iterate as (s, lambda, log s^2): its build is
+``fields._step_shift`` from the projection's log s^2 plus the shifted
+diagonal, its step solves for s, and its projection writes the log of
+the step.  A tree without one solves for v = lambda s, and its build is
+this study's copy of the eight passes such a tree runs, three of them
+the floored log|v|^2.  The other parts are the trace form (scale * off
+and ``FormOperator._trace_form``); the map P^T with the copy of r it
+maps; the LAPACK ptsv and gtsv sweeps on the trace form, as
 ``_definite_sweep`` and ``_sweep`` call them; the map P back; the step's
 whole solve as each tree's minimizer runs it (``_definite_sweep`` where
 the tree has it, else ``_sweep``) and the pivoted ``_sweep`` on its own;
-the pieces of ``fields._report`` (the form from edges, the squares, the
-two sums and the entropy of the squares), the product lambda * v of the
-projection and the whole projection; and the whole iteration (build,
-solve and projection).  A part that overwrites its inputs runs after
-copies that restore them, and the copies' time, timed as its own part,
-is subtracted.  Each part is timed in ROUNDS rounds as the best of
-REPEATS batches of CALLS calls, the two trees alternating first and
-second between rounds.
+the pieces of the projection (the form from edges, the squares, the
+mass sum; then either the entropy of the squares, its sum and the
+product lambda * v, or the min of the squares, their log, the squares
+times their log and its sum) and the whole projection; and the whole
+iteration (build, solve and projection).  A part that overwrites its
+inputs runs after copies that restore them, and the copies' time, timed
+as its own part, is subtracted.  Each part is timed in ROUNDS rounds as
+the best of REPEATS batches of CALLS calls, the two trees alternating
+first and second between rounds.  Every round allocates each part's
+arrays afresh: with one allocation for the whole run, a part whose code
+is the same on both sides read up to 17 % apart, either tree ahead, in
+every round of a run (where the arrays fell mattered more than the
+tree); allocated per round, they read within 5.2 % in three runs, one
+of them with the same tree on both sides.
 
 It also times the five ``variational`` minimizations of perfbench on
 Grid(20, 4096), each as the best of MIN_REPEATS runs in each of ROUNDS
 rounds, alternated the same way, and counts per tree each case's
-(iterations, newton, index), its descent steps and the steps on which
+(iterations, newton, index), its descent steps, the steps on which
 ptsv found a leading minor that is not positive and the pivoted sweep
-ran instead (null for a tree without ``_definite_sweep``), in one
-untimed run.
+ran instead (null for a tree without ``_definite_sweep``) and the steps
+whose shift was built from lambda s rather than from log s^2 (null for
+a tree without ``_step_shift``), in one untimed run.
 
 The JSON written to FILE has, per part and per minimization, both
 trees' median and quartiles (us for a part, ms for a minimization), the
 change's median relative to the base's and the rounds the change won,
 the counts, and the run manifest of ``perfbench/manifest.py`` for each
-tree.  BLAS runs on one thread.  It takes about 20 s on a 2-vCPU VM and
-is not part of the test suite.  A part can read apart between the
-trees with the same code on both sides: the build, which is this
-study's own code, read +16.9 % in one run and -15.6 % in the next, each
-in every round.  So a part's gap says little below ~17 %; the whole
-iteration and the minimizations tell the trees apart.
+tree.  BLAS runs on one thread.  It takes about 15 s on a 2-vCPU VM and
+is not part of the test suite.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import inspect
 import json
 import math
 import statistics
@@ -97,7 +106,8 @@ def best_ms(call) -> float:
 def iteration_parts(lib) -> dict:
     """name -> (call, name of the part whose time is subtracted, or None)
     for one descent iteration of lib's minimizer; a part lib does not
-    have is left out."""
+    have is left out.  Every array the parts read or write is allocated
+    by this call."""
     import numpy as np
 
     fields = importlib.import_module(lib.__name__ + ".fields")
@@ -105,31 +115,48 @@ def iteration_parts(lib) -> dict:
     grid = fields.Grid(20.0, N)
     op, n, dx = fields.form_operator(grid, GAMMA), grid.n, grid.dx
     lapack = fields._linalg().lapack
-    v = fields._project(op, fields._seed_values(fields.Seed(SEED), GAMMA, 0.0, grid), 0.0)[0]
+    project = fields._project
+    # a tree whose projection takes a log buffer carries the iterate as
+    # (s, lambda, log s^2) and solves for s; the others form v = lambda s
+    carried = "log_s2" in inspect.signature(project).parameters
+    s = fields._seed_values(fields.Seed(SEED), GAMMA, 0.0, grid)
     tau = fields.TAU0
     scale, coupling = tau / dx, tau / dx * op.coupling
-    shift, diag = np.empty(n), np.empty(n)
+    shift, diag, spare = np.empty(n), np.empty(n), np.empty(n)
+    if carried:
+        lam, _, log_s2 = project(op, s, 0.0, np.empty(n))
+        r = s
 
-    def build():
-        corefn._log_abs2(v, out=shift)
-        np.subtract(0.0, shift, out=shift)
-        np.multiply(shift, tau, out=shift)
-        np.add(shift, 1.0, out=shift)
-        np.multiply(scale, op.diag, out=diag)
-        np.add(diag, shift, out=diag)
+        def build():
+            fields._step_shift(shift, s, lam, log_s2, tau, 0.0)
+            np.multiply(scale, op.diag, out=diag)
+            np.add(diag, shift, out=diag)
+
+        def projection(step):
+            return project(op, step, 0.0, spare)
+    else:
+        r = project(op, s, 0.0)[0]
+
+        def build():  # the eight passes of a tree without _step_shift
+            corefn._log_abs2(r, out=shift)
+            np.subtract(0.0, shift, out=shift)
+            np.multiply(shift, tau, out=shift)
+            np.add(shift, 1.0, out=shift)
+            np.multiply(scale, op.diag, out=diag)
+            np.add(diag, shift, out=diag)
+
+        def projection(step):
+            return project(op, step, 0.0)
 
     # the step's intermediates, saved from one run
     build()
     d_step = diag.copy()
     d_trace, e_trace = d_step.copy(), scale * op.off
     op._trace_form(d_trace, e_trace, coupling)
-    b_trace = op._to_trace(v.copy())
+    b_trace = op._to_trace(r.copy())
     w = lapack.dptsv(d_trace, e_trace, b_trace)[2]
     step = op._from_trace(w.copy())
-    r = fields._report(op, step, 0.0)
-    lam = math.exp(r.nehari / (2.0 * r.mass))  # as _project takes it
     s2 = corefn._abs2(step)
-    ent = corefn.entropy_of_squares(s2)
     d, e, b = np.empty(n), np.empty(n - 1), np.empty(n)
 
     def restore_trace():
@@ -150,7 +177,7 @@ def iteration_parts(lib) -> dict:
         op._trace_form(d, scale * op.off, coupling)
 
     def to_trace():
-        op._to_trace(v.copy())
+        op._to_trace(r.copy())
 
     def from_trace():
         np.copyto(b, w)
@@ -162,7 +189,7 @@ def iteration_parts(lib) -> dict:
     def solver(sweep):
         def call():
             np.copyto(diag, d_step)
-            return sweep(diag, scale, v)
+            return sweep(diag, scale, r)
         return call
 
     definite = getattr(op, "_definite_sweep", None)
@@ -171,12 +198,12 @@ def iteration_parts(lib) -> dict:
 
     def iteration():
         build()
-        fields._project(op, solve(), 0.0)
+        projection(solve())
 
     parts = {
         "copies restoring the trace form and P^T r": (restore_trace, None),
         "copy restoring the diagonal": (restore_diag, None),
-        "build: shift and diagonal (8 passes)": (build, None),
+        "build: shift and diagonal": (build, None),
         "trace form (scale * off, _trace_form)": (trace_form, "copy restoring the diagonal"),
         "map P^T with the copy of r": (to_trace, None),
         "ptsv sweep": (ptsv, "copies restoring the trace form and P^T r"),
@@ -184,16 +211,30 @@ def iteration_parts(lib) -> dict:
         "map P": (from_trace, "copy restoring the diagonal"),
         "solve as the minimizer runs it": (solve, "copy restoring the diagonal"),
         "_sweep (pivoted, whole)": (solver(op._sweep), "copy restoring the diagonal"),
-        "report: form": (lambda: op.form(step), None),
-        "report: squares": (lambda: corefn._abs2(step), None),
-        "report: mass sum": (lambda: float(dx * np.sum(s2)), None),
-        "report: entropy of squares": (lambda: corefn.entropy_of_squares(s2), None),
-        "report: entropy sum": (lambda: float(dx * np.sum(ent)), None),
-        "report (whole)": (lambda: fields._report(op, step, 0.0), None),
-        "lambda * v": (lambda: lam * step, None),
-        "projection (whole)": (lambda: fields._project(op, step, 0.0), None),
-        "whole iteration (build, solve, projection)": (iteration, None),
+        "projection: form": (lambda: op.form(step), None),
+        "projection: squares": (lambda: corefn._abs2(step), None),
+        "projection: mass sum": (lambda: float(dx * np.sum(s2)), None),
     }
+    if carried:
+        logs, prod = np.log(s2), s2 * np.log(s2)
+        parts.update({
+            "projection: min of the squares": (lambda: float(np.min(s2)), None),
+            "projection: log of the squares": (lambda: np.log(s2, out=spare), None),
+            "projection: squares times their log": (lambda: np.multiply(s2, logs, out=spare),
+                                                    None),
+            "projection: entropy sum": (lambda: float(dx * np.sum(prod)), None),
+        })
+    else:
+        ent = corefn.entropy_of_squares(s2)
+        rep = fields._report(op, step, 0.0)
+        lam_step = math.exp(rep.nehari / (2.0 * rep.mass))  # as _project takes it
+        parts.update({
+            "projection: entropy of squares": (lambda: corefn.entropy_of_squares(s2), None),
+            "projection: entropy sum": (lambda: float(dx * np.sum(ent)), None),
+            "projection: lambda * v": (lambda: lam_step * step, None),
+        })
+    parts["projection (whole)"] = (lambda: projection(step), None)
+    parts["whole iteration (build, solve, projection)"] = (iteration, None)
     return parts
 
 
@@ -208,46 +249,62 @@ def minimizations(lib) -> dict:
 
 
 def counts(lib, calls: dict) -> dict:
-    """Per minimization, its (iterations, newton, index), its descent steps
-    and the steps on which ptsv failed (None for a tree without
-    _definite_sweep), from one run with _definite_sweep wrapped."""
-    cls = importlib.import_module(lib.__name__ + ".fields").FormOperator
-    sweep, fallbacks = getattr(cls, "_definite_sweep", None), [0]
+    """Per minimization, its (iterations, newton, index), its descent steps,
+    the steps on which ptsv failed (None for a tree without
+    _definite_sweep) and the steps whose shift was built from lambda s,
+    not from the projection's log s^2 (None for a tree without
+    _step_shift), from one run with both wrapped."""
+    fields = importlib.import_module(lib.__name__ + ".fields")
+    cls = fields.FormOperator
+    sweep, build = getattr(cls, "_definite_sweep", None), getattr(fields, "_step_shift", None)
+    tally = {"fallbacks": 0, "shift_from_lambda_s": 0}
 
-    def wrapped(self, diag, scale, r):
+    def wrapped_sweep(self, diag, scale, r):
         w = sweep(self, diag, scale, r)
-        fallbacks[0] += w is None
+        tally["fallbacks"] += w is None
         return w
+
+    def wrapped_build(out, s, lam, log_s2, tau, omega):
+        tally["shift_from_lambda_s"] += log_s2 is None
+        return build(out, s, lam, log_s2, tau, omega)
 
     out = {}
     if sweep is not None:
-        cls._definite_sweep = wrapped
+        cls._definite_sweep = wrapped_sweep
+    if build is not None:
+        fields._step_shift = wrapped_build
     try:
         for case, call in calls.items():
-            fallbacks[0] = 0
+            tally.update(fallbacks=0, shift_from_lambda_s=0)
             r = call()
             out[case] = {"iterations": r.iterations, "newton": r.newton, "index": r.index,
                          "descent_steps": r.iterations - r.newton,
-                         "fallbacks": None if sweep is None else fallbacks[0]}
+                         "fallbacks": None if sweep is None else tally["fallbacks"],
+                         "shift_from_lambda_s":
+                             None if build is None else tally["shift_from_lambda_s"]}
     finally:
         if sweep is not None:
             cls._definite_sweep = sweep
+        if build is not None:
+            fields._step_shift = build
     return out
 
 
-def alternate(calls: dict, measure, trees) -> dict:
+def alternate(make_calls, measure, trees) -> dict:
     """Per name, each tree's ROUNDS measurements of calls[name][tree], the
-    trees alternating first and second between rounds."""
-    for per_tree in calls.values():  # warm up
+    trees alternating first and second between rounds, where calls =
+    make_calls() is made anew for the warm-up and for every round."""
+    for per_tree in make_calls().values():  # warm up
         for call in per_tree.values():
             call()
-    runs = {name: {k: [] for k in trees} for name in calls}
+    runs = {}
     for r in range(ROUNDS):
         order = trees if r % 2 == 0 else trees[::-1]
-        for name, per_tree in calls.items():
+        for name, per_tree in make_calls().items():
             for k in order:
                 if k in per_tree:
-                    runs[name][k].append(measure(per_tree[k]))
+                    runs.setdefault(name, {t: [] for t in trees})[k].append(
+                        measure(per_tree[k]))
     return runs
 
 
@@ -286,9 +343,14 @@ def main(argv=None) -> int:
 
     by_tree = {k: iteration_parts(lib) for k, lib in libs.items()}
     part_names = list(dict.fromkeys(name for k in names for name in by_tree[k]))
-    calls = {name: {k: by_tree[k][name][0] for k in names if name in by_tree[k]}
-             for name in part_names}
-    runs = alternate(calls, per_call_us, names)
+
+    def part_calls():
+        # each round's parts read and write arrays allocated for that round
+        fresh = {k: iteration_parts(lib) for k, lib in libs.items()}
+        return {name: {k: fresh[k][name][0] for k in names if name in fresh[k]}
+                for name in part_names}
+
+    runs = alternate(part_calls, per_call_us, names)
     parts = {}
     for name in part_names:
         minus = next(by_tree[k][name][1] for k in names if name in by_tree[k])
@@ -299,7 +361,7 @@ def main(argv=None) -> int:
     by_tree = {k: minimizations(lib) for k, lib in libs.items()}
     tallies = {k: counts(libs[k], by_tree[k]) for k in names}
     calls = {case: {k: by_tree[k][case] for k in names} for case in by_tree["base"]}
-    runs = alternate(calls, best_ms, names)
+    runs = alternate(lambda: calls, best_ms, names)
     total = {k: [sum(xs) for xs in zip(*(runs[case][k] for case in calls))] for k in names}
     minimize = {case: {**summary(runs[case], "ms"), "counts": {k: tallies[k][case]
                                                                 for k in names}}
@@ -320,7 +382,8 @@ def main(argv=None) -> int:
         print(f"minimize {case}: {m['base_ms']:.2f} -> {m['change_ms']:.2f} ms "
               f"({m['relative']:+.1%}, change faster in {m['change_wins']} of {ROUNDS})"
               + ("" if "counts" not in m else
-                 f", fallbacks {m['counts']['change']['fallbacks']} of "
+                 f", fallbacks {m['counts']['change']['fallbacks']} and shifts from "
+                 f"lambda s {m['counts']['change']['shift_from_lambda_s']} of "
                  f"{m['counts']['change']['descent_steps']} steps"))
     inputs = {"n": N, "gamma": GAMMA, "seed": SEED, "minimize": MINIMIZE, "rounds": ROUNDS,
               "repeats": REPEATS, "calls": CALLS, "minimize_repeats": MIN_REPEATS}

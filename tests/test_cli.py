@@ -461,6 +461,16 @@ class TestConfigFile:
         key = line.split()[0]
         assert err.startswith(f"error: {key} must be one of")
 
+    @pytest.mark.parametrize("command, line, kind", [("minimize", "max_iter = 2.5", "an integer"),
+                                                     ("ground", "gamma = x3", "a number")])
+    def test_value_of_wrong_type_named(self, command, line, kind, tmp_path, capsys):
+        # the message names the file, the line, the key and the type expected
+        cfg = tmp_path / "typed.cfg"
+        cfg.write_text("# a comment line\ngrid_n = 256\n" + line + "\n")
+        assert run([command, "--config", str(cfg)]) == 1
+        key, _, val = line.partition(" = ")
+        assert capsys.readouterr().err == f"error: {cfg}:3: {key} must be {kind}, got '{val}'\n"
+
     def test_missing_file_rejected(self, tmp_path):
         assert run(["ground", "--config", str(tmp_path / "nope.cfg")]) == 1
 

@@ -450,8 +450,10 @@ class TestMinimize:
         assert grid.default is DEFAULT_GRID == Grid(20.0, 4096)
 
     def test_max_iter_validation(self):
-        for bad in (0, -1):
-            with pytest.raises(ValueError, match="max_iter"):
+        # a fraction or a bool is refused as a count, as stability_experiment
+        # refuses them for trials
+        for bad in (0, -1, 2.5, 3.0, True, "10"):
+            with pytest.raises(ValueError, match="max_iter must be a positive integer"):
                 minimize_dgamma(1.0, 0.0, grid=Grid(20.0, 256), max_iter=bad)
 
     def test_nonconvergence_carries_diagnostics(self):
@@ -524,13 +526,13 @@ class TestMinimize:
         assert (r.iterations - r.newton, r.rejected, r.forced, r.index) == (102, 0, 0, 2)
         assert r.newton > 0
         assert r.value == 0.42604500481851115
-        assert hashlib.sha256(r.field.values.tobytes()).hexdigest()[:16] == "b5ecae5c123ee822"
+        assert hashlib.sha256(r.field.values.tobytes()).hexdigest()[:16] == "e44ca8a7ba8a7895"
 
     def test_newton_finish_next_to_pitchfork(self):
         # the descent alone creeps here: it stopped at max_iter = 4000 with an
         # interior residual of 1.5e-6; Newton ends it on the ground state
         r = minimize_dgamma(2.0005, 0.0, seed=Seed.LEFT, grid=Grid(20.0, 4096))
-        assert (r.iterations, r.newton, r.index) == (480, 9, 1)
+        assert (r.iterations, r.newton, r.index) == (479, 8, 1)
         assert r.residual.interior <= 1e-10
 
     def test_newton_finish_on_fine_grid(self):
@@ -544,8 +546,12 @@ class TestMinimize:
         # every projection reads a larger action, so every step is uphill:
         # MAX_REJECTS rejections, then one forced step, and again
         project, bump = fields._project, iter(range(1, 10**6))
-        monkeypatch.setattr(fields, "_project",
-                            lambda op, v, omega: (project(op, v, omega)[0], float(next(bump))))
+
+        def uphill(op, values, omega, log_s2=None):
+            lam, _, log_s2 = project(op, values, omega, log_s2)
+            return lam, float(next(bump)), log_s2
+
+        monkeypatch.setattr(fields, "_project", uphill)
         steps = 2 * (fields.MAX_REJECTS + 1)
         with pytest.raises(ConvergenceError) as info:
             minimize_dgamma(1.0, 0.0, grid=Grid(20.0, 256), max_iter=steps)
@@ -561,6 +567,25 @@ class TestMinimize:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"exp\(I/\(2 mass\)\).*outside the range"):
                 minimize_dgamma(1.0, 0.0, seed=seed, grid=g)
+
+    @pytest.mark.parametrize("gamma", [1.0, 3.0])
+    def test_seed_scale_projected_away(self, gamma):
+        # the projection is scale-invariant, so the size of a seed does not
+        # matter: c times a Gaussian takes the Gaussian's steps to its state,
+        # to rounding (measured 3.6e-15 relative, bound 1e-13), from c = 1e-155
+        # (every square subnormal) to 1e150.  Solving every step for the
+        # carried step s, whatever its projection factor, kept the 1e-155
+        # seed's squares subnormal: at gamma = 3 its descent never stagnated
+        # and stopped at max_iter
+        g = Grid(20.0, 1024)
+        base = np.exp(-0.5 * (g.nodes() - 1.0) ** 2)
+        ref = minimize_dgamma(gamma, 0.0, seed=Field(g, base), grid=g)
+        for c in (1e-155, 1e-140, 1e100, 1e150):
+            r = minimize_dgamma(gamma, 0.0, seed=Field(g, c * base), grid=g)
+            assert (r.iterations, r.newton, r.index) == (ref.iterations, ref.newton, ref.index)
+            assert r.value == pytest.approx(ref.value, rel=1e-13)
+            assert np.max(np.abs(r.field.values - ref.field.values)) \
+                <= 1e-13 * np.max(np.abs(ref.field.values))
 
     def test_compactly_supported_seed(self):
         # exact zeros in the seed must not reach the implicit step as log 0
@@ -835,7 +860,8 @@ def test_definite_sweep_backward_stable(n, tau, monkeypatch):
     # pivoted gtsv reads 1.2 eps at TAU_MAX, n = 4096), bound eps
     g = Grid(20.0, n)
     op = form_operator(g, 2.01)
-    v = fields._project(op, fields._seed_values(Seed.LEFT, 2.01, 0.0, g), 0.0)[0]
+    s = fields._seed_values(Seed.LEFT, 2.01, 0.0, g)
+    v = fields._project(op, s, 0.0)[0] * s
     shift, scale = descent_shift(g, v, tau)
     d, e = trace_tridiagonal(op, shift + scale * op.diag, scale * op.off, scale * op.coupling)
     monkeypatch.setattr(op, "_from_trace", lambda w: w)
@@ -856,20 +882,152 @@ def test_indefinite_descent_step_falls_back(monkeypatch):
     op = form_operator(g, 1.0)
     project, steps = fields._project, []
 
-    def recording(op, values, omega):
+    def recording(op, values, omega, log_s2=None):
         steps.append(values.copy())
-        return project(op, values, omega)
+        return project(op, values, omega, log_s2)
 
     monkeypatch.setattr(fields, "_project", recording)
     with pytest.raises(ConvergenceError):
         minimize_dgamma(1.0, 0.0, seed=Field(g, free_gaussian(g).values.real), grid=g,
                         max_iter=2)
-    # the seed's projection, then each step's
+    # the seed's projection, then each step's; the second step solves for
+    # the first step s, whose projection is lam * s, with the shift of lam * s
     assert len(steps) == 3
-    v = project(op, steps[1], 0.0)[0]
-    shift, scale = descent_shift(g, v, 1.3 * fields.TAU0)
-    assert op._definite_sweep(shift + scale * op.diag, scale, v) is None
-    assert np.array_equal(steps[2], trace_solve(op, shift, scale, v)[0])
+    s, tau = steps[1], 1.3 * fields.TAU0
+    lam, _, log_s2 = project(op, s, 0.0, np.empty(g.n))
+    shift, scale = fields._step_shift(np.empty(g.n), s, lam, log_s2, tau, 0.0), tau / g.dx
+    assert op._definite_sweep(shift + scale * op.diag, scale, s) is None
+    assert np.array_equal(steps[2], trace_solve(op, shift, scale, s)[0])
+
+
+TINY = np.finfo(float).tiny
+
+
+def narrow_seed(grid):
+    """test_step_counts_pinned's narrow Gaussian seed: exact zeros and, on
+    Grid(20, 1024), subnormal squares between them and its peak."""
+    return np.exp(-(grid.nodes() / 0.1) ** 2)
+
+
+def projection_inputs():
+    """(name, op, samples, omega): every state the 2.1-left minimization
+    projects on the benchmark's grid, the narrow seed, the compactly
+    supported seed of test_compactly_supported_seed and a state whose
+    squares are mostly subnormal."""
+    grid = Grid(20.0, 4096)
+    project, seen = fields._project, []
+
+    def recording(op, values, omega, log_s2=None):
+        seen.append(values.copy())
+        return project(op, values, omega, log_s2)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "_project", recording)
+        minimize_dgamma(2.1, 0.0, seed=Seed.LEFT, grid=grid)
+    op = form_operator(grid, 2.1)
+    out = [(f"2.1-left state {k}", op, v, 0.0) for k, v in enumerate(seen)]
+    g = Grid(20.0, 1024)
+    out.append(("narrow seed", form_operator(g, 1.0), narrow_seed(g), 0.0))
+    x = g.nodes()
+    compact = np.where(np.abs(x) <= 15.0, sample_profile(ground_states(1.0, 0.0)[0], g).values.real,
+                       0.0)
+    out.append(("compactly supported seed", form_operator(g, 1.0), compact, 0.0))
+    # a peak square of 9e-308, just above tiny: the subnormal squares hold a
+    # share of the mass and entropy that moves S
+    out.append(("subnormal squares", form_operator(g, 1.0), 3e-154 * np.exp(-0.5 * x * x), 0.0))
+    return out
+
+
+def test_projection_log_keeps_action_bits():
+    # with the log buffer the projection takes the entropy from s^2 log s^2
+    # where no square is zero or subnormal, and entropy_of_squares
+    # elsewhere: lambda and S are the bits of the projection without it, and
+    # a returned log is _log_abs2's.  The narrow seed and the subnormal
+    # state have zeros and subnormal squares, the compact seed zeros, so
+    # none of them returns the log; taking the floored log's entropy there
+    # moves the subnormal state's S
+    inputs, logged = projection_inputs(), 0
+    for name, op, s, omega in inputs:
+        lam, S, none = fields._project(op, s, omega)
+        # without the buffer, the functionals are _report's
+        r = fields._report(op, s, omega)
+        want = math.exp(r.nehari / (2.0 * r.mass))
+        assert (lam, S, none) == (want, 0.5 * want * want * r.mass, None), name
+        buf = np.full(s.shape, np.nan)
+        got = fields._project(op, s, omega, buf)
+        assert got[:2] == (lam, S), name
+        if got[2] is not None:
+            assert got[2] is buf
+            assert np.array_equal(buf, fields._log_abs2(s)), name
+            logged += 1
+        elif name != "compactly supported seed":
+            # every square is positive; some is subnormal
+            s2 = s * s
+            assert np.min(s2) == 0.0 and np.any((s2 > 0.0) & (s2 < TINY)), name
+    # every 2.1-left state returns the log: the seed, the 58 descent steps
+    # and the Newton state
+    assert logged == len(inputs) - 3 == 60
+
+
+def scaled_to(op, s, lam, omega=0.0):
+    """s times the factor that makes its projection factor lam at omega."""
+    return s * (fields._project(op, s, omega)[0] / lam)
+
+
+def shift_today(s, lam, tau, omega):
+    """1 + tau (omega - _log_abs2(lam s)): the shift from the projected
+    samples, as the descent built it before carrying lam as a scalar."""
+    return 1.0 + tau * (omega - fields._log_abs2(lam * s))
+
+
+@pytest.mark.parametrize("target", [0.6, 1.7])
+@pytest.mark.parametrize("omega", [0.0, -3.0])
+def test_step_shift_from_log_matches_floored_log(target, omega):
+    # lambda < 1 and lambda > 1 on a benchmark seed, whose squares are far
+    # from the floor: two passes from log s^2 agree with the shift from
+    # lambda s to a few ulps of the terms 1, tau omega, 2 tau log lambda and
+    # tau log s^2 (measured 1.8 ulps at most, bound 4)
+    g = Grid(20.0, 4096)
+    op = form_operator(g, 2.01)
+    s = scaled_to(op, fields._seed_values(Seed.LEFT, 2.01, 0.0, g), target, omega)
+    buf = np.empty(g.n)
+    lam, _, log_s2 = fields._project(op, s, omega, buf)
+    assert log_s2 is buf and (lam < 1.0) == (target < 1.0)
+    for tau in (fields.TAU0, fields.TAU_MAX, 1e-3):
+        got = fields._step_shift(np.empty(g.n), s, lam, log_s2, tau, omega)
+        terms = 1.0 + abs(tau * omega) + abs(2.0 * tau * math.log(lam)) + np.abs(tau * log_s2)
+        err = np.abs(got - shift_today(s, lam, tau, omega))
+        assert np.max(err / terms) <= 4.0 * np.finfo(float).eps
+
+
+def floored_states():
+    """(name, op, s) whose projection lambda s has squares below the
+    smallest normal double tiny, with lambda < 1 or lambda > 1."""
+    g = Grid(20.0, 1024)
+    op = form_operator(g, 1.0)
+    x = g.nodes()
+    # lambda = 0.01, with the eight outermost squares at 2500 tiny: s^2 is
+    # above the floor there but (lambda s)^2 = tiny / 4 is below it
+    s = scaled_to(op, np.exp(-0.5 * x * x), 0.01)
+    s[:4] = s[-4:] = 0.5 * math.sqrt(TINY) / 0.01
+    # lambda = 2 on the narrow seed: zeros and subnormal squares
+    return [("lambda < 1", op, s), ("lambda > 1", op, scaled_to(op, narrow_seed(g), 2.0))]
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_step_shift_exact_on_floored_nodes(case):
+    # where a square of lambda s is floored, log s^2 + 2 log lambda is not
+    # the floored log: there the projection returns no log and the shift
+    # is built from lambda s, bit for bit the floored log's shift
+    name, op, s = floored_states()[case]
+    lam, _, log_s2 = fields._project(op, s, 0.0, np.empty(s.size))
+    floored = (lam * s) ** 2 < TINY
+    assert floored.any() and (lam < 1.0) == (name == "lambda < 1")
+    if name == "lambda < 1":
+        assert np.min(s * s) >= TINY  # log s^2 itself is not floored
+    for tau in (fields.TAU0, fields.TAU_MAX):
+        got = fields._step_shift(np.empty(s.size), s, lam, log_s2, tau, 0.0)
+        assert np.array_equal(got[floored], shift_today(s, lam, tau, 0.0)[floored]), name
 
 
 def dense_operator(op):
