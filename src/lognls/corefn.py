@@ -59,6 +59,7 @@ _E6 = A_SPLIT * A_SPLIT
 _SUBNORMAL = math.ulp(0.0)
 # smallest normal double, the floor of |v|^2 inside the logarithm
 _TINY = np.finfo(float).tiny
+_LOG_TINY = float(np.log(_TINY))  # _log_abs2 of every floored sample
 # modular evaluations after which Newton on the Luxemburg gauge gives up
 _GAUGE_MAX_EVALS = 100
 

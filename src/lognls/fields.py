@@ -31,11 +31,11 @@ ground state, where L- >= 0, so it takes one LAPACK ptsv call (L D L^T
 without pivoting), and the gtsv sweep only where ptsv finds a leading
 minor that is not positive.  The descent carries its iterate as a step s
 and the scale lambda of its Nehari projection, never forming lambda s
-between steps: the projection's log s^2, shifted by the scalar
-2 log lambda, builds the next step's shift, so each step takes one
-logarithm.  The propagator factors its complex Cayley
-system once as L D L^T by the plain recurrence, which its positive
-definite real part lets run without pivoting, and solves it many times
+between steps: the projection's floored log s^2, shifted by the scalar
+2 log lambda and capped at the floor's value, builds the next step's
+shift, so each step takes one logarithm.  The propagator factors its
+complex Cayley system once as L D L^T by the plain recurrence, which its
+positive definite real part lets run without pivoting, and solves it many times
 with two unit-bidiagonal BLAS ztbsv sweeps and one product by 2/D (the
 Cayley identity's factor 2) between the same maps P^T and P
 (ShiftedSolver).
@@ -307,12 +307,7 @@ class FormOperator:
         runs in the common dtype of shift, scale and r (real for the
         minimizer).  The result is an array made by this call.
         """
-        return self._sweep(shift + scale * self.diag, scale, r)
-
-    def _sweep(self, diag: np.ndarray, scale, r: np.ndarray) -> np.ndarray:
-        """solve, given the diagonal shift + scale * self.diag of its
-        tridiagonal part, which the sweep overwrites."""
-        off = scale * self.off
+        diag, off = shift + scale * self.diag, scale * self.off
         self._trace_form(diag, off, scale * self.coupling)
         (gtsv,) = _linalg().get_lapack_funcs(("gtsv",), (diag, off, r))
         b = self._to_trace(r.astype(gtsv.dtype))
@@ -322,10 +317,10 @@ class FormOperator:
         return self._from_trace(w)
 
     def _definite_sweep(self, diag: np.ndarray, scale: float, r: np.ndarray):
-        """_sweep for a real system that should be positive definite: one
-        LAPACK ptsv call (L D L^T without pivoting) on the same trace form.
-        None when ptsv finds a leading minor that is not positive; diag is
-        overwritten either way."""
+        """solve for a real, positive definite system, given its diagonal
+        shift + scale * self.diag: one LAPACK ptsv call (L D L^T without
+        pivoting) on solve's trace form.  None when ptsv finds a leading
+        minor that is not positive; diag is overwritten either way."""
         off = scale * self.off
         self._trace_form(diag, off, scale * self.coupling)
         b = self._to_trace(r.copy())
@@ -490,14 +485,26 @@ def sigma_norm(u: Field) -> float:
     return math.sqrt(mass(u) + derivative_norm_sq(u))
 
 
-def _report(op: FormOperator, values: np.ndarray, omega: float) -> FunctionalReport:
-    """The six functionals of the samples `values` with the form of op;
-    |values|^2 is taken once, for the mass and the entropy."""
+def _functionals(op: FormOperator, values: np.ndarray, omega: float,
+                 log_s2: np.ndarray) -> tuple[float, float, float, float]:
+    """Form, mass, entropy and Nehari value of the samples s = `values`
+    with the form of op, for _report and _project.  log max(s^2, ulp(0))
+    goes to log_s2, a real array the caller owns, and the entropy is the
+    sum of s^2 times it: entropy_of_squares' bits, as a zero square's -0
+    is lost in numpy's sum from +0."""
+    dx = op.grid.dx
     f = op.form(values)
     s2 = _abs2(values)
-    q = float(op.grid.dx * np.sum(s2))
-    e = float(op.grid.dx * np.sum(corefn.entropy_of_squares(s2)))
-    nehari = f + omega * q - e
+    q = float(dx * np.sum(s2))
+    np.maximum(s2, corefn._SUBNORMAL, out=log_s2)
+    np.log(log_s2, out=log_s2)
+    e = float(dx * np.sum(np.multiply(s2, log_s2, out=s2)))
+    return f, q, e, f + omega * q - e
+
+
+def _report(op: FormOperator, values: np.ndarray, omega: float) -> FunctionalReport:
+    """The six functionals of the samples `values` with the form of op."""
+    f, q, e, nehari = _functionals(op, values, omega, np.empty(op.grid.n))
     action = 0.5 * f + 0.5 * (omega + 1.0) * q - 0.5 * e
     energy = 0.5 * f - 0.5 * e
     return FunctionalReport(form=f, mass=q, entropy=e, energy=energy, action=action, nehari=nehari)
@@ -531,35 +538,16 @@ _LOG_MAX = math.log(np.finfo(float).max)
 _LOG_MIN = math.log(math.ulp(0.0))
 
 
-def _project(op: FormOperator, values: np.ndarray, omega: float, log_s2=None):
+def _project(op: FormOperator, values: np.ndarray, omega: float,
+             log_s2: np.ndarray) -> tuple[float, float]:
     """nehari_project on the samples s = `values` with the form of op,
-    without forming the projection lambda s: returns lambda, the action S
-    of lambda s (on the constraint set it is half the mass, so lambda^2
-    times half the mass of s) and log_s2 or None.
-
-    The form, mass, entropy and Nehari value are _report's.  log_s2 is an
-    array the caller owns.  When it is given and no square s^2 is zero or
-    subnormal, log s^2 is written there and the entropy is summed from
-    s^2 times it: there that log is _log_abs2(s) and entropy_of_squares'
-    log, so S has the bits it has without log_s2.  log_s2 is returned when,
-    besides, min s^2 min(1, lambda^2) >= 2 tiny (tiny the smallest normal
-    double): then no square of s or of lambda s reaches _log_abs2's floor,
-    even after the rounding of lambda s and its square, so log_s2 +
-    2 log lambda is _log_abs2(lambda s) in exact arithmetic (_step_shift).
-    Otherwise None is returned and log_s2 may hold anything.
-    """
-    dx = op.grid.dx
-    f = op.form(values)
-    s2 = _abs2(values)
-    q = float(dx * np.sum(s2))
+    without forming lambda s: returns lambda and the action of lambda s,
+    half its mass, as lambda (lambda mass(s)) / 2, since lambda^2 alone may
+    overflow.  The functionals are _functionals', which leaves the floored
+    log s^2 in log_s2 for the descent's next shift (_step_shift)."""
+    _, q, _, nehari = _functionals(op, values, omega, log_s2)
     if q <= 0.0:
         raise ValueError("cannot project the zero field")
-    low = 0.0 if log_s2 is None else float(np.min(s2))
-    if low >= corefn._TINY:
-        e = float(dx * np.sum(np.multiply(s2, np.log(s2, out=log_s2), out=s2)))
-    else:
-        e = float(dx * np.sum(corefn.entropy_of_squares(s2)))
-    nehari = f + omega * q - e
     # log lambda and the log of the projected mass, checked before exp: a
     # field far from the constraint set would overflow them, or flush them to 0
     log_lam = nehari / (2.0 * q)
@@ -570,8 +558,7 @@ def _project(op: FormOperator, values: np.ndarray, omega: float, log_s2=None):
             f"exp({log_lam:.6g}) takes the mass to exp({log_mass:.6g}), outside the "
             f"range of doubles (I = {nehari:.6g}, mass = {q:.6g})")
     lam = math.exp(log_lam)
-    logged = low * min(1.0, lam * lam) >= 2.0 * corefn._TINY
-    return lam, 0.5 * lam * lam * q, log_s2 if logged else None
+    return lam, 0.5 * lam * (lam * q)
 
 
 def nehari_project(u: Field, gamma: float, omega: float) -> Field:
@@ -582,7 +569,8 @@ def nehari_project(u: Field, gamma: float, omega: float) -> Field:
     the entropy picks up exactly log(lambda^2) * mass.
     """
     _check_omega(omega)
-    return u.with_values(_project(form_operator(u.grid, gamma), u.values, omega)[0] * u.values)
+    lam, _ = _project(form_operator(u.grid, gamma), u.values, omega, np.empty(u.grid.n))
+    return u.with_values(lam * u.values)
 
 
 def stationary_residual(u: Field, gamma: float, omega: float) -> StationaryResidual:
@@ -753,11 +741,12 @@ RESIDUAL_TOL = 1e-6
 # NEWTON_MAX_ITER steps.  No residual tolerance: the residual's rounding
 # floor grows like 1/dx^2.
 HANDOVER_RTOL = 1e-8
-# the descent's next step solves for its carried step s while s is within
-# a factor SCALE_DRIFT of its projection lambda s, and for lambda s beyond,
-# so that s returns to the iterate's scale before its squares near the
-# ends of the double range, where they lose precision or overflow
-SCALE_DRIFT = 2.0**32
+# the descent renormalizes its step s to lambda s where lambda leaves
+# [1/SCALE_DRIFT, SCALE_DRIFT], so that the squares of s keep their
+# precision.  Below 2^26, a zero square's log ulp(0) = log tiny - 52 log 2
+# plus 2 log lambda stays below log tiny, on _step_shift's cap (2^24 by a
+# margin of 4 tau log 2 over the shift's rounding)
+SCALE_DRIFT = 2.0**24
 NEWTON_STEP_RTOL = 1024 * np.finfo(float).eps
 NEWTON_STALL_RTOL = math.sqrt(np.finfo(float).eps)
 NEWTON_MAX_ITER = 30
@@ -895,20 +884,17 @@ def _seed_values(seed, gamma: float, omega: float, grid: Grid) -> np.ndarray:
     raise ValueError(f"unknown seed {seed!r}")
 
 
-def _step_shift(out: np.ndarray, s: np.ndarray, lam: float, log_s2, tau: float,
+def _step_shift(out: np.ndarray, log_s2: np.ndarray, lam: float, tau: float,
                 omega: float) -> np.ndarray:
-    """The descent step's shift 1 + tau (omega - log|v|^2) at the iterate
-    v = lam s, with |v|^2 floored as _log_abs2 floors it, written to out.
-    Given log_s2 = log s^2, which _project returns only where the floor is
-    not reached, it takes two passes, as log|v|^2 = log s^2 + 2 log lam;
-    with log_s2 None it forms v and takes its floored log."""
-    if log_s2 is None:
-        _log_abs2(lam * s, out=out)
-        np.subtract(omega, out, out=out)
-        out *= tau
-        return np.add(out, 1.0, out=out)
+    """The descent step's shift 1 + tau (omega - log|v|^2) at v = lam s,
+    |v|^2 floored as _log_abs2 floors it, written to out, from log_s2 =
+    log max(s^2, ulp(0)) (_functionals): two passes, as log|v|^2 =
+    log s^2 + 2 log lam, then a cap at the floored square's shift
+    (omega - log tiny) tau + 1, which every square below the floor
+    reaches, and a zero one for lam <= SCALE_DRIFT."""
     np.multiply(log_s2, tau, out=out)
-    return np.subtract(1.0 + tau * (omega - 2.0 * math.log(lam)), out, out=out)
+    np.subtract(1.0 + tau * (omega - 2.0 * math.log(lam)), out, out=out)
+    return np.minimum(out, (omega - corefn._LOG_TINY) * tau + 1.0, out=out)
 
 
 def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
@@ -935,18 +921,18 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
     sweep, with that sweep's bits.
 
     The iterate v = lambda s is carried as the step s, the scalar lambda
-    of its projection and the projection's log s^2 (_project), in buffers
-    that belong to this call; v itself is formed only for Newton's
-    hand-over and the result.  As log|v|^2 = log s^2 + 2 log lambda, the
-    shift 1 + tau (omega - log|v|^2) is built from that log in two passes
-    (_step_shift), with no logarithm of its own, unless a square of v
-    would reach _log_abs2's floor: then, as for a seed with exact zeros,
-    it is built from v.  Each step solves (I + tau L-(v)) w = s, the step
-    of v divided by lambda, which the projection, being scale-invariant,
-    does not see: it takes the step's squares once for the mass, its log
-    and the entropy.  Where lambda is beyond a factor SCALE_DRIFT of 1 (a
-    seed far from the constraint set), the step solves for v instead, so
-    that s keeps the scale of v.
+    of its projection and the projection's floored log s^2 (_project), in
+    buffers that belong to this call; v itself is formed only for
+    Newton's hand-over and the result.  As log|v|^2 = log s^2 +
+    2 log lambda, the shift 1 + tau (omega - log|v|^2) is built from that
+    log in two passes and a cap at the floor's value (_step_shift), with
+    no logarithm of its own.  Each step solves (I + tau L-(v)) w = s, the
+    step of v divided by lambda, which the projection, being
+    scale-invariant, does not see: it takes the step's squares once for
+    the mass, its log and the entropy.  Where lambda leaves
+    [1/SCALE_DRIFT, SCALE_DRIFT] (a seed far from the constraint set), s
+    is renormalized once to lambda s and projected again, so that s keeps
+    the scale of v.
 
     The descent does the variational selection.  Once its relative action
     change has been below HANDOVER_RTOL twice in a row, Newton's method
@@ -974,30 +960,31 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
                                           and max_iter >= 1):
         raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
     dx, n = grid.dx, grid.n
-    # the iterate is lam * s; log_s2 is None or the buffer logs, holding
-    # log s^2 (_project); the log of the next step goes to spare
+    # the iterate is lam * s, and logs holds log max(s^2, ulp(0))
+    # (_functionals); the log of the next step goes to spare
     logs, spare, shift, diag = (np.empty(n) for _ in range(4))
     s = _seed_values(seed, gamma, omega, grid)
-    lam, S, log_s2 = _project(op, s, omega, logs)
+    lam, S = _project(op, s, omega, logs)
     tau = TAU0
     stall = near = 0
     rejects = 0  # in a row
     rejected = forced = newton = 0
     for it in range(1, max_iter + 1):
+        if not 1.0 / SCALE_DRIFT <= lam <= SCALE_DRIFT:  # a seed far off scale
+            s = lam * s
+            lam, S = _project(op, s, omega, logs)
         # the step's diagonal shift + scale * op.diag
         scale = tau / dx
-        _step_shift(shift, s, lam, log_s2, tau, omega)
+        _step_shift(shift, logs, lam, tau, omega)
         np.multiply(scale, op.diag, out=diag)
         diag += shift
         # the step of lam * s over lam, which the scale-invariant projection
-        # does not see; the step of lam * s itself where lam is far from 1
-        # (a seed far from the constraint set), so that s returns to its scale
-        r = s if 1.0 / SCALE_DRIFT <= lam <= SCALE_DRIFT else lam * s
-        step = op._definite_sweep(diag, scale, r)
+        # does not see
+        step = op._definite_sweep(diag, scale, s)
         if step is None:
             # away from a ground state I + tau L- may be indefinite
-            step = op.solve(shift, scale, r)
-        lam_try, S_try, log_try = _project(op, step, omega, spare)
+            step = op.solve(shift, scale, s)
+        lam_try, S_try = _project(op, step, omega, spare)
         if S_try > S + ACTION_RISE_RTOL * abs(S):
             if rejects < MAX_REJECTS:
                 tau = max(0.4 * tau, 1e-3)
@@ -1007,7 +994,7 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
             forced += 1
         rejects = 0
         rel = abs(S_try - S) / max(abs(S_try), 1e-300)
-        s, lam, S, log_s2 = step, lam_try, S_try, log_try
+        s, lam, S = step, lam_try, S_try
         logs, spare = spare, logs
         tau = min(1.3 * tau, TAU_MAX)
         stall = stall + 1 if rel < ACTION_RTOL else 0
@@ -1017,7 +1004,7 @@ def minimize_dgamma(gamma: float, omega: float, seed=Seed.SYMMETRIC,
             # state is kept if it passes the three checks, action first
             w, newton, converged = _newton(op, lam * s, omega)
             if converged:
-                lam_newton, S_newton, _ = _project(op, w, omega)
+                lam_newton, S_newton = _project(op, w, omega, spare)
                 if S_newton <= S + ACTION_RISE_RTOL * abs(S):
                     done = _certify(op, gamma, omega, lam_newton * w, iterations=it + newton,
                                     rejected=rejected, forced=forced, newton=newton)

@@ -39,7 +39,10 @@ of ``perfbench/manifest.py`` for each tree.  A library probe whose hashes
 differ also gets ``max_rel_diff``: the largest, over the arrays it hashed,
 of max|a - b| / max|a| with a the base tree's array (null when the
 shapes differ); a minimizer or Newton probe that differs also gets
-``counts``, both trees' (iterations, newton, index).  Every ``evolve``
+``counts``, both trees' (iterations, newton, index), and compares its
+field up to u -> -u, with the sign that matched in ``field_sign``: an
+even seed reaches either mirror image of an odd ground state, as
+rounding decides, and the mirror image of an odd state is -u.  Every ``evolve``
 records probe gets ``mass_drift``: each tree's largest relative record
 mass drift, max|m - m_0| / m_0, equal hashes or not.  BLAS runs on one
 thread.
@@ -84,9 +87,9 @@ MINIMIZE = [(1.0, "symmetric"), (3.0, "left"), (3.0, "right"), (2.01, "left"), (
 # on 14 of the descent's 15 steps and the pivoted sweep solves them
 FREE_GAUSSIAN = dict(gamma=1.0, grid_n=256)
 # the narrow seed e^{-(x/width)^2} of tests/test_fields.py's
-# test_step_counts_pinned on Grid(20, grid_n): it has exact zeros, so the
-# first steps build their shift from the floored log|v|^2 of the
-# projected iterate, not from the projection's log s^2
+# test_step_counts_pinned on Grid(20, grid_n): its exact zeros and
+# subnormal squares reach the floor of the logarithm, where the shift is
+# the floor's cap (fields._step_shift)
 NARROW_SEED = dict(gamma=1.0, grid_n=1024, width=0.1)
 # (gamma, grid n) of the Newton probes at omega = 0: the symmetric saddle
 # above the pitchfork, and either side of the discrete pitchfork at n = 2048
@@ -246,10 +249,24 @@ def tree_hashes(src: Path, tmp: Path) -> dict:
     return hashes
 
 
+def rel_diff(a, b) -> float:
+    """max|a - b| / max|a| (inf where a is 0 and b is not)."""
+    import numpy as np
+
+    diff = float(np.max(np.abs(a - b), initial=0.0))
+    scale = float(np.max(np.abs(a), initial=0.0))
+    return diff / scale if scale else (math.inf if diff else 0.0)
+
+
 def max_rel_diffs(base_file: Path, change_file: Path, names) -> dict:
     """Per probe in names, the largest max|a - b| / max|a| over the arrays
-    it hashed, a saved by the base tree and b by the change; None when the
-    two trees hashed different shapes."""
+    it hashed, a saved by the base tree and b by the change, and the sign
+    its field matched with; (None, None) when the two trees hashed
+    different shapes.  The field of a minimizer or Newton probe (the
+    third array of a RESULT_PROBES probe) is compared up to u -> -u,
+    which lies on the phase orbit of u: b is the
+    change's field times the sign, 1 or -1, that fits a better.  The sign
+    is None for every other probe."""
     import numpy as np
 
     out = {}
@@ -258,15 +275,16 @@ def max_rel_diffs(base_file: Path, change_file: Path, names) -> dict:
             keys = sorted(k for k in base.files if k.startswith(name + "#"))
             if keys != sorted(k for k in change.files if k.startswith(name + "#")) or any(
                     base[k].shape != change[k].shape for k in keys):
-                out[name] = None
+                out[name] = None, None
                 continue
-            worst = 0.0
+            worst, sign = 0.0, None
             for k in keys:
                 a, b = base[k], change[k]
-                diff = float(np.max(np.abs(a - b), initial=0.0))
-                scale = float(np.max(np.abs(a), initial=0.0))
-                worst = max(worst, diff / scale if scale else (math.inf if diff else 0.0))
-            out[name] = worst
+                if name.startswith(RESULT_PROBES) and k == f"{name}#2":
+                    sign = min((1, -1), key=lambda c: rel_diff(a, c * b))
+                    b = sign * b
+                worst = max(worst, rel_diff(a, b))
+            out[name] = worst, sign
     return out
 
 
@@ -321,8 +339,10 @@ def main(argv=None) -> int:
         differ = [name for name, p in probes.items()
                   if not p["equal"] and not name.startswith("cli ")]
         files = Path(tmp) / "base" / ARRAYS, Path(tmp) / "change" / ARRAYS
-        for name, rel in max_rel_diffs(*files, differ).items():
+        for name, (rel, sign) in max_rel_diffs(*files, differ).items():
             probes[name]["max_rel_diff"] = rel
+            if sign is not None:
+                probes[name]["field_sign"] = sign
         for name, counts in result_counts(
                 *files, [name for name in differ if name.startswith(RESULT_PROBES)]).items():
             probes[name]["counts"] = counts
@@ -340,7 +360,9 @@ def main(argv=None) -> int:
                 "README commands' stdout, stderr and files, one fresh interpreter per tree "
                 "for the library probes and one per "
                 "command; max_rel_diff = max over a probe's arrays of max|a - b| / max|a| "
-                "(a the base tree's) where a library probe differs; counts = both trees' "
+                "(a the base tree's) where a library probe differs, a minimizer or Newton "
+                "field compared up to u -> -u with the sign that matched in field_sign; "
+                "counts = both trees' "
                 "(iterations, newton, index) where a minimizer or Newton probe differs; "
                 "mass_drift = both trees' max|m - m_0| / m_0 over each evolve probe's records",
         "all_equal": all(p["equal"] for p in probes.values()),
@@ -356,6 +378,7 @@ def main(argv=None) -> int:
         if not p["equal"]:
             rel, counts = p.get("max_rel_diff"), p.get("counts")
             print(f"differs: {name}" + ("" if rel is None else f" (max rel diff {rel:.3g})")
+                  + (" (field matched as -u)" if p.get("field_sign") == -1 else "")
                   + ("" if counts is None else
                      f" (iterations, newton, index) {counts['base']} -> {counts['change']}"))
     print(f"{sum(p['equal'] for p in probes.values())} of {len(probes)} probes equal")

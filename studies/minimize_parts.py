@@ -16,19 +16,23 @@ code its minimizer runs.  A tree whose ``fields._project`` takes a log
 buffer carries the iterate as (s, lambda, log s^2): its build is
 ``fields._step_shift`` from the projection's log s^2 plus the shifted
 diagonal, its step solves for s, and its projection writes the log of
-the step.  A tree without one solves for v = lambda s, and its build is
-this study's copy of the eight passes such a tree runs, three of them
-the floored log|v|^2.  The other parts are the trace form (scale * off
-and ``FormOperator._trace_form``); the map P^T with the copy of r it
-maps; the LAPACK ptsv and gtsv sweeps on the trace form, as
-``_definite_sweep`` and ``_sweep`` call them; the map P back; the step's
-whole solve as each tree's minimizer runs it (``_definite_sweep`` where
-the tree has it, else ``_sweep``) and the pivoted ``_sweep`` on its own;
-the pieces of the projection (the form from edges, the squares, the
-mass sum; then either the entropy of the squares, its sum and the
-product lambda * v, or the min of the squares, their log, the squares
-times their log and its sum) and the whole projection; and the whole
-iteration (build, solve and projection).  A part that overwrites its
+the step.  Either signature of ``_step_shift`` is timed: from the log
+alone, which the projection always writes, or with the step s too, from
+the log the projection returns.  A tree without a log buffer solves for
+v = lambda s, and its build is this study's copy of the eight passes
+such a tree runs, three of them the floored log|v|^2.  The other parts
+are the trace form (scale * off and ``FormOperator._trace_form``); the
+map P^T with the copy of r it maps; the LAPACK ptsv and gtsv sweeps on
+the trace form, as ``_definite_sweep`` and ``FormOperator.solve`` call
+them; the map P back; the step's whole solve as each tree's minimizer
+runs it (``_definite_sweep`` where the tree has it, else ``_sweep``) and
+the pivoted ``FormOperator.solve`` on its own, which also builds its
+diagonal; the pieces of the projection (the form from edges, the
+squares, the mass sum; then either the entropy of the squares, its sum
+and the product lambda * v, or the floor of the squares at ulp(0) or
+their min, their log, the squares times their log and its sum) and the
+whole projection; and the whole iteration (build, solve and
+projection).  A part that overwrites its
 inputs runs after copies that restore them, and the copies' time, timed
 as its own part, is subtracted.  Each part is timed in ROUNDS rounds as
 the best of REPEATS batches of CALLS calls, the two trees alternating
@@ -44,9 +48,11 @@ Grid(20, 4096), each as the best of MIN_REPEATS runs in each of ROUNDS
 rounds, alternated the same way, and counts per tree each case's
 (iterations, newton, index), its descent steps, the steps on which
 ptsv found a leading minor that is not positive and the pivoted sweep
-ran instead (null for a tree without ``_definite_sweep``) and the steps
-whose shift was built from lambda s rather than from log s^2 (null for
-a tree without ``_step_shift``), in one untimed run.
+ran instead (null for a tree without ``_definite_sweep``), the steps
+whose shift was built from lambda s rather than from log s^2 (for a
+tree whose ``_step_shift`` takes s, else null) and the renormalizations
+s <- lambda s of a tree whose ``_step_shift`` takes the log alone (else
+null), in one untimed run.
 
 The JSON written to FILE has, per part and per minimization, both
 trees' median and quartiles (us for a part, ms for a minimization), the
@@ -74,7 +80,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(HERE))
 
 from manifest import manifest, pin_blas_threads  # noqa: E402
-from step_ab import load, quartiles  # noqa: E402
+from step_ab import alternate, load, part_line, part_summaries, summary  # noqa: E402
 
 ROUNDS, REPEATS, CALLS, MIN_REPEATS = 15, 5, 100, 3
 N, GAMMA, SEED = 4096, 2.01, "left"
@@ -122,13 +128,21 @@ def iteration_parts(lib) -> dict:
     s = fields._seed_values(fields.Seed(SEED), GAMMA, 0.0, grid)
     tau = fields.TAU0
     scale, coupling = tau / dx, tau / dx * op.coupling
-    shift, diag, spare = np.empty(n), np.empty(n), np.empty(n)
+    shift, diag, spare, logs = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     if carried:
-        lam, _, log_s2 = project(op, s, 0.0, np.empty(n))
+        lam, *returned = project(op, s, 0.0, logs)
         r = s
+        if "s" in inspect.signature(fields._step_shift).parameters:
+            # the projection returns its log, or None where the shift is
+            # built from lambda s
+            def step_shift():
+                fields._step_shift(shift, s, lam, returned[1], tau, 0.0)
+        else:
+            def step_shift():
+                fields._step_shift(shift, logs, lam, tau, 0.0)
 
         def build():
-            fields._step_shift(shift, s, lam, log_s2, tau, 0.0)
+            step_shift()
             np.multiply(scale, op.diag, out=diag)
             np.add(diag, shift, out=diag)
 
@@ -196,6 +210,9 @@ def iteration_parts(lib) -> dict:
     # the step's solve as this tree's minimizer runs it
     solve = solver(op._sweep) if definite is None else solver(definite)
 
+    def pivoted():
+        op.solve(shift, scale, r)
+
     def iteration():
         build()
         projection(solve())
@@ -210,17 +227,23 @@ def iteration_parts(lib) -> dict:
         "gtsv sweep": (gtsv, "copies restoring the trace form and P^T r"),
         "map P": (from_trace, "copy restoring the diagonal"),
         "solve as the minimizer runs it": (solve, "copy restoring the diagonal"),
-        "_sweep (pivoted, whole)": (solver(op._sweep), "copy restoring the diagonal"),
+        "pivoted solve (FormOperator.solve, whole)": (pivoted, None),
         "projection: form": (lambda: op.form(step), None),
         "projection: squares": (lambda: corefn._abs2(step), None),
         "projection: mass sum": (lambda: float(dx * np.sum(s2)), None),
     }
     if carried:
-        logs, prod = np.log(s2), s2 * np.log(s2)
+        floored = np.maximum(s2, corefn._SUBNORMAL)
+        log_step = np.log(floored)
+        prod = s2 * log_step
+        if hasattr(fields, "_functionals"):  # the squares floored at ulp(0), then logged
+            parts["projection: floor of the squares"] = (
+                lambda: np.maximum(s2, corefn._SUBNORMAL, out=spare), None)
+        else:  # the min of the squares decides whether they are logged
+            parts["projection: min of the squares"] = (lambda: float(np.min(s2)), None)
         parts.update({
-            "projection: min of the squares": (lambda: float(np.min(s2)), None),
-            "projection: log of the squares": (lambda: np.log(s2, out=spare), None),
-            "projection: squares times their log": (lambda: np.multiply(s2, logs, out=spare),
+            "projection: log of the squares": (lambda: np.log(floored, out=spare), None),
+            "projection: squares times their log": (lambda: np.multiply(s2, log_step, out=spare),
                                                     None),
             "projection: entropy sum": (lambda: float(dx * np.sum(prod)), None),
         })
@@ -251,74 +274,61 @@ def minimizations(lib) -> dict:
 def counts(lib, calls: dict) -> dict:
     """Per minimization, its (iterations, newton, index), its descent steps,
     the steps on which ptsv failed (None for a tree without
-    _definite_sweep) and the steps whose shift was built from lambda s,
-    not from the projection's log s^2 (None for a tree without
-    _step_shift), from one run with both wrapped."""
+    _definite_sweep), and, for a tree whose _step_shift takes the step s,
+    the steps whose shift was built from lambda s, not from the
+    projection's log s^2, or else, for a tree with _step_shift, the
+    renormalizations s <- lambda s (None otherwise), from one run with the
+    sweep, the shift, the projection and Newton wrapped.  A
+    renormalization is a projection besides the seed's, each descent
+    step's and that of a converged Newton state."""
     fields = importlib.import_module(lib.__name__ + ".fields")
     cls = fields.FormOperator
     sweep, build = getattr(cls, "_definite_sweep", None), getattr(fields, "_step_shift", None)
-    tally = {"fallbacks": 0, "shift_from_lambda_s": 0}
+    project, newton = fields._project, getattr(fields, "_newton", None)
+    from_s = build is not None and "s" in inspect.signature(build).parameters
+    tally = {}
 
     def wrapped_sweep(self, diag, scale, r):
         w = sweep(self, diag, scale, r)
         tally["fallbacks"] += w is None
         return w
 
-    def wrapped_build(out, s, lam, log_s2, tau, omega):
-        tally["shift_from_lambda_s"] += log_s2 is None
-        return build(out, s, lam, log_s2, tau, omega)
+    def wrapped_build(out, *args):
+        tally["shift_from_lambda_s"] += from_s and args[2] is None
+        return build(out, *args)
 
+    def wrapped_project(*args):
+        tally["projections"] += 1
+        return project(*args)
+
+    def wrapped_newton(*args):
+        result = newton(*args)
+        tally["projections"] -= result[2]  # a converged Newton state is projected
+        return result
+
+    wrapped = [(cls, "_definite_sweep", sweep, wrapped_sweep),
+               (fields, "_step_shift", build, wrapped_build),
+               (fields, "_project", project, wrapped_project),
+               (fields, "_newton", newton, wrapped_newton)]
     out = {}
-    if sweep is not None:
-        cls._definite_sweep = wrapped_sweep
-    if build is not None:
-        fields._step_shift = wrapped_build
+    for owner, name, original, wrapper in wrapped:
+        if original is not None:
+            setattr(owner, name, wrapper)
     try:
         for case, call in calls.items():
-            tally.update(fallbacks=0, shift_from_lambda_s=0)
+            tally.update(fallbacks=0, shift_from_lambda_s=0, projections=0)
             r = call()
+            steps = r.iterations - r.newton
             out[case] = {"iterations": r.iterations, "newton": r.newton, "index": r.index,
-                         "descent_steps": r.iterations - r.newton,
+                         "descent_steps": steps,
                          "fallbacks": None if sweep is None else tally["fallbacks"],
-                         "shift_from_lambda_s":
-                             None if build is None else tally["shift_from_lambda_s"]}
+                         "shift_from_lambda_s": tally["shift_from_lambda_s"] if from_s else None,
+                         "renormalized": None if build is None or from_s else
+                             tally["projections"] - 1 - steps}
     finally:
-        if sweep is not None:
-            cls._definite_sweep = sweep
-        if build is not None:
-            fields._step_shift = build
-    return out
-
-
-def alternate(make_calls, measure, trees) -> dict:
-    """Per name, each tree's ROUNDS measurements of calls[name][tree], the
-    trees alternating first and second between rounds, where calls =
-    make_calls() is made anew for the warm-up and for every round."""
-    for per_tree in make_calls().values():  # warm up
-        for call in per_tree.values():
-            call()
-    runs = {}
-    for r in range(ROUNDS):
-        order = trees if r % 2 == 0 else trees[::-1]
-        for name, per_tree in make_calls().items():
-            for k in order:
-                if k in per_tree:
-                    runs.setdefault(name, {t: [] for t in trees})[k].append(
-                        measure(per_tree[k]))
-    return runs
-
-
-def summary(runs: dict, unit: str) -> dict:
-    """Both trees' median and quartiles, the relative change of the median
-    and the rounds the change won, from alternate()'s runs of one name."""
-    out = {f"{k}_{unit}": statistics.median(xs) if xs else None for k, xs in runs.items()}
-    out.update({f"{k}_quartiles_{unit}": quartiles(xs) if xs else None
-                for k, xs in runs.items()})
-    base, change = runs["base"], runs["change"]
-    if base and change:
-        out["relative"] = statistics.median(change) / statistics.median(base) - 1.0
-        out["change_wins"] = sum(c < b for b, c in zip(base, change))
-    out["rounds"] = ROUNDS
+        for owner, name, original, _ in wrapped:
+            if original is not None:
+                setattr(owner, name, original)
     return out
 
 
@@ -341,27 +351,12 @@ def main(argv=None) -> int:
     names = tuple(trees)
     libs = {k: load(f"lognls_{k}", tree / "src") for k, tree in trees.items()}
 
-    by_tree = {k: iteration_parts(lib) for k, lib in libs.items()}
-    part_names = list(dict.fromkeys(name for k in names for name in by_tree[k]))
-
-    def part_calls():
-        # each round's parts read and write arrays allocated for that round
-        fresh = {k: iteration_parts(lib) for k, lib in libs.items()}
-        return {name: {k: fresh[k][name][0] for k in names if name in fresh[k]}
-                for name in part_names}
-
-    runs = alternate(part_calls, per_call_us, names)
-    parts = {}
-    for name in part_names:
-        minus = next(by_tree[k][name][1] for k in names if name in by_tree[k])
-        net = {k: [x - m for x, m in zip(runs[name][k], runs[minus][k])] if minus else
-               runs[name][k] for k in names}
-        parts[name] = {**summary(net, "us"), "less": minus}
+    parts = part_summaries(iteration_parts, libs, per_call_us, ROUNDS, "us")
 
     by_tree = {k: minimizations(lib) for k, lib in libs.items()}
     tallies = {k: counts(libs[k], by_tree[k]) for k in names}
     calls = {case: {k: by_tree[k][case] for k in names} for case in by_tree["base"]}
-    runs = alternate(lambda: calls, best_ms, names)
+    runs = alternate(lambda: calls, best_ms, names, ROUNDS)
     total = {k: [sum(xs) for xs in zip(*(runs[case][k] for case in calls))] for k in names}
     minimize = {case: {**summary(runs[case], "ms"), "counts": {k: tallies[k][case]
                                                                 for k in names}}
@@ -373,18 +368,15 @@ def main(argv=None) -> int:
                              for k in names}}
 
     for name, p in parts.items():
-        base, change = p["base_us"], p["change_us"]
-        print(f"{name:<48} " + "  ".join("      -   " if x is None else f"{x:8.2f}us"
-                                          for x in (base, change))
-              + ("" if "relative" not in p else
-                 f"  ({p['relative']:+.1%}, change faster in {p['change_wins']} of {ROUNDS})"))
+        print(part_line(name, p, 48))
     for case, m in minimize.items():
+        c = m.get("counts", {}).get("change")
         print(f"minimize {case}: {m['base_ms']:.2f} -> {m['change_ms']:.2f} ms "
               f"({m['relative']:+.1%}, change faster in {m['change_wins']} of {ROUNDS})"
-              + ("" if "counts" not in m else
-                 f", fallbacks {m['counts']['change']['fallbacks']} and shifts from "
-                 f"lambda s {m['counts']['change']['shift_from_lambda_s']} of "
-                 f"{m['counts']['change']['descent_steps']} steps"))
+              + ("" if c is None else
+                 f", fallbacks {c['fallbacks']}, shifts from lambda s "
+                 f"{c['shift_from_lambda_s']} and renormalized {c['renormalized']} of "
+                 f"{c['descent_steps']} steps"))
     inputs = {"n": N, "gamma": GAMMA, "seed": SEED, "minimize": MINIMIZE, "rounds": ROUNDS,
               "repeats": REPEATS, "calls": CALLS, "minimize_repeats": MIN_REPEATS}
     doc = {

@@ -99,6 +99,76 @@ def quartiles(xs) -> list[float]:
     return [float(q) for q in statistics.quantiles(xs, n=4)]
 
 
+def alternate(make_calls, measure, trees, rounds: int) -> dict:
+    """Per name, each tree's `rounds` measurements of calls[name][tree],
+    the trees alternating first and second between rounds, where calls =
+    make_calls() is made anew for the warm-up and for every round; a tree
+    that calls[name] lacks is skipped."""
+    for per_tree in make_calls().values():  # warm up
+        for call in per_tree.values():
+            call()
+    runs = {}
+    for r in range(rounds):
+        order = trees if r % 2 == 0 else trees[::-1]
+        for name, per_tree in make_calls().items():
+            for k in order:
+                if k in per_tree:
+                    runs.setdefault(name, {t: [] for t in trees})[k].append(
+                        measure(per_tree[k]))
+    return runs
+
+
+def summary(runs: dict, unit: str) -> dict:
+    """Both trees' median and quartiles, the relative change of the median
+    and the rounds the change won, from alternate()'s runs of one name."""
+    out = {f"{k}_{unit}": statistics.median(xs) if xs else None for k, xs in runs.items()}
+    out.update({f"{k}_quartiles_{unit}": quartiles(xs) if xs else None
+                for k, xs in runs.items()})
+    base, change = runs["base"], runs["change"]
+    if base and change:
+        out["relative"] = statistics.median(change) / statistics.median(base) - 1.0
+        out["change_wins"] = sum(c < b for b, c in zip(base, change))
+    out["rounds"] = max(len(xs) for xs in runs.values())
+    return out
+
+
+def part_summaries(make_parts, libs: dict, measure, rounds: int, unit: str) -> dict:
+    """Per part, summary() of both trees' times net of the part they
+    subtract, with "less" naming that part, where make_parts(lib) gives
+    lib's parts as name -> (call, name of the part whose time is
+    subtracted, or None).  The parts are made anew for the warm-up and for
+    every round of alternate(), so each round's calls read and write
+    arrays allocated for that round; a part that a tree lacks is left out
+    of its runs."""
+    trees = tuple(libs)
+    by_tree = {k: make_parts(lib) for k, lib in libs.items()}
+    names = list(dict.fromkeys(name for k in trees for name in by_tree[k]))
+
+    def calls():
+        fresh = {k: make_parts(lib) for k, lib in libs.items()}
+        return {name: {k: fresh[k][name][0] for k in trees if name in fresh[k]}
+                for name in names}
+
+    runs = alternate(calls, measure, trees, rounds)
+    out = {}
+    for name in names:
+        minus = next(by_tree[k][name][1] for k in trees if name in by_tree[k])
+        net = {k: [x - m for x, m in zip(runs[name][k], runs[minus][k])] if minus else
+               runs[name][k] for k in trees}
+        out[name] = {**summary(net, unit), "less": minus}
+    return out
+
+
+def part_line(name: str, p: dict, width: int) -> str:
+    """One printed row of a part_summaries() entry: both trees' medians,
+    the relative change and the rounds the change won."""
+    return (f"{name:<{width}} " + "  ".join("      -   " if x is None else f"{x:8.2f}us"
+                                          for x in (p["base_us"], p["change_us"]))
+            + ("" if "relative" not in p else
+               f"  ({p['relative']:+.1%}, change faster in {p['change_wins']} of "
+               f"{p['rounds']})"))
+
+
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("base", type=Path, help="source tree measured as the base")
@@ -118,29 +188,13 @@ def main(argv=None) -> int:
     libs = {k: load(f"lognls_{k}", tree / "src") for k, tree in trees.items()}
     by_tree = {k: segment_calls(lib) for k, lib in libs.items()}
     calls = {name: {k: by_tree[k][name] for k in trees} for name in by_tree["base"]}
-    for per_tree in calls.values():  # factor the propagators
-        for call in per_tree.values():
-            call()
-    times = {name: {k: [] for k in trees} for name in calls}
-    for r in range(ROUNDS):
-        order = ("base", "change") if r % 2 == 0 else ("change", "base")
-        for name, per_tree in calls.items():
-            for k in order:
-                times[name][k].append(best_of(per_tree[k]) * 1e3)
+    # the warm-up factors the propagators
+    times = alternate(lambda: calls, lambda call: best_of(call) * 1e3, tuple(trees), ROUNDS)
     segments = {}
     for name, t in times.items():
-        base, change = statistics.median(t["base"]), statistics.median(t["change"])
-        segments[name] = {
-            "base_ms": base, "change_ms": change,
-            "base_quartiles_ms": quartiles(t["base"]),
-            "change_quartiles_ms": quartiles(t["change"]),
-            "relative": change / base - 1.0,
-            "change_wins": sum(c < b for b, c in zip(t["base"], t["change"])),
-            "rounds": ROUNDS,
-            "runs_ms": t,
-        }
-        print(f"{name}: {base:.3f} -> {change:.3f} ms ({change / base - 1.0:+.1%}), "
-              f"change faster in {segments[name]['change_wins']} of {ROUNDS} rounds")
+        s = segments[name] = {**summary(t, "ms"), "runs_ms": t}
+        print(f"{name}: {s['base_ms']:.3f} -> {s['change_ms']:.3f} ms ({s['relative']:+.1%}), "
+              f"change faster in {s['change_wins']} of {ROUNDS} rounds")
     inputs = {"segments": SEGMENTS, "rounds": ROUNDS, "repeats": REPEATS, "seed": SEED,
               "delta": DELTA}
     doc = {

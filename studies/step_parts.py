@@ -1,14 +1,20 @@
-"""Where the time of one Strang step and of one record goes, part by part.
+"""Where the time of one Strang step and of one record goes, part by part,
+for two trees timed alternately in one interpreter.
 
-    python studies/step_parts.py [--out FILE]
+    python studies/step_parts.py BASE CHANGE [--out FILE]
 
-Times, in one interpreter and on the library's own buffers, each part of
-one merged step of ``evolve`` (a step between records) and of one
-record, at (n, dt) = (2048, 2e-3), criterion 10's grid, and (4096,
-1e-3), the CLI default.  The state is the gamma = 2 symmetric profile
-on Grid(20, n) plus perfbench's trial-0 perturbation of relative H^1
-size 1e-2 at SEED, stepped WARMUP steps by ``evolve``; the record's
-orbital distances are to that profile.
+BASE and CHANGE are lognls checkouts (each with ``src/lognls``).  One
+interpreter loads both packages, under the names ``lognls_base`` and
+``lognls_change``, as ``studies/step_ab.py`` does, so that the two
+trees' numbers are taken side by side on the same machine state.
+
+Times, on each library's own buffers, each part of one merged step of
+``evolve`` (a step between records) and of one record, at (n, dt) =
+(2048, 2e-3), criterion 10's grid, and (4096, 1e-3), the CLI default.
+The state is the gamma = 2 symmetric profile on Grid(20, n) plus
+perfbench's trial-0 perturbation of relative H^1 size 1e-2 at SEED,
+stepped WARMUP steps by ``evolve``; the record's orbital distances are
+to that profile.
 
 The step's parts are those of ``dynamics._cn_step`` (the copy, the map
 P^T to trace coordinates, the lower sweep, the product by 2/D, the upper
@@ -20,7 +26,10 @@ runs after a copy that restores it, and the copy's time is subtracted;
 every other pass reads inputs saved from one run of the step, so it can
 repeat.  The record's parts are the shared half factor, its product,
 the mass and energy of ``fields._report`` and their pieces (the form
-from edge differences among them), and the orbital distances and their
+from edge differences among them; the entropy of the squares and its
+sum, or, in a tree with ``fields._functionals``, the floor of the
+squares at ulp(0), its log, the squares times it and its sum), and the
+orbital distances and their
 pieces: the phase fit as one ``vdot`` with the cached reference's g,
 the difference from the fitted reference, its amplitudes, its node
 derivative, the sums and the Luxemburg gauge.  The finiteness of a
@@ -28,29 +37,35 @@ recorded state is read off the projection, a step part, and the
 reference that ``evolve`` takes from ``dynamics._reference`` is timed
 uncached, as a run's first call builds it.  Each part, and the
 whole step and record as ``evolve`` runs them, is timed in ROUNDS
-rounds as the best of REPEATS batches of CALLS calls.
+rounds as the best of REPEATS batches of CALLS calls, the two trees
+alternating first and second between rounds, on arrays allocated
+afresh for every round (``step_ab.part_summaries``); a part that a tree
+does not have is left out of its runs.
 
-The JSON written to FILE has, per case, each part's median and
-quartiles over the rounds in microseconds per call, and the run
-manifest of ``perfbench/manifest.py``.  BLAS runs on one thread.  The
-inputs are deterministic, the timings are not; it takes about 15 s
-and is not part of the test suite.
+The JSON written to FILE has, per case and part, both trees' median and
+quartiles over the rounds in microseconds per call, the change's median
+relative to the base's and the rounds the change won, and the run
+manifest of ``perfbench/manifest.py`` for each tree.  BLAS runs on one
+thread.  The inputs are deterministic, the timings are not; it takes
+about a minute and is not part of the test suite.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
-import statistics
 import sys
 from pathlib import Path
 from time import perf_counter
 
-ROOT = Path(__file__).resolve().parent.parent
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
-sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(HERE))
 
 from manifest import manifest, pin_blas_threads  # noqa: E402
+from step_ab import load, part_line, part_summaries  # noqa: E402
 
 ROUNDS, REPEATS, CALLS, SEED, DELTA, WARMUP = 7, 5, 200, 0, 1e-2, 100
 CASES = [(2048, 2e-3), (4096, 1e-3)]
@@ -68,12 +83,16 @@ def per_call_us(call) -> float:
     return best / CALLS * 1e6
 
 
-def case_parts(n: int, dt: float):
-    """The step's and the record's parts at (n, dt), as two dicts of
-    name -> (call, name of a part whose time is subtracted, or None)."""
+def case_parts(lib, n: int, dt: float) -> dict:
+    """lib's step and record parts at (n, dt): {"step": parts, "record":
+    parts}, each a dict of name -> (call, name of a part whose time is
+    subtracted, or None).  Every array the parts read or write is
+    allocated by this call."""
     import numpy as np
 
-    from lognls import corefn, dynamics, fields, stationary
+    corefn, dynamics, fields, stationary = (
+        importlib.import_module(f"{lib.__name__}.{m}")
+        for m in ("corefn", "dynamics", "fields", "stationary"))
 
     grid = fields.Grid(20.0, n)
     params = stationary.branch_params(GAMMA, 0.0, stationary.Branch(BRANCH))
@@ -161,7 +180,6 @@ def case_parts(n: int, dt: float):
     fields._sigma_dist_at(u, phi_v, theta, grid, *buffers)
     edge = np.subtract(u[1:], u[:-1])
     u2 = corefn._abs2(u)
-    ent = corefn.entropy_of_squares(u2)
 
     def difference():
         np.multiply(e, phi_v, out=out)
@@ -185,7 +203,22 @@ def case_parts(n: int, dt: float):
         "report: form: edge sum (vdot)": (lambda: np.vdot(edge, edge), None),
         "report: squares": (lambda: corefn._abs2(u), None),
         "report: mass sum": (lambda: float(dx * np.sum(u2)), None),
-        "report: entropy of squares": (lambda: corefn.entropy_of_squares(u2), None),
+    }
+    if hasattr(fields, "_functionals"):  # the squares times their floored log
+        u2_floored = np.maximum(u2, corefn._SUBNORMAL)
+        log_u2 = np.log(u2_floored)
+        ent = u2 * log_u2
+        record.update({
+            "report: floor of the squares":
+                (lambda: np.maximum(u2, corefn._SUBNORMAL, out=rate), None),
+            "report: log of the floored squares": (lambda: np.log(u2_floored, out=rate), None),
+            "report: squares times their log": (lambda: np.multiply(u2, log_u2, out=rate),
+                                                None),
+        })
+    else:
+        ent = corefn.entropy_of_squares(u2)
+        record["report: entropy of squares"] = (lambda: corefn.entropy_of_squares(u2), None)
+    record.update({
         "report: entropy sum": (lambda: float(dx * np.sum(ent)), None),
         "report (whole)": (lambda: fields._report(op, u, 0.0), None),
         "distances: phase fit (one vdot)": (lambda: fields._phase_fit(u, g), None),
@@ -202,55 +235,43 @@ def case_parts(n: int, dt: float):
         "whole record (as evolve runs it)": (whole_record, None),
         "reference, uncached (once per run and grid)":
             (lambda: dynamics._reference.__wrapped__(params, grid), None),
-    }
-    return step, record
-
-
-def quartiles(xs) -> list[float]:
-    return [float(x) for x in statistics.quantiles(xs, n=4)]
-
-
-def time_parts(parts: dict) -> dict:
-    """Per part, the median and quartiles over ROUNDS rounds, in us."""
-    for call, _ in parts.values():  # warm up
-        call()
-    runs = {name: [] for name in parts}
-    for _ in range(ROUNDS):
-        for name, (call, _) in parts.items():
-            runs[name].append(per_call_us(call))
-    result = {}
-    for name, (_, minus) in parts.items():
-        xs = runs[name]
-        if minus is not None:
-            xs = [x - m for x, m in zip(xs, runs[minus])]
-        result[name] = {"median_us": statistics.median(xs), "quartiles_us": quartiles(xs),
-                        "less": minus}
-    return result
+    })
+    return {"step": step, "record": record}
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("base", type=Path, help="source tree measured as the base")
+    p.add_argument("change", type=Path, help="source tree measured as the change")
     p.add_argument("--out", type=Path, default=Path("step_parts.json"), help="JSON to write")
     args = p.parse_args(argv)
+    for tree in (args.base, args.change):
+        if not (tree / "src" / "lognls" / "dynamics.py").is_file():
+            p.error(f"{tree} has no src/lognls/dynamics.py")
     pin_blas_threads()
+    trees = {"base": args.base.resolve(), "change": args.change.resolve()}
+    libs = {k: load(f"lognls_{k}", tree / "src") for k, tree in trees.items()}
     cases = {}
     for n, dt in CASES:
-        step, record = case_parts(n, dt)
         name = f"n={n} dt={dt:g}"
-        cases[name] = {"step": time_parts(step), "record": time_parts(record)}
+        cases[name] = {kind: part_summaries(lambda lib, kind=kind: case_parts(lib, n, dt)[kind],
+                                            libs, per_call_us, ROUNDS, "us")
+                       for kind in ("step", "record")}
         for kind in ("step", "record"):
             print(f"{name}, {kind}:")
             for part, r in cases[name][kind].items():
-                print(f"  {part:<52} {r['median_us']:8.2f} us")
+                print("  " + part_line(part, r, 52))
     inputs = {"cases": CASES, "gamma": GAMMA, "branch": BRANCH, "delta": DELTA,
               "warmup_steps": WARMUP, "rounds": ROUNDS, "repeats": REPEATS, "calls": CALLS}
     doc = {
         "study": "step_parts",
         "what": "per-part times of one merged Strang step and of one record of evolve, in "
-                "us per call: median and quartiles over rounds of the best of repeated "
-                "batches; 'less' names the part whose time was subtracted (a restoring copy)",
+                "us per call, both trees in one interpreter, alternated per round: median "
+                "and quartiles over rounds of the best of repeated batches; 'less' names the "
+                "part whose time was subtracted (a restoring copy); relative = change median "
+                "/ base median - 1",
         "cases": cases,
-        "manifest": manifest(ROOT, SEED, "step_parts", inputs),
+        "manifest": {k: manifest(tree, SEED, "step_parts", inputs) for k, tree in trees.items()},
     }
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0

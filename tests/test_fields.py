@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import blas, lapack
 
-from lognls import fields
+from lognls import corefn, fields
 from lognls.corefn import SQRT_PI
 from lognls.dynamics import linear_step
 from lognls.fields import (
@@ -547,9 +547,8 @@ class TestMinimize:
         # MAX_REJECTS rejections, then one forced step, and again
         project, bump = fields._project, iter(range(1, 10**6))
 
-        def uphill(op, values, omega, log_s2=None):
-            lam, _, log_s2 = project(op, values, omega, log_s2)
-            return lam, float(next(bump)), log_s2
+        def uphill(op, values, omega, log_s2):
+            return project(op, values, omega, log_s2)[0], float(next(bump))
 
         monkeypatch.setattr(fields, "_project", uphill)
         steps = 2 * (fields.MAX_REJECTS + 1)
@@ -861,7 +860,7 @@ def test_definite_sweep_backward_stable(n, tau, monkeypatch):
     g = Grid(20.0, n)
     op = form_operator(g, 2.01)
     s = fields._seed_values(Seed.LEFT, 2.01, 0.0, g)
-    v = fields._project(op, s, 0.0)[0] * s
+    v = fields._project(op, s, 0.0, np.empty(g.n))[0] * s
     shift, scale = descent_shift(g, v, tau)
     d, e = trace_tridiagonal(op, shift + scale * op.diag, scale * op.off, scale * op.coupling)
     monkeypatch.setattr(op, "_from_trace", lambda w: w)
@@ -882,7 +881,7 @@ def test_indefinite_descent_step_falls_back(monkeypatch):
     op = form_operator(g, 1.0)
     project, steps = fields._project, []
 
-    def recording(op, values, omega, log_s2=None):
+    def recording(op, values, omega, log_s2):
         steps.append(values.copy())
         return project(op, values, omega, log_s2)
 
@@ -893,9 +892,9 @@ def test_indefinite_descent_step_falls_back(monkeypatch):
     # the seed's projection, then each step's; the second step solves for
     # the first step s, whose projection is lam * s, with the shift of lam * s
     assert len(steps) == 3
-    s, tau = steps[1], 1.3 * fields.TAU0
-    lam, _, log_s2 = project(op, s, 0.0, np.empty(g.n))
-    shift, scale = fields._step_shift(np.empty(g.n), s, lam, log_s2, tau, 0.0), tau / g.dx
+    s, tau, log_s2 = steps[1], 1.3 * fields.TAU0, np.empty(g.n)
+    lam, _ = project(op, s, 0.0, log_s2)
+    shift, scale = fields._step_shift(np.empty(g.n), log_s2, lam, tau, 0.0), tau / g.dx
     assert op._definite_sweep(shift + scale * op.diag, scale, s) is None
     assert np.array_equal(steps[2], trace_solve(op, shift, scale, s)[0])
 
@@ -917,7 +916,7 @@ def projection_inputs():
     grid = Grid(20.0, 4096)
     project, seen = fields._project, []
 
-    def recording(op, values, omega, log_s2=None):
+    def recording(op, values, omega, log_s2):
         seen.append(values.copy())
         return project(op, values, omega, log_s2)
 
@@ -939,39 +938,49 @@ def projection_inputs():
 
 
 def test_projection_log_keeps_action_bits():
-    # with the log buffer the projection takes the entropy from s^2 log s^2
-    # where no square is zero or subnormal, and entropy_of_squares
-    # elsewhere: lambda and S are the bits of the projection without it, and
-    # a returned log is _log_abs2's.  The narrow seed and the subnormal
-    # state have zeros and subnormal squares, the compact seed zeros, so
-    # none of them returns the log; taking the floored log's entropy there
-    # moves the subnormal state's S
-    inputs, logged = projection_inputs(), 0
+    # the projection takes form, mass, entropy and Nehari value from the
+    # evaluation behind _report, whose entropy, summed from s^2 times the
+    # floored log, has entropy_of_squares' bits, zeros and subnormal
+    # squares included: lambda and S are those of _report's functionals
+    # bit for bit.  The buffer holds log max(s^2, ulp(0)), which is
+    # _log_abs2's where no square is below tiny
+    inputs, unfloored = projection_inputs(), 0
     for name, op, s, omega in inputs:
-        lam, S, none = fields._project(op, s, omega)
-        # without the buffer, the functionals are _report's
+        s2 = s * s
         r = fields._report(op, s, omega)
-        want = math.exp(r.nehari / (2.0 * r.mass))
-        assert (lam, S, none) == (want, 0.5 * want * want * r.mass, None), name
+        assert r.entropy == float(op.grid.dx * np.sum(corefn.entropy_of_squares(s2))), name
         buf = np.full(s.shape, np.nan)
-        got = fields._project(op, s, omega, buf)
-        assert got[:2] == (lam, S), name
-        if got[2] is not None:
-            assert got[2] is buf
+        lam, S = fields._project(op, s, omega, buf)
+        want = math.exp(r.nehari / (2.0 * r.mass))
+        assert (lam, S) == (want, 0.5 * want * (want * r.mass)), name
+        assert np.array_equal(buf, np.log(np.maximum(s2, math.ulp(0.0)))), name
+        if np.min(s2) >= TINY:
             assert np.array_equal(buf, fields._log_abs2(s)), name
-            logged += 1
-        elif name != "compactly supported seed":
-            # every square is positive; some is subnormal
-            s2 = s * s
-            assert np.min(s2) == 0.0 and np.any((s2 > 0.0) & (s2 < TINY)), name
-    # every 2.1-left state returns the log: the seed, the 58 descent steps
-    # and the Newton state
-    assert logged == len(inputs) - 3 == 60
+            unfloored += 1
+    # the seed, the 58 descent steps and the Newton state of the 2.1-left
+    # run; the narrow seed and the subnormal state have zeros and
+    # subnormal squares, the compact seed zeros
+    assert unfloored == len(inputs) - 3 == 60
+
+
+def test_projection_action_finite_where_lambda_squared_overflows():
+    # 1e-155 times a Gaussian: lambda is about 1e155, so lambda^2
+    # overflows, while the projected mass lambda^2 mass(s) is of order 1.
+    # S = lambda (lambda mass(s)) / 2 is half the projected mass to the
+    # rounding of the subnormal squares in mass(s) (measured 1.0e-14
+    # relative, bound 1e-12)
+    g = Grid(20.0, 1024)
+    op = form_operator(g, 3.0)
+    s = 1e-155 * np.exp(-0.5 * (g.nodes() - 1.0) ** 2)
+    lam, S = fields._project(op, s, 0.0, np.empty(g.n))
+    assert lam * lam == math.inf
+    assert math.isfinite(S)
+    assert S == pytest.approx(0.5 * mass(Field(g, lam * s)), rel=1e-12)
 
 
 def scaled_to(op, s, lam, omega=0.0):
     """s times the factor that makes its projection factor lam at omega."""
-    return s * (fields._project(op, s, omega)[0] / lam)
+    return s * (fields._project(op, s, omega, np.empty(s.size))[0] / lam)
 
 
 def shift_today(s, lam, tau, omega):
@@ -990,19 +999,22 @@ def test_step_shift_from_log_matches_floored_log(target, omega):
     g = Grid(20.0, 4096)
     op = form_operator(g, 2.01)
     s = scaled_to(op, fields._seed_values(Seed.LEFT, 2.01, 0.0, g), target, omega)
-    buf = np.empty(g.n)
-    lam, _, log_s2 = fields._project(op, s, omega, buf)
-    assert log_s2 is buf and (lam < 1.0) == (target < 1.0)
+    log_s2 = np.empty(g.n)
+    lam, _ = fields._project(op, s, omega, log_s2)
+    assert (lam < 1.0) == (target < 1.0)
     for tau in (fields.TAU0, fields.TAU_MAX, 1e-3):
-        got = fields._step_shift(np.empty(g.n), s, lam, log_s2, tau, omega)
+        got = fields._step_shift(np.empty(g.n), log_s2, lam, tau, omega)
         terms = 1.0 + abs(tau * omega) + abs(2.0 * tau * math.log(lam)) + np.abs(tau * log_s2)
         err = np.abs(got - shift_today(s, lam, tau, omega))
         assert np.max(err / terms) <= 4.0 * np.finfo(float).eps
 
 
 def floored_states():
-    """(name, op, s) whose projection lambda s has squares below the
-    smallest normal double tiny, with lambda < 1 or lambda > 1."""
+    """(name, s, lam, log_s2): samples s whose iterate lam s has squares
+    below the smallest normal double tiny, with the log that the
+    projection of s writes.  lam is the projection factor of s, below or
+    above 1, or, on a seed with exact zeros, a factor from either end of
+    the range the descent keeps lam in (SCALE_DRIFT) and 1."""
     g = Grid(20.0, 1024)
     op = form_operator(g, 1.0)
     x = g.nodes()
@@ -1010,23 +1022,35 @@ def floored_states():
     # above the floor there but (lambda s)^2 = tiny / 4 is below it
     s = scaled_to(op, np.exp(-0.5 * x * x), 0.01)
     s[:4] = s[-4:] = 0.5 * math.sqrt(TINY) / 0.01
+    out = []
     # lambda = 2 on the narrow seed: zeros and subnormal squares
-    return [("lambda < 1", op, s), ("lambda > 1", op, scaled_to(op, narrow_seed(g), 2.0))]
+    for name, v in [("lambda < 1", s), ("lambda > 1", scaled_to(op, narrow_seed(g), 2.0))]:
+        log_s2 = np.empty(g.n)
+        out.append((name, v, fields._project(op, v, 0.0, log_s2)[0], log_s2))
+    v, log_s2 = narrow_seed(g), np.empty(g.n)
+    fields._project(op, v, 0.0, log_s2)
+    return out + [(f"zeros at lambda = {lam:g}", v, lam, log_s2)
+                  for lam in (2.0**-40, 1.0, fields.SCALE_DRIFT)]
 
 
-@pytest.mark.parametrize("case", range(2))
+@pytest.mark.parametrize("case", range(5))
 def test_step_shift_exact_on_floored_nodes(case):
-    # where a square of lambda s is floored, log s^2 + 2 log lambda is not
-    # the floored log: there the projection returns no log and the shift
-    # is built from lambda s, bit for bit the floored log's shift
-    name, op, s = floored_states()[case]
-    lam, _, log_s2 = fields._project(op, s, 0.0, np.empty(s.size))
+    # where a square of lambda s is floored, log s^2 + 2 log lambda lies
+    # below log tiny and the cap gives the shift bit for bit the floored
+    # log's.  A zero square's log, log ulp(0), reaches the cap for every
+    # lambda up to 2^26, so up to SCALE_DRIFT (with SCALE_DRIFT = 2^32 the
+    # last case fails)
+    name, s, lam, log_s2 = floored_states()[case]
     floored = (lam * s) ** 2 < TINY
-    assert floored.any() and (lam < 1.0) == (name == "lambda < 1")
+    assert floored.any()
+    if name.startswith("zeros"):
+        assert np.any(s == 0.0)
+    else:
+        assert (lam < 1.0) == (name == "lambda < 1")
     if name == "lambda < 1":
         assert np.min(s * s) >= TINY  # log s^2 itself is not floored
-    for tau in (fields.TAU0, fields.TAU_MAX):
-        got = fields._step_shift(np.empty(s.size), s, lam, log_s2, tau, 0.0)
+    for tau in (fields.TAU0, fields.TAU_MAX, 1e-3):
+        got = fields._step_shift(np.empty(s.size), log_s2, lam, tau, 0.0)
         assert np.array_equal(got[floored], shift_today(s, lam, tau, 0.0)[floored]), name
 
 
